@@ -34,6 +34,7 @@ EXIT_MISMATCH = 6
 _CENSUS_FIELDS = ("ring", "q", "n", "s", "brute_count", "formula_count",
                   "match", "method")
 _TABLE_FIELDS = _CENSUS_FIELDS + ("error",)
+_THREADS_HELP = "accepted for compatibility; has no effect"
 
 
 def _cell(value) -> str:
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--s", type=int, required=True, help="number of factors")
     c.add_argument("--method", default="set-product",
                    choices=("set-product", "orbit-union", "formula"))
-    c.add_argument("--threads", type=int, default=1)
+    c.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     c.add_argument("--stable-output", action="store_true",
                    help="omit timing fields so runs diff cleanly")
     _add_common(c, formats=("json", "csv", "text"), default_format="json")
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                         + ", ".join(SUITE_NAMES) + ", all")
     v.add_argument("--samples", type=int, default=100_000)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--threads", type=int, default=1)
+    v.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     _add_common(v, formats=("text", "json"), default_format="text")
     v.set_defaults(func=_cmd_verify)
 
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="factor count, a single value or a range lo..hi")
     t.add_argument("--method", default="set-product",
                    choices=("set-product", "orbit-union", "formula"))
-    t.add_argument("--threads", type=int, default=1)
+    t.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     t.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     t.add_argument("--out", default=None)
     t.set_defaults(func=_cmd_table)

@@ -269,13 +269,14 @@ class MatrixSpace:
 
     # -- masks over the whole space -------------------------------------------
 
-    def _mask_by(self, predicate) -> np.ndarray:
-        mask = np.empty(self.count, dtype=bool)
+    def _map_space(self, fn, dtype=bool) -> np.ndarray:
+        """fn applied to every packed matrix, one block at a time."""
+        out = np.empty(self.count, dtype=dtype)
         for start in range(0, self.count, _BULK_BLOCK):
             block = np.arange(start, min(start + _BULK_BLOCK, self.count),
                               dtype=np.int64)
-            mask[start:start + len(block)] = predicate(self.unpack(block))
-        return mask
+            out[start:start + len(block)] = fn(self.unpack(block))
+        return out
 
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
@@ -285,7 +286,7 @@ class MatrixSpace:
             return ((val[self.trace_indices(entries)] >= 1)
                     & (val[self.det_indices(entries)] >= 1))
 
-        return self._mask_by(pred)
+        return self._map_space(pred)
 
     @cached_property
     def nilpotent_indices(self) -> np.ndarray:
@@ -294,19 +295,11 @@ class MatrixSpace:
     @cached_property
     def invertible_mask(self) -> np.ndarray:
         val = self.ring.val_table
-        return self._mask_by(lambda e: val[self.det_indices(e)] == 0)
+        return self._map_space(lambda e: val[self.det_indices(e)] == 0)
 
     @cached_property
     def invertible_indices(self) -> np.ndarray:
         return np.flatnonzero(self.invertible_mask)
-
-    def enumerate_nilpotents(self) -> list[Mat2]:
-        """All nilpotent matrices, ascending packed order."""
-        return [self.matrix_from_packed(int(i)) for i in self.nilpotent_indices]
-
-    def enumerate_invertibles(self) -> list[Mat2]:
-        return [self.matrix_from_packed(int(i))
-                for i in self.invertible_indices]
 
     # -- the general linear group ----------------------------------------------
 
@@ -333,6 +326,72 @@ class MatrixSpace:
         _, P, Pinv = self._gl_data
         a = tuple(x.idx for x in A.entries())
         return self.pack(*self.matmul(Pinv, self.matmul(a, P)))
+
+    @cached_property
+    def class_labels(self) -> np.ndarray:
+        """For each packed index, the smallest packed index in its GL2
+        conjugacy class.
+
+        SL2 of a local ring is generated by elementary matrices, so
+        conjugation by E12(t) and E21(t), t in an additive generating set
+        of R, and by diag(u, 1), u in a generating set of R*, connects
+        each class.  Labels start as the identity and take the minimum
+        over every generator's image, with pointer jumping, until a full
+        round changes nothing.
+        """
+        ring = self.ring
+        zero, one = ring.zero.idx, ring.one.idx
+        neg, inv = ring.neg_table, ring.inv_table
+        conjugators = []
+        for t in _greedy_generators(ring.add_table, range(self.Q), zero):
+            conjugators += [((one, t, zero, one), (one, neg[t], zero, one)),
+                            ((one, zero, t, one), (one, zero, neg[t], one))]
+        for u in _greedy_generators(ring.mul_table, np.flatnonzero(inv >= 0),
+                                    one):
+            conjugators.append(((u, zero, zero, one),
+                                (inv[u], zero, zero, one)))
+
+        # the images are only read as gather indices; int32 halves them
+        image_type = np.int32 if self.count <= 2 ** 31 else np.int64
+
+        def conjugation(P, Pinv):
+            return self._map_space(
+                lambda a: self.pack(*self.matmul(Pinv, self.matmul(a, P))),
+                image_type)
+
+        maps = [conjugation(P, Pinv) for P, Pinv in conjugators]
+        labels = np.arange(self.count, dtype=np.int64)
+        while True:
+            before = labels
+            for image in maps:
+                labels = np.minimum(labels, labels[image])
+            while True:
+                jumped = labels[labels]
+                if np.array_equal(jumped, labels):
+                    break
+                labels = jumped
+            if np.array_equal(labels, before):
+                return labels
+
+
+def _greedy_generators(table: np.ndarray, elements, identity: int) -> list[int]:
+    """Generators of the group on ``elements`` whose operation is ``table``:
+    scan in order, keep each element outside the span of those kept so
+    far, and close the span again."""
+    span = np.zeros(len(table), dtype=bool)
+    span[identity] = True
+    gens: list[int] = []
+    for g in elements:
+        if span[g]:
+            continue
+        gens.append(int(g))
+        while True:
+            grown = span.copy()
+            grown[table[np.flatnonzero(span)][:, gens]] = True
+            if np.array_equal(grown, span):
+                break
+            span = grown
+    return gens
 
 
 _SPACE_CACHE: dict[tuple, MatrixSpace] = {}

@@ -2,7 +2,8 @@
 certified decompositions, sharpness witnesses.
 
 The census routes are independent by construction: ``product_set`` builds
-the exact set of s-fold products bottom-up over the packed encoding, while
+the exact set of s-fold products bottom-up over the packed encoding, one
+GL2 conjugacy class at a time, while
 ``formula_count`` evaluates the closed-form count and ``orbit_union``
 measures the conjugation-orbit union.  Agreement between them is what the
 verification suites assert; nothing here short-circuits one route through
@@ -11,7 +12,6 @@ another.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -67,8 +67,8 @@ def formula_count(q: int, n: int, s: int) -> int:
     """Closed-form size of the set of s-fold nilpotent products in M2(R)
     for a chain ring with residue field GF(q) and nilpotency degree n.
 
-    Valid for s >= 2n - 1.  The fraction in the general branch is exact;
-    the assertion guards the divisibility for every admissible q.
+    Valid for s >= 2n - 1.  The fraction in the general branch is exact
+    for every admissible q; a ValueError guards the divisibility.
     """
     if not _is_odd_prime_power(q):
         raise ValueError(f"q must be an odd prime power, got {q}")
@@ -82,7 +82,8 @@ def formula_count(q: int, n: int, s: int) -> int:
         return q ** 3 - q + 1
     num = (q + 2) * q ** (3 * n + 1) + q ** 3 + q ** 2 + 1
     den = q * q + q + 1
-    assert num % den == 0, "the fraction is integral for every odd prime power"
+    if num % den:
+        raise ValueError(f"closed form is not integral for q={q}, n={n}")
     return q ** (2 * n) - q ** (n + 1) + num // den - 1
 
 
@@ -109,48 +110,42 @@ def gl2_count(q: int, n: int) -> int:
 # exact product sets
 # ---------------------------------------------------------------------------
 
-def _multiply_sets(space: MatrixSpace, left: np.ndarray, right: np.ndarray,
-                   threads: int = 1) -> np.ndarray:
+def _multiply_sets(space: MatrixSpace, left: np.ndarray,
+                   right: np.ndarray) -> np.ndarray:
     """Sorted packed indices of {L * R : L in left, R in right}."""
-    r = space.unpack(right)
-    r = tuple(x[None, :] for x in r)
-
-    def fill(mask: np.ndarray, lo: int, hi: int):
-        block = max(1, _BULK_PAIR_BLOCK // max(len(right), 1))
-        for start in range(lo, hi, block):
-            l = space.unpack(left[start:min(start + block, hi)])
-            l = tuple(x[:, None] for x in l)
-            prod = space.matmul(l, r)
-            mask[space.pack(*prod).ravel()] = True
-
-    if threads <= 1 or len(left) < 2 * threads:
-        mask = np.zeros(space.count, dtype=bool)
-        fill(mask, 0, len(left))
-        return np.flatnonzero(mask)
-    bounds = np.linspace(0, len(left), threads + 1).astype(int)
-    masks = [np.zeros(space.count, dtype=bool) for _ in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(fill, masks[i], bounds[i], bounds[i + 1])
-                   for i in range(threads)]
-        for f in futures:
-            f.result()
-    mask = masks[0]
-    for m in masks[1:]:
-        mask |= m
+    r = tuple(x[None, :] for x in space.unpack(right))
+    mask = np.zeros(space.count, dtype=bool)
+    block = max(1, _BULK_PAIR_BLOCK // max(len(right), 1))
+    for start in range(0, len(left), block):
+        l = tuple(x[:, None] for x in space.unpack(left[start:start + block]))
+        mask[space.pack(*space.matmul(l, r)).ravel()] = True
     return np.flatnonzero(mask)
 
 
 def product_set(space: MatrixSpace, s: int, threads: int = 1) -> np.ndarray:
     """Sorted packed indices of every product of exactly s nilpotents.
 
-    Each multiplicity is recomputed from the full previous set; the sets
-    are not monotone in s, so no frontier shortcut applies.
+    S_1 is the nilpotent set and S_s = S_{s-1} * Nil.  Both factors are
+    closed under conjugation, and A N = P^-1 (r * P N P^-1) P when
+    A = P^-1 r P, so S_s is the conjugation closure of reps(S_{s-1}) * Nil:
+    only the class representatives of ``MatrixSpace.class_labels`` are
+    multiplied.  The sets are not monotone in s, but S_s = S_{s-1} forces
+    every later set to equal it, so the chain stops at its first repeat.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    cur = space.nilpotent_indices
+    nil = space.nilpotent_indices
+    cur = nil
     for _ in range(s - 1):
-        cur = _multiply_sets(space, cur, space.nilpotent_indices, threads)
+        labels = space.class_labels
+        reps = cur[labels[cur] == cur]
+        hit = np.zeros(space.count, dtype=bool)
+        hit[labels[_multiply_sets(space, reps, nil)]] = True
+        nxt = np.flatnonzero(hit[labels])
+        if np.array_equal(nxt, cur):
+            break
+        cur = nxt
     return cur
 
 
@@ -243,13 +238,15 @@ class NilFactorization:
     @classmethod
     def certified(cls, target: Mat2, factors, conjugator: Mat2):
         factors = tuple(factors)
-        assert factors, "a factorization needs at least one factor"
-        for N in factors:
-            assert N.is_nilpotent(), "every factor must be nilpotent"
+        if not factors:
+            raise ValueError("a factorization needs at least one factor")
+        if not all(N.is_nilpotent() for N in factors):
+            raise ValueError("every factor must be nilpotent")
         prod = factors[0]
         for N in factors[1:]:
             prod = prod * N
-        assert prod == target, "factors must multiply to the target"
+        if prod != target:
+            raise ValueError("factors must multiply to the target")
         return cls(target, factors, conjugator)
 
     def to_dict(self) -> dict:

@@ -13,11 +13,13 @@ against each other exhaustively wherever the sweep is feasible.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ring import Ring, RingElem, format_ring_spec
+from .chain_ring import (Ring, RingElem, format_ring_spec, make_ring,
+                         parse_ring_spec)
 from .mat2 import Mat2, MatrixSpace, top_row
 
 # Above this many conjugations the sweep yields to the parametrised route.
@@ -25,6 +27,9 @@ _SWEEP_OP_LIMIT = 4_000_000
 
 # Per-pair orbit arrays are only memoised for groups this small.
 _ORBIT_CACHE_GL_LIMIT = 65536
+
+# A bitset header is one short text line; longer first lines are rejected.
+_BITSET_HEADER_LIMIT = 256
 
 
 def conjugate(A: Mat2, P: Mat2) -> Mat2:
@@ -182,10 +187,40 @@ def save_union_bitset(space: MatrixSpace, path, method: str = "auto"):
         fh.write(np.packbits(mask, bitorder="little").tobytes())
 
 
+def _check_bitset_header(spec_text: str, nbits: int) -> None:
+    """The spec must name a valid ring whose Q^4 equals nbits.
+
+    The power is built one factor at a time and stops once it passes
+    nbits, so an absurd spec costs no more than a plausible one."""
+    spec = parse_ring_spec(spec_text)
+    count, left = 1, 4 * spec.r * spec.n
+    while spec.p > 1 and left and count <= nbits:
+        count, left = count * spec.p, left - 1
+    if left or count != nbits:
+        raise ValueError(f"bitset header claims {nbits} bits, which is not "
+                         f"the matrix count of {spec_text}")
+    make_ring(spec)
+
+
 def load_union_bitset(path) -> tuple[str, np.ndarray]:
-    """Read a bitset file back as (ring spec string, boolean mask)."""
+    """Read a bitset file back as (ring spec string, boolean mask).
+
+    The header must hold two fields, a ring spec and a bit count equal to
+    Q^4 for that ring, and the payload must be exactly ceil(bits / 8)
+    bytes; any other file raises ValueError before the mask is allocated.
+    """
     with open(path, "rb") as fh:
-        spec_text, nbits = fh.readline().decode().split()
+        header = fh.readline(_BITSET_HEADER_LIMIT)
+        fields = header.decode("ascii", errors="replace").split()
+        if (not header.endswith(b"\n") or len(fields) != 2
+                or not fields[1].isdigit()):
+            raise ValueError("bitset header must be '<ring-spec> <bit-count>'")
+        spec_text, nbits = fields[0], int(fields[1])
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != (nbits + 7) // 8:
+            raise ValueError(f"bitset payload has {payload} bytes, header "
+                             f"claims {nbits} bits")
+        _check_bitset_header(spec_text, nbits)
         raw = np.frombuffer(fh.read(), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=int(nbits), bitorder="little")
+        bits = np.unpackbits(raw, count=nbits, bitorder="little")
     return spec_text, bits.astype(bool)

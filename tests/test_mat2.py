@@ -7,6 +7,7 @@ from nilquat.mat2 import (CapExceededError, Mat2, MatrixSpace, NilTag,
                           load_packed, matrix_space, parse_matrix,
                           save_packed, top_row, zero_matrix)
 from nilquat.nilfactor import gl2_count
+from nilquat.orbits import orbit_of
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +149,15 @@ def test_save_load_packed_text_and_binary(tmp_path, z9_space):
 
 def test_space_cache_reuse(z9):
     assert matrix_space(z9) is matrix_space(z9)
+
+
+@pytest.mark.parametrize("text", ("polyq:3^1^1", "zmod:5^1", "zmod:3^2",
+                                  "polyq:3^2^1", "polyq:3^1^2"))
+def test_class_labels_are_orbit_minima(text):
+    sp = matrix_space(ring_from_string(text))
+    want = np.full(sp.count, -1, dtype=np.int64)
+    for k in range(sp.count):
+        if want[k] < 0:
+            members = orbit_of(sp, sp.matrix_from_packed(k)).members
+            want[members] = members[0]
+    assert np.array_equal(sp.class_labels, want)

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import nilquat
 from nilquat.chain_ring import ring_from_string
-from nilquat.mat2 import Mat2, identity, matrix_space, parse_matrix, top_row
-from nilquat.nilfactor import (DEFAULT_SEED, NotInOrbitUnionError,
-                               NotNilpotentError, TraceObstructionError,
+from nilquat.mat2 import (Mat2, identity, matrix_space, parse_matrix, top_row,
+                          zero_matrix)
+from nilquat.nilfactor import (DEFAULT_SEED, NilFactorization,
+                               NotInOrbitUnionError, NotNilpotentError,
+                               TraceObstructionError, _multiply_sets,
                                census_formula_only, census_orbit_union,
                                census_set_product, decompose, formula_count,
                                gl2_count, nilpotent_count_check, product_set,
@@ -288,3 +295,55 @@ def test_valuation_scan_gf3_t3():
     assert rep.passed
     d = rep.to_dict()
     assert d["matched"] == rep.matched
+
+
+_CHAIN_RINGS = ("polyq:3^1^1", "zmod:5^1", "zmod:3^2", "polyq:3^2^1",
+                "polyq:3^1^2")
+
+
+@pytest.mark.parametrize("text", _CHAIN_RINGS)
+def test_class_reduced_chain_matches_brute_chain(text):
+    sp = matrix_space(ring_from_string(text))
+    nil = sp.nilpotent_indices
+    brute = nil
+    for s in range(1, 6):
+        if s > 1:
+            brute = _multiply_sets(sp, brute, nil)
+        assert np.array_equal(product_set(sp, s), brute), s
+
+
+def test_product_set_n3_equals_union():
+    sp = matrix_space(ring_from_string("zmod:3^3"))
+    assert len(product_set(sp, 5)) == int(orbit_union(sp).sum()) == 24225
+
+
+def test_certified_rejects_bad_factorizations(gf3):
+    r = gf3.ring
+    E = top_row(r.zero, r.one)
+    with pytest.raises(ValueError, match="at least one factor"):
+        NilFactorization.certified(E, [], identity(r))
+    with pytest.raises(ValueError, match="nilpotent"):
+        NilFactorization.certified(identity(r), [identity(r)], identity(r))
+    with pytest.raises(ValueError, match="multiply to the target"):
+        NilFactorization.certified(zero_matrix(r), [E], identity(r))
+
+
+def test_certified_checks_survive_optimize_flag():
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = (
+        "from nilquat import *\n"
+        "r = ring_from_string('zmod:3^1')\n"
+        "I = identity(r)\n"
+        "try:\n"
+        "    NilFactorization.certified(zero_matrix(r), [I], I)\n"
+        "except ValueError:\n"
+        "    print('refused')\n"
+        "else:\n"
+        "    print('verified')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,53 @@ def test_union_bitset_save_load(tmp_path, z9_space):
     assert np.array_equal(loaded, mask)
     header = path.read_bytes().split(b"\n", 1)[0]
     assert header == b"zmod:3^2 6561"
+
+
+def _bitset_bytes(tmp_path, z9_space):
+    path = tmp_path / "union.bits"
+    save_union_bitset(z9_space, path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    return path, header, payload
+
+
+def test_union_bitset_truncated_payload_rejected(tmp_path, z9_space):
+    # 6561 bits need 821 bytes; a short payload used to load zero-padded
+    path, header, payload = _bitset_bytes(tmp_path, z9_space)
+    path.write_bytes(header + b"\n" + payload[:-3])
+    with pytest.raises(ValueError, match="payload"):
+        load_union_bitset(path)
+    path.write_bytes(header + b"\n" + payload + b"\0")
+    with pytest.raises(ValueError, match="payload"):
+        load_union_bitset(path)
+
+
+def test_union_bitset_huge_bit_count_rejected_before_allocating(
+        tmp_path, z9_space):
+    # this header used to ask unpackbits for a 93 GiB mask
+    path, _, payload = _bitset_bytes(tmp_path, z9_space)
+    path.write_bytes(b"zmod:3^2 99999999999\n" + payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            load_union_bitset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("header", (
+    b"zmod:3^2",                 # one field
+    b"zmod:3^2 6561 extra",      # three fields
+    b"zmod:3^2 -6561",           # not a count
+    b"zmod:3 6561",              # spec does not parse
+    b"zmod:9^1 6561",            # 9 is not prime
+    b"zmod:3^2 6560",            # count is not Q^4
+    b"polyq:3^1^2 6561" + b" " * 300,  # header line too long
+))
+def test_union_bitset_bad_headers_rejected(tmp_path, z9_space, header):
+    path, _, payload = _bitset_bytes(tmp_path, z9_space)
+    path.write_bytes(header + b"\n" + payload)
+    with pytest.raises(ValueError):
+        load_union_bitset(path)
+
