@@ -20,8 +20,8 @@ from .nilfactor import (DEFAULT_SEED, CensusReport, DecompositionError,
                         TraceObstructionError, census_formula_only,
                         census_orbit_union, census_set_product, decompose,
                         formula_count, gl2_count, nilpotent_count_check,
-                        product_set, sharpness_example, stable_product_count,
-                        valuation_obstruction_scan)
+                        product_set, rank1_union_count, sharpness_example,
+                        stable_product_count, valuation_obstruction_scan)
 from .orbits import (Orbit, OrbitCertificate, conjugate, load_union_bitset,
                      locate_in_orbit_union, orbit_of, orbit_union,
                      save_union_bitset, shear, union_summary, unit_diag)
@@ -43,7 +43,8 @@ __all__ = [
     "NotInOrbitUnionError", "NotNilpotentError", "ScanReport",
     "SharpnessCertificate", "TraceObstructionError", "census_formula_only",
     "census_orbit_union", "census_set_product", "decompose", "formula_count",
-    "gl2_count", "nilpotent_count_check", "product_set", "sharpness_example",
+    "gl2_count", "nilpotent_count_check", "product_set", "rank1_union_count",
+    "sharpness_example",
     "stable_product_count", "valuation_obstruction_scan",
     "Orbit", "OrbitCertificate", "conjugate", "load_union_bitset",
     "locate_in_orbit_union", "orbit_of", "orbit_union", "save_union_bitset",

@@ -221,6 +221,9 @@ class MatrixSpace:
         self.count = count
         self._orbit_cache: dict[tuple[int, int], tuple] = {}
         self._union_cache: dict[str, np.ndarray] = {}
+        # the sorted products of Nil's class representatives by Nil,
+        # built and read by nilfactor's two-factor search
+        self._two_factor_table: tuple | None = None
 
     def __repr__(self):
         return f"MatrixSpace({format_ring_spec(self.ring.spec)})"
@@ -324,20 +327,16 @@ class MatrixSpace:
     def conjugates_of(self, A: Mat2) -> np.ndarray:
         """Packed P^-1 A P for every P in GL2, in ascending P order."""
         _, P, Pinv = self._gl_data
-        a = tuple(x.idx for x in A.entries())
-        return self.pack(*self.matmul(Pinv, self.matmul(a, P)))
+        return self._conjugate(tuple(x.idx for x in A.entries()), P, Pinv)
 
     @cached_property
-    def class_labels(self) -> np.ndarray:
-        """For each packed index, the smallest packed index in its GL2
-        conjugacy class.
+    def _conjugation_generators(self) -> list[tuple[tuple, tuple]]:
+        """(P, P^-1) entry tuples of generators of GL2(R).
 
-        SL2 of a local ring is generated by elementary matrices, so
-        conjugation by E12(t) and E21(t), t in an additive generating set
-        of R, and by diag(u, 1), u in a generating set of R*, connects
-        each class.  Labels start as the identity and take the minimum
-        over every generator's image, with pointer jumping, until a full
-        round changes nothing.
+        SL2 of a local ring is generated by elementary matrices, so E12(t)
+        and E21(t), t in an additive generating set of R, together with
+        diag(u, 1), u in a generating set of R*, generate GL2(R), and
+        conjugation by them connects every conjugacy class.
         """
         ring = self.ring
         zero, one = ring.zero.idx, ring.one.idx
@@ -350,28 +349,81 @@ class MatrixSpace:
                                     one):
             conjugators.append(((u, zero, zero, one),
                                 (inv[u], zero, zero, one)))
+        return conjugators
 
+    def _conjugate(self, entries, P, Pinv):
+        """Packed P^-1 A P for A given as a 4-tuple of index arrays."""
+        return self.pack(*self.matmul(Pinv, self.matmul(entries, P)))
+
+    @cached_property
+    def class_labels(self) -> np.ndarray:
+        """For each packed index, the smallest packed index in its GL2
+        conjugacy class, by min-label propagation over all Q^4 matrices."""
         # the images are only read as gather indices; int32 halves them
         image_type = np.int32 if self.count <= 2 ** 31 else np.int64
+        maps = [self._map_space(lambda a, P=P, Pinv=Pinv:
+                                self._conjugate(a, P, Pinv), image_type)
+                for P, Pinv in self._conjugation_generators]
+        return _propagate_min_labels(maps, self.count)
 
-        def conjugation(P, Pinv):
-            return self._map_space(
-                lambda a: self.pack(*self.matmul(Pinv, self.matmul(a, P))),
-                image_type)
+    def class_representatives(self, indices: np.ndarray) -> np.ndarray:
+        """The smallest member of each GL2 conjugacy class in ``indices``,
+        sorted.
 
-        maps = [conjugation(P, Pinv) for P, Pinv in conjugators]
-        labels = np.arange(self.count, dtype=np.int64)
+        ``indices`` must be sorted packed indices of a set closed under
+        conjugation, such as the nilpotents; the labels are propagated over
+        that set only, so nothing of size Q^4 is allocated.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        entries = self.unpack(indices)
+        maps = []
+        for P, Pinv in self._conjugation_generators:
+            image = self._conjugate(entries, P, Pinv)
+            pos = np.minimum(np.searchsorted(indices, image),
+                             max(len(indices) - 1, 0))
+            if not np.array_equal(indices[pos], image):
+                raise ValueError("indices must be sorted and closed under "
+                                 "conjugation")
+            maps.append(pos)
+        labels = _propagate_min_labels(maps, len(indices))
+        return indices[labels == np.arange(len(indices))]
+
+    @cached_property
+    def scalar_class_conjugators(self):
+        """(packed, entries, inverse entries) of one GL2 element per class
+        modulo scalars, in ascending packed order.
+
+        Scalars conjugate trivially, so these give every conjugate of a
+        matrix.  Each class has exactly one member whose first row is
+        (1, t), or (j, 1) with j in J.
+        """
+        g, e, inv = self._gl_data
+        one = self.ring.one.idx
+        keep = ((e[0] == one)
+                | ((self.ring.val_table[e[0]] >= 1) & (e[1] == one)))
+        return (g[keep], tuple(x[keep] for x in e),
+                tuple(x[keep] for x in inv))
+
+
+def _propagate_min_labels(maps, size: int) -> np.ndarray:
+    """For each position in range(size), the smallest position in its
+    orbit under the group that the permutations ``maps`` generate.
+
+    Labels start as the identity and take the minimum over every map's
+    image, with pointer jumping, until a full round changes nothing.
+    """
+    labels = np.arange(size, dtype=np.int64)
+    while True:
+        before = labels
+        for image in maps:
+            labels = np.minimum(labels, labels[image])
         while True:
-            before = labels
-            for image in maps:
-                labels = np.minimum(labels, labels[image])
-            while True:
-                jumped = labels[labels]
-                if np.array_equal(jumped, labels):
-                    break
-                labels = jumped
-            if np.array_equal(labels, before):
-                return labels
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, before):
+            return labels
 
 
 def _greedy_generators(table: np.ndarray, elements, identity: int) -> list[int]:

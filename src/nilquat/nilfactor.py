@@ -17,7 +17,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .chain_ring import Ring, RingElem, format_ring_spec
+from .chain_ring import Ring, RingElem, format_element, format_ring_spec
 from .mat2 import (Mat2, MatrixSpace, format_matrix, identity, top_row,
                    zero_matrix)
 from .orbits import locate_in_orbit_union, orbit_union
@@ -61,6 +61,22 @@ def _is_odd_prime_power(q: int) -> bool:
     while q % p == 0:
         q //= p
     return q == 1
+
+
+def rank1_union_count(q: int, n: int) -> int:
+    """Closed-form size of the top-row orbit union {u w^T : u a unimodular
+    column, w in R^2} for residue field GF(q) and nilpotency degree n:
+    1 + (q + 1)^2 (q^(3n) - 1) / (q^2 + q + 1).
+
+    The division is exact, since q^2 + q + 1 divides q^3 - 1 and so
+    q^(3n) - 1.  Kept apart from ``formula_count``, which it equals for
+    n <= 2 and not for n >= 3.
+    """
+    if not _is_odd_prime_power(q):
+        raise ValueError(f"q must be an odd prime power, got {q}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return 1 + (q + 1) ** 2 * (q ** (3 * n) - 1) // (q * q + q + 1)
 
 
 def formula_count(q: int, n: int, s: int) -> int:
@@ -110,15 +126,27 @@ def gl2_count(q: int, n: int) -> int:
 # exact product sets
 # ---------------------------------------------------------------------------
 
-def _multiply_sets(space: MatrixSpace, left: np.ndarray,
-                   right: np.ndarray) -> np.ndarray:
-    """Sorted packed indices of {L * R : L in left, R in right}."""
+def pair_products(space: MatrixSpace, left: np.ndarray, right: np.ndarray):
+    """Yield (start, product entries) for every L * R, L in left and R in
+    right, in row-major pair order.
+
+    Each block holds the rows left[start:start + k] against all of right,
+    as four (k, len(right)) index arrays, with k chosen so a block has
+    about _BULK_PAIR_BLOCK pairs.
+    """
     r = tuple(x[None, :] for x in space.unpack(right))
-    mask = np.zeros(space.count, dtype=bool)
     block = max(1, _BULK_PAIR_BLOCK // max(len(right), 1))
     for start in range(0, len(left), block):
         l = tuple(x[:, None] for x in space.unpack(left[start:start + block]))
-        mask[space.pack(*space.matmul(l, r)).ravel()] = True
+        yield start, space.matmul(l, r)
+
+
+def _multiply_sets(space: MatrixSpace, left: np.ndarray,
+                   right: np.ndarray) -> np.ndarray:
+    """Sorted packed indices of {L * R : L in left, R in right}."""
+    mask = np.zeros(space.count, dtype=bool)
+    for _, prod in pair_products(space, left, right):
+        mask[space.pack(*prod).ravel()] = True
     return np.flatnonzero(mask)
 
 
@@ -286,30 +314,64 @@ def _top_row_factors(ring: Ring, a: RingElem, b: RingElem,
         odd = [E, Mat2(z, z, a, z), K]
         even = [E, Mat2(z, z, -b, z), E, K]
     chain = odd if (s - len(odd)) % 2 == 0 else even
-    assert s >= len(chain)
+    if s < len(chain):
+        raise ValueError(f"this top row needs at least {len(chain)} factors")
     return [E, F] * ((s - len(chain)) // 2) + chain
 
 
+def _two_factor_table(space: MatrixSpace):
+    """(keys, first, reps): the sorted distinct products n N, n in reps =
+    the class representatives of Nil and N in Nil, and for each key the
+    index i * |Nil| + j of its first pair (reps[i], Nil[j]).  Built once
+    per space, one block of pairs at a time."""
+    table = space._two_factor_table
+    if table is None:
+        nil = space.nilpotent_indices
+        reps = space.class_representatives(nil)
+        keys, first = [], []
+        for start, prod in pair_products(space, reps, nil):
+            block, pos = np.unique(space.pack(*prod), return_index=True)
+            keys.append(block)
+            first.append(pos + start * len(nil))
+        # a stable unique keeps the first of equal keys, and the blocks
+        # are in pair order
+        keys, pos = np.unique(np.concatenate(keys), return_index=True)
+        table = (keys, np.concatenate(first)[pos], reps)
+        space._two_factor_table = table
+    return table
+
+
 def _search_two_factors(space: MatrixSpace, A: Mat2):
-    """First nilpotent pair (N1, N2) with N1 N2 = A in packed pair order,
-    or None after exhausting all pairs."""
+    """(P, n, N) with P A P^-1 = n N, n a class representative of Nil and
+    N nilpotent, for the first such P in ``scalar_class_conjugators``;
+    None when there is none.
+
+    If A = N1 N2 and N1 = P^-1 n P, then P A P^-1 = n (P N2 P^-1), so
+    trying one P per class modulo scalars against the table of products
+    n N decides A in Nil * Nil exactly.
+    """
+    keys, first, reps = _two_factor_table(space)
+    packed, P, Pinv = space.scalar_class_conjugators
+    a = tuple(x.idx for x in A.entries())
+    conj = space.pack(*space.matmul(P, space.matmul(a, Pinv)))
+    pos = np.minimum(np.searchsorted(keys, conj), len(keys) - 1)
+    hits = np.flatnonzero(keys[pos] == conj)
+    if not len(hits):
+        return None
+    k = int(hits[0])
     nil = space.nilpotent_indices
-    target = A.packed
-    r = tuple(x[None, :] for x in space.unpack(nil))
-    block = max(1, _BULK_PAIR_BLOCK // max(len(nil), 1))
-    for start in range(0, len(nil), block):
-        chunk = nil[start:start + block]
-        l = tuple(x[:, None] for x in space.unpack(chunk))
-        packed = space.pack(*space.matmul(l, r))
-        hits = np.argwhere(packed == target)
-        if len(hits):
-            i, j = hits[0]
-            return (space.matrix_from_packed(int(chunk[i])),
-                    space.matrix_from_packed(int(nil[j])))
-    return None
+    i, j = divmod(int(first[pos[k]]), len(nil))
+    return tuple(space.matrix_from_packed(int(x))
+                 for x in (packed[k], reps[i], nil[j]))
 
 
 def _decompose_two(space: MatrixSpace, A: Mat2) -> NilFactorization:
+    """A as N1 N2, decided exactly, in this order: the zero matrix; the
+    trace obstruction (a nonzero residue of trace zero); closed-form
+    factors for orbit-union members; the determinant obstruction (det A
+    outside J^2); then the class-reduced search, whose failure is an
+    exhaustive refusal.
+    """
     ring = space.ring
     E = top_row(ring.zero, ring.one)
     if A == zero_matrix(ring):
@@ -333,20 +395,29 @@ def _decompose_two(space: MatrixSpace, A: Mat2) -> NilFactorization:
         Pinv = P.inverse()
         return NilFactorization.certified(
             A, [Pinv * E * P, Pinv * second * P], P)
-    pair = _search_two_factors(space, A)
-    if pair is None:
+    det = A.det()
+    if ring.val_table[det.idx] < min(2, ring.n):
+        # det is multiplicative and every nilpotent has det in J
+        raise TraceObstructionError(
+            f"determinant obstruction: det = {format_element(det)} is not "
+            f"in J^2, so no two nilpotent factors exist")
+    found = _search_two_factors(space, A)
+    if found is None:
         raise TraceObstructionError(
             "no product of two nilpotent matrices equals this matrix "
             "(exhaustive search)")
-    return NilFactorization.certified(A, list(pair), identity(ring))
+    P, n, N = found
+    Pinv = P.inverse()
+    return NilFactorization.certified(A, [Pinv * n * P, Pinv * N * P], P)
 
 
 def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
     """Express A as an ordered product of exactly s nilpotent factors.
 
-    s = 1 needs A itself nilpotent; s = 2 is decided exactly (fast paths
-    plus an exhaustive certified search); s >= 3 goes through the orbit
-    union witness and the constructive factor chains.
+    s = 1 needs A itself nilpotent.  s = 2 is decided exactly by
+    closed-form factors, the trace and determinant obstructions and an
+    exhaustive class-reduced search (see ``_decompose_two``).  s >= 3 goes
+    through the orbit union witness and the constructive factor chains.
     """
     ring = space.ring
     if s < 1:
@@ -408,8 +479,9 @@ def sharpness_example(space: MatrixSpace) -> SharpnessCertificate:
     target = Mat2(xp, xp, ring.zero, xp)
     fact = NilFactorization.certified(target, [N1, N2] * (n - 1),
                                       identity(ring))
-    assert locate_in_orbit_union(space, target) is None, \
-        "sharpness target must avoid every top-row orbit"
+    if locate_in_orbit_union(space, target) is not None:
+        raise AssertionError("sharpness target must avoid every top-row "
+                             "orbit")
     return SharpnessCertificate(target=target, factorization=fact,
                                 in_orbit_union=False)
 

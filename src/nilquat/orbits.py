@@ -159,7 +159,9 @@ def locate_in_orbit_union(space: MatrixSpace, A: Mat2) -> OrbitCertificate | Non
             k = int(np.argmax(conj == target))
             P = space.matrix_from_packed(int(space.gl_packed[k]))
             cert = OrbitCertificate(a=a, b=ring.from_index(ib), conjugator=P)
-            assert conjugate(top_row(cert.a, cert.b), P) == A
+            if conjugate(top_row(cert.a, cert.b), P) != A:
+                raise AssertionError("orbit witness does not conjugate to "
+                                     "the target")
             return cert
     raise AssertionError("union mask disagrees with the orbit scan")
 

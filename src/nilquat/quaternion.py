@@ -174,15 +174,15 @@ class QuaternionIso:
         phi_k = phi_i * phi_j
         self.basis_mats = (identity(ring), phi_i, phi_j, phi_k)
         minus_id = -identity(ring)
-        assert phi_i * phi_i == minus_id
-        assert phi_j * phi_j == minus_id
-        assert phi_k * phi_k == minus_id
-        assert phi_i * phi_j == -(phi_j * phi_i)
+        if not (phi_i * phi_i == minus_id and phi_j * phi_j == minus_id
+                and phi_k * phi_k == minus_id
+                and phi_i * phi_j == -(phi_j * phi_i)):
+            raise ValueError("basis images violate the quaternion relations")
         # rows of the 4x4 system: entry position x basis element
         rows = [[m.entries()[pos] for m in self.basis_mats] for pos in range(4)]
         self._functionals, self._system_det = _invert4(ring, rows)
-        assert self._system_det.is_unit(), \
-            "basis images must span M2(R) over R"
+        if not self._system_det.is_unit():
+            raise ValueError("basis images must span M2(R) over R")
 
     # -- scalar maps ---------------------------------------------------------
 

@@ -16,8 +16,8 @@ from .mat2 import (DEFAULT_ENUMERATION_CAP, Mat2, classify_nilpotent,
                    matrix_space, top_row, zero_matrix)
 from .nilfactor import (DEFAULT_SEED, DecompositionError, NotInOrbitUnionError,
                         census_orbit_union, census_set_product, decompose,
-                        formula_count, nilpotent_count_check, product_set,
-                        sharpness_example, stable_product_count,
+                        formula_count, nilpotent_count_check, pair_products,
+                        product_set, sharpness_example, stable_product_count,
                         valuation_obstruction_scan)
 from .orbits import conjugate, orbit_union, shear, unit_diag
 from .quaternion import build_iso, coeff_product_bulk
@@ -353,12 +353,12 @@ def _lemma311(ring, space, samples, seed, threads):
     if ring.n != 1:
         return _result("lemma311", ring, 0, 0, "requires a field (n = 1)")
     nil = space.nilpotent_indices
-    l = tuple(x[:, None] for x in space.unpack(nil))
-    r = tuple(x[None, :] for x in space.unpack(nil))
-    prod = space.matmul(l, r)
-    tr = space.trace_indices(prod)
-    nonzero = (prod[0] != 0) | (prod[1] != 0) | (prod[2] != 0) | (prod[3] != 0)
-    viol = int((nonzero & (tr == 0)).sum())
+    viol = 0
+    for _, prod in pair_products(space, nil, nil):
+        tr = space.trace_indices(prod)
+        nonzero = ((prod[0] != 0) | (prod[1] != 0) | (prod[2] != 0)
+                   | (prod[3] != 0))
+        viol += int((nonzero & (tr == 0)).sum())
     return _result("lemma311", ring, len(nil) ** 2, viol, "exhaustive pairs")
 
 

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import nilquat
 from nilquat.cli import main
 
 
@@ -204,15 +206,30 @@ def test_table_formula_only_below_floor(capsys):
 
 
 def test_module_entry_point_subprocess():
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run(
         [sys.executable, "-m", "nilquat", "census", "--ring", "polyq:3^1^1",
          "--s", "3", "--stable-output"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["brute_count"] == 33
 
     proc = subprocess.run(
         [sys.executable, "-m", "nilquat", "decompose", "--ring", "zmod:3^2",
          "--matrix", "[[3,3],[0,3]]", "--s", "3"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 4
+
+
+def test_decompose_determinant_obstruction_exit_3(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--ring", "zmod:5^2",
+                           "--matrix", "[[1,2],[0,1]]", "--s", "2")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["kind"] == "trace-obstruction"
+    assert "determinant obstruction" in payload["error"]
+    assert "(1,0)" in payload["error"]

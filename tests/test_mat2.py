@@ -161,3 +161,34 @@ def test_class_labels_are_orbit_minima(text):
             members = orbit_of(sp, sp.matrix_from_packed(k)).members
             want[members] = members[0]
     assert np.array_equal(sp.class_labels, want)
+
+
+@pytest.mark.parametrize("text", ("zmod:5^1", "zmod:3^2", "polyq:3^1^2"))
+def test_class_representatives_of_nil_are_label_minima(text):
+    sp = matrix_space(ring_from_string(text))
+    nil = sp.nilpotent_indices
+    reps = sp.class_representatives(nil)
+    assert np.array_equal(reps, np.unique(sp.class_labels[nil]))
+
+
+def test_class_representatives_need_a_closed_set(z9_space):
+    nil = z9_space.nilpotent_indices
+    with pytest.raises(ValueError, match="closed under conjugation"):
+        z9_space.class_representatives(nil[:-1])
+
+
+@pytest.mark.parametrize("text", ("polyq:3^1^1", "zmod:3^2", "polyq:3^2^1"))
+def test_scalar_class_conjugators_one_per_scalar_class(text):
+    sp = matrix_space(ring_from_string(text))
+    ring = sp.ring
+    packed, P, Pinv = sp.scalar_class_conjugators
+    units = np.flatnonzero(ring.inv_table >= 0)
+    assert len(packed) * len(units) == gl2_count(ring.q, ring.n)
+    assert np.array_equal(np.unique(packed), packed)
+    # every unit multiple of every conjugator, each GL2 element once
+    scaled = np.concatenate([sp.pack(*(ring.mul_table[u, x] for x in P))
+                             for u in units])
+    assert len(np.unique(scaled)) == len(scaled)
+    assert np.array_equal(np.sort(scaled), sp.gl_packed)
+    ident = sp.pack(*sp.matmul(P, Pinv))
+    assert (ident == identity(ring).packed).all()

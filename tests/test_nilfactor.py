@@ -15,7 +15,8 @@ from nilquat.nilfactor import (DEFAULT_SEED, NilFactorization,
                                census_formula_only, census_orbit_union,
                                census_set_product, decompose, formula_count,
                                gl2_count, nilpotent_count_check, product_set,
-                               sharpness_example, stable_product_count,
+                               rank1_union_count, sharpness_example,
+                               stable_product_count,
                                valuation_obstruction_scan)
 from nilquat.orbits import orbit_union
 
@@ -334,16 +335,86 @@ def test_certified_checks_survive_optimize_flag():
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     code = (
+        "import nilquat.nilfactor as nf, nilquat.orbits as orb\n"
+        "import nilquat.quaternion as qu\n"
         "from nilquat import *\n"
+        "def probe(kind, fn):\n"
+        "    try:\n"
+        "        fn()\n"
+        "    except kind:\n"
+        "        print('refused')\n"
+        "    else:\n"
+        "        print('verified')\n"
         "r = ring_from_string('zmod:3^1')\n"
         "I = identity(r)\n"
-        "try:\n"
-        "    NilFactorization.certified(zero_matrix(r), [I], I)\n"
-        "except ValueError:\n"
-        "    print('refused')\n"
-        "else:\n"
-        "    print('verified')\n")
+        "probe(ValueError,\n"
+        "      lambda: NilFactorization.certified(zero_matrix(r), [I], I))\n"
+        "probe(ValueError, lambda: nf._top_row_factors(r, r.one, r.one, 1))\n"
+        "sp = matrix_space(ring_from_string('zmod:3^2'))\n"
+        "# a witness that fails its own check, a union claim for the\n"
+        "# sharpness target, and quaternion relations that fail\n"
+        "orb.conjugate = lambda A, P: zero_matrix(A.ring)\n"
+        "probe(AssertionError, lambda: locate_in_orbit_union(\n"
+        "    sp, top_row(sp.ring.one, sp.ring.zero)))\n"
+        "nf.locate_in_orbit_union = lambda space, A: object()\n"
+        "probe(AssertionError, lambda: sharpness_example(sp))\n"
+        "qu.identity = lambda ring: identity(ring) + identity(ring)\n"
+        "probe(ValueError, lambda: qu.QuaternionIso(r))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "refused"
+    assert proc.stdout.split() == ["refused"] * 5
+
+
+@pytest.mark.parametrize("text", ("zmod:3^2", "polyq:3^1^2"))
+def test_decompose_two_decides_brute_s2(text):
+    sp = matrix_space(ring_from_string(text))
+    nil = sp.nilpotent_indices
+    s2 = np.zeros(sp.count, dtype=bool)
+    s2[_multiply_sets(sp, nil, nil)] = True
+    for k in range(sp.count):
+        A = sp.matrix_from_packed(k)
+        try:
+            fact = decompose(sp, A, 2)
+        except TraceObstructionError:
+            assert not s2[k], k
+        else:
+            assert s2[k], k
+            assert _reproduct(fact.factors) == A
+
+
+def test_decompose_two_search_zmod25():
+    sp = matrix_space(ring_from_string("zmod:5^2"))
+    r = sp.ring
+    # 5 A' with A' in GL2(F_5) of split characteristic polynomial: a
+    # product of two nilpotents outside the orbit union
+    for text in ("[[5,10],[0,15]]", "[[5,5],[10,0]]"):
+        A = parse_matrix(r, text)
+        assert not orbit_union(sp)[A.packed]
+        fact = decompose(sp, A, 2)
+        assert _reproduct(fact.factors) == A
+        assert all(N.is_nilpotent() for N in fact.factors)
+        assert fact.conjugator.is_invertible()
+    with pytest.raises(TraceObstructionError, match="determinant obstruction"):
+        decompose(sp, parse_matrix(r, "[[1,2],[0,1]]"), 2)
+    # det 2 * 25 = 0 passes both obstructions: x^2 - x + 2 has no root
+    # mod 5, so the search itself refuses
+    with pytest.raises(TraceObstructionError, match="exhaustive search"):
+        decompose(sp, parse_matrix(r, "[[5,10],[5,20]]"), 2)
+
+
+@pytest.mark.parametrize("text, want", (
+    ("polyq:3^1^1", 33), ("zmod:3^2", 897), ("polyq:5^2^1", 16225),
+    ("zmod:5^2", 18145), ("zmod:3^3", 24225), ("polyq:3^1^3", 24225)))
+def test_rank1_union_count_matches_union(text, want):
+    sp = matrix_space(ring_from_string(text))
+    ring = sp.ring
+    assert rank1_union_count(ring.q, ring.n) == want
+    assert int(orbit_union(sp).sum()) == want
+
+
+def test_rank1_union_count_validation():
+    with pytest.raises(ValueError):
+        rank1_union_count(4, 1)
+    with pytest.raises(ValueError):
+        rank1_union_count(3, 0)
