@@ -186,7 +186,8 @@ class GFq:
     # Dense tables for vectorised residue work; only sensible for small q.
     @cached_property
     def mul_table(self) -> np.ndarray:
-        assert self.q <= 256, "dense GF tables are only for small fields"
+        if self.q > 256:
+            raise ValueError("dense GF tables are only for small fields")
         t = np.empty((self.q, self.q), dtype=np.int64)
         for x in range(self.q):
             for y in range(x, self.q):
@@ -516,7 +517,8 @@ class Ring:
             if fb is not None:
                 pair = (fa, fb)
                 break
-        assert pair is not None, "odd residue fields always admit a solution"
+        if pair is None:
+            raise AssertionError("odd residue fields always admit a solution")
         a, b = self.lift(pair[0]), self.lift(pair[1])
         for _ in range(self.n.bit_length() + 2):
             defect = self.add(self.add(self.mul(a, a), self.mul(b, b)), self.one)

@@ -66,18 +66,21 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _census(ring, s: int, method: str, cap: int):
+    """One census by its --method name; the report of census and table."""
+    if method == "formula":
+        return census_formula_only(ring, s)
+    space = matrix_space(ring, cap)
+    if method == "set-product":
+        return census_set_product(space, s)
+    return census_orbit_union(space, s)
+
+
 def _cmd_census(args) -> int:
     if args.s < 1:
         raise ValueError("s must be >= 1")
-    ring = ring_from_string(args.ring)
-    if args.method == "formula":
-        report = census_formula_only(ring, args.s)
-    else:
-        space = matrix_space(ring, args.cap)
-        if args.method == "set-product":
-            report = census_set_product(space, args.s, args.threads)
-        else:
-            report = census_orbit_union(space, args.s)
+    report = _census(ring_from_string(args.ring), args.s, args.method,
+                     args.cap)
     payload = report.to_dict(stable=args.stable_output)
     if args.fmt == "json":
         text = _json_text(payload)
@@ -137,7 +140,7 @@ def _cmd_verify(args) -> int:
     ring = ring_from_string(args.ring)
     names = tuple(t for t in args.suite.split(",") if t)
     results = run_suites(ring, names, cap=args.cap, samples=args.samples,
-                         seed=args.seed, threads=args.threads)
+                         seed=args.seed)
     if args.fmt == "json":
         text = _json_text([r.to_dict() for r in results])
     else:
@@ -186,14 +189,7 @@ def _cmd_table(args) -> int:
                     raise ValueError("s must be >= 1")
                 ring = ring_from_string(spec_text)
                 row["q"], row["n"] = ring.q, ring.n
-                if args.method == "formula":
-                    report = census_formula_only(ring, s)
-                else:
-                    space = matrix_space(ring, args.cap)
-                    if args.method == "set-product":
-                        report = census_set_product(space, s, args.threads)
-                    else:
-                        report = census_orbit_union(space, s)
+                report = _census(ring, s, args.method, args.cap)
                 row.update(ring=report.ring, q=report.q, n=report.n,
                            brute_count=report.brute_count,
                            formula_count=report.formula_count,

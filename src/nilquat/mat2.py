@@ -188,12 +188,13 @@ def classify_nilpotent(A: Mat2) -> NilClass:
         tag, u, v = NilTag.LOWER_UNIT, ring.lift(r21), None
     else:
         # residue is rank one with zero trace and no zero entry
-        assert r11 and r12 and r21 and r22, "impossible nilpotent residue"
+        if not (r11 and r12 and r21 and r22):
+            raise AssertionError("impossible nilpotent residue")
         tag, u, v = NilTag.UNIT_TRACE, ring.lift(r11), ring.lift(f.neg(r12))
     rep = _class_representative(ring, tag, u, v)
     pert = A - rep
-    assert all(not e.is_unit() for e in pert.entries()), \
-        "perturbation must lie in M2(J)"
+    if any(e.is_unit() for e in pert.entries()):
+        raise AssertionError("perturbation must lie in M2(J)")
     return NilClass(tag, u, v, pert)
 
 
@@ -219,7 +220,6 @@ class MatrixSpace:
         self.cap = cap
         self.Q = ring.size
         self.count = count
-        self._orbit_cache: dict[tuple[int, int], tuple] = {}
         self._union_cache: dict[str, np.ndarray] = {}
         # the sorted products of Nil's class representatives by Nil,
         # built and read by nilfactor's two-factor search
@@ -315,7 +315,9 @@ class MatrixSpace:
         mul, neg = self.ring.mul_table, self.ring.neg_table
         det = self.det_indices(e)
         idet = self.ring.inv_table[det]
-        assert (idet >= 0).all(), "invertible mask must imply unit determinant"
+        if (idet < 0).any():
+            raise AssertionError("invertible mask must imply unit "
+                                 "determinant")
         inv = (mul[idet, e[3]], mul[idet, neg[e[1]]],
                mul[idet, neg[e[2]]], mul[idet, e[0]])
         return g, e, inv

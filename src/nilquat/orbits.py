@@ -1,14 +1,16 @@
 """Conjugation orbits of top-row matrices ((a, b), (0, 0)) under GL2(R).
 
 The union of those orbits over all pairs (a, b) is the central object of
-the factorization results: it is computed either by a direct sweep over
-GL2 (small rings) or through the rank-one parametrisation
+the factorization results.  It has the rank-one form
 
     union = { u * w^T : u a unimodular column, w in R^2 },
 
-where u runs over canonical projective-line representatives (1, c) and
-(j, 1) with j in J(R).  Both routes are exact; the test suites check them
-against each other exhaustively wherever the sweep is feasible.
+since P^-1 ((a, b), (0, 0)) P = (P^-1 e1) ((a, b) P).  ``orbit_union``
+marks it through that parametrisation, with u over the canonical
+projective-line representatives (1, c) and (j, 1), j in J(R); a sweep over
+every conjugate of every top-row matrix is kept as the reference route,
+and the test suites check the two against each other.
+``locate_in_orbit_union`` factors one matrix as u * w^T in closed form.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ import numpy as np
 
 from .chain_ring import (Ring, RingElem, format_ring_spec, make_ring,
                          parse_ring_spec)
-from .mat2 import Mat2, MatrixSpace, top_row
-
-# Above this many conjugations the sweep yields to the parametrised route.
-_SWEEP_OP_LIMIT = 4_000_000
-
-# Per-pair orbit arrays are only memoised for groups this small.
-_ORBIT_CACHE_GL_LIMIT = 65536
+from .mat2 import Mat2, MatrixSpace, identity, top_row
 
 # A bitset header is one short text line; longer first lines are rejected.
 _BITSET_HEADER_LIMIT = 256
@@ -66,28 +62,12 @@ def orbit_of(space: MatrixSpace, A: Mat2) -> Orbit:
     return Orbit(A, np.unique(space.conjugates_of(A)))
 
 
-def _top_row_orbit_data(space: MatrixSpace, ia: int, ib: int):
-    """(sorted members, per-P conjugates in ascending P order) for the
-    orbit of ((a, b), (0, 0)); memoised on the space for small GL2."""
-    cached = space._orbit_cache.get((ia, ib))
-    if cached is not None:
-        return cached
-    ring = space.ring
-    A = top_row(ring.from_index(ia), ring.from_index(ib))
-    conj = space.conjugates_of(A)
-    data = (np.unique(conj), conj)
-    if len(space.gl_packed) <= _ORBIT_CACHE_GL_LIMIT:
-        space._orbit_cache[(ia, ib)] = data
-    return data
-
-
 def _union_by_sweep(space: MatrixSpace) -> np.ndarray:
     mask = np.zeros(space.count, dtype=bool)
-    Q = space.Q
-    for ia in range(Q):
-        for ib in range(Q):
-            members, _ = _top_row_orbit_data(space, ia, ib)
-            mask[members] = True
+    elements = space.ring.enumerate_ring()
+    for a in elements:
+        for b in elements:
+            mask[orbit_of(space, top_row(a, b)).members] = True
     return mask
 
 
@@ -115,11 +95,12 @@ def _union_by_rank1(space: MatrixSpace) -> np.ndarray:
 def orbit_union(space: MatrixSpace, method: str = "auto") -> np.ndarray:
     """Boolean membership mask of the orbit union over all packed indices.
 
-    The returned array is cached on the space; treat it as read-only.
+    ``"auto"`` is the rank-one route; ``"sweep"`` is the reference route
+    over every conjugate of every top-row matrix.  The returned array is
+    cached on the space; treat it as read-only.
     """
     if method == "auto":
-        cost = space.Q ** 2 * len(space.invertible_indices)
-        method = "sweep" if cost <= _SWEEP_OP_LIMIT else "rank1"
+        method = "rank1"
     if method not in ("sweep", "rank1"):
         raise ValueError(f"unknown union method {method!r}")
     cached = space._union_cache.get(method)
@@ -140,41 +121,53 @@ class OrbitCertificate:
 
 
 def locate_in_orbit_union(space: MatrixSpace, A: Mat2) -> OrbitCertificate | None:
-    """Smallest witness (a, b, P) putting A in a top-row orbit, or None.
+    """A witness (a, b, P) putting A in a top-row orbit, or None.
 
-    The trace is conjugation invariant, so a is forced to equal tr(A); the
-    search then takes the smallest b in index order and the smallest P in
-    packed order.
+    P^-1 ((a, b), (0, 0)) P = u w^T with u = P^-1 e1 and w^T = (a, b) P,
+    so A is in the union exactly when A = u w^T with u unimodular.  The
+    first column holding an entry of least valuation k is pi^k u for a
+    unimodular u, so w has pi^k there; the row where u has a unit forces
+    w's other entry, and one entry of A is left to check.  P is the
+    inverse of ((u1, 0), (u2, 1)) when u1 is a unit, else of
+    ((u1, 1), (u2, 0)), so a = tr A and b = w2, or w1.  This takes O(1)
+    ring operations and leaves ``space`` unused.  The zero matrix gets
+    (0, 0, I).
     """
-    mask = orbit_union(space)
-    target = A.packed
-    if not mask[target]:
+    ring = A.ring
+    zero, one = ring.zero, ring.one
+    cols = ((A.a11, A.a21), (A.a12, A.a22))
+    vals = [min(x.valuation() for x in col) for col in cols]
+    k = min(vals)
+    if k == ring.n:
+        return OrbitCertificate(a=zero, b=zero, conjugator=identity(ring))
+    j = vals.index(k)
+    step = ring.q ** k
+    u = [ring.from_index(x.idx // step) for x in cols[j]]
+    i = 0 if u[0].is_unit() else 1
+    inv = u[i].inverse()
+    other = cols[1 - j]
+    w_other = other[i] * inv
+    if u[1 - i] * w_other != other[1 - i]:
         return None
-    ring = space.ring
-    a = A.trace()
-    for ib in range(ring.size):
-        members, conj = _top_row_orbit_data(space, a.idx, ib)
-        pos = int(np.searchsorted(members, target))
-        if pos < len(members) and members[pos] == target:
-            k = int(np.argmax(conj == target))
-            P = space.matrix_from_packed(int(space.gl_packed[k]))
-            cert = OrbitCertificate(a=a, b=ring.from_index(ib), conjugator=P)
-            if conjugate(top_row(cert.a, cert.b), P) != A:
-                raise AssertionError("orbit witness does not conjugate to "
-                                     "the target")
-            return cert
-    raise AssertionError("union mask disagrees with the orbit scan")
+    w = [w_other, w_other]
+    w[j] = ring.from_index(step)
+    if i == 0:
+        P = Mat2(inv, zero, -(u[1] * inv), one)
+    else:
+        P = Mat2(zero, inv, one, -(u[0] * inv))
+    cert = OrbitCertificate(a=A.trace(), b=w[1 - i], conjugator=P)
+    if conjugate(top_row(cert.a, cert.b), P) != A:
+        raise AssertionError("orbit witness does not conjugate to the target")
+    return cert
 
 
 def union_summary(space: MatrixSpace) -> dict:
     """Summary dict {ring, union_size, orbit_count}; orbit_count counts the
     distinct orbits among all Q^2 top-row representatives."""
     mask = orbit_union(space)
-    reps = set()
-    for ia in range(space.Q):
-        for ib in range(space.Q):
-            members, _ = _top_row_orbit_data(space, ia, ib)
-            reps.add(int(members[0]))
+    elements = space.ring.enumerate_ring()
+    reps = {int(orbit_of(space, top_row(a, b)).members[0])
+            for a in elements for b in elements}
     return {"ring": format_ring_spec(space.ring.spec),
             "union_size": int(mask.sum()),
             "orbit_count": len(reps)}

@@ -201,7 +201,7 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
     return checks, viol
 
 
-def _axioms(ring, space, samples, seed, threads):
+def _axioms(ring, space, samples, seed):
     rng = np.random.default_rng(seed)
     checks, viol, note = _ring_law_checks(ring, rng)
     c, v = _valuation_checks(ring, rng)
@@ -224,7 +224,7 @@ def _axioms(ring, space, samples, seed, threads):
 # the nilpotency equivalences
 # ---------------------------------------------------------------------------
 
-def _lemma33(ring, space, samples, seed, threads):
+def _lemma33(ring, space, samples, seed):
     n, q = ring.n, ring.q
     rng = np.random.default_rng(seed)
     if space.count <= _MATRIX_LIMIT:
@@ -269,7 +269,7 @@ def _lemma33(ring, space, samples, seed, threads):
     return _result("lemma33", ring, checks, viol, note)
 
 
-def _lemma34(ring, space, samples, seed, threads):
+def _lemma34(ring, space, samples, seed):
     n, Q = ring.n, ring.size
     val = ring.val_table
     mask = orbit_union(space)
@@ -290,7 +290,7 @@ def _lemma34(ring, space, samples, seed, threads):
     return _result("lemma34", ring, checks, viol)
 
 
-def _lemma35(ring, space, samples, seed, threads):
+def _lemma35(ring, space, samples, seed):
     rng = np.random.default_rng(seed)
     els = ring.enumerate_ring()
     units = ring.units()
@@ -324,7 +324,7 @@ def _lemma35(ring, space, samples, seed, threads):
     return _result("lemma35", ring, checks, viol, note)
 
 
-def _lemma36(ring, space, samples, seed, threads):
+def _lemma36(ring, space, samples, seed):
     mask = orbit_union(space)
     members = np.flatnonzero(mask)
     if len(members) * space.count <= 1_000_000:
@@ -342,14 +342,14 @@ def _lemma36(ring, space, samples, seed, threads):
     return _result("lemma36", ring, len(a), viol, note)
 
 
-def _lemma37(ring, space, samples, seed, threads):
+def _lemma37(ring, space, samples, seed):
     report = valuation_obstruction_scan(space, samples, seed)
     note = report.note or f"matched hypothesis {report.matched} times"
     return _result("lemma37", ring, report.samples, len(report.violations),
                    note)
 
 
-def _lemma311(ring, space, samples, seed, threads):
+def _lemma311(ring, space, samples, seed):
     if ring.n != 1:
         return _result("lemma311", ring, 0, 0, "requires a field (n = 1)")
     nil = space.nilpotent_indices
@@ -362,13 +362,13 @@ def _lemma311(ring, space, samples, seed, threads):
     return _result("lemma311", ring, len(nil) ** 2, viol, "exhaustive pairs")
 
 
-def _thm38(ring, space, samples, seed, threads):
+def _thm38(ring, space, samples, seed):
     n = ring.n
     mask = orbit_union(space)
     checks = viol = 0
     stable = None
     for s in range(2 * n - 1, 2 * n + 3):
-        cur = product_set(space, s, threads)
+        cur = product_set(space, s)
         checks += 1
         viol += int((~mask[cur]).any())
         if s >= stable_product_count(n):
@@ -380,9 +380,9 @@ def _thm38(ring, space, samples, seed, threads):
     return _result("thm38", ring, checks, viol)
 
 
-def _cor310(ring, space, samples, seed, threads):
+def _cor310(ring, space, samples, seed):
     s0 = stable_product_count(ring.n)
-    got = product_set(space, s0, threads)
+    got = product_set(space, s0)
     mask = orbit_union(space)
     full = np.zeros(space.count, dtype=bool)
     full[got] = True
@@ -399,7 +399,7 @@ def _cor310(ring, space, samples, seed, threads):
     return _result("cor310", ring, checks, viol)
 
 
-def _example39(ring, space, samples, seed, threads):
+def _example39(ring, space, samples, seed):
     n = ring.n
     if n < 2:
         return _result("example39", ring, 0, 0, "inapplicable: needs n >= 2")
@@ -421,11 +421,11 @@ def _example39(ring, space, samples, seed, threads):
     return _result("example39", ring, checks, viol)
 
 
-def _thm312(ring, space, samples, seed, threads):
+def _thm312(ring, space, samples, seed):
     n = ring.n
     checks = viol = 0
     for s in range(2 * n - 1, 2 * n + 3):
-        rep = census_set_product(space, s, threads)
+        rep = census_set_product(space, s)
         checks += 1
         viol += rep.match is not True
     rep = census_orbit_union(space)
@@ -463,7 +463,10 @@ _RUNNERS = {
 def run_suites(ring: Ring, names=("all",), *,
                cap: int = DEFAULT_ENUMERATION_CAP, samples: int = 100_000,
                seed: int = DEFAULT_SEED, threads: int = 1) -> list[SuiteResult]:
-    """Run the named suites (or all of them) against one ring."""
+    """Run the named suites (or all of them) against one ring.
+
+    ``threads`` is accepted for compatibility and has no effect.
+    """
     if isinstance(names, str):
         names = (names,)
     expanded: list[str] = []
@@ -480,5 +483,5 @@ def run_suites(ring: Ring, names=("all",), *,
     for name in expanded:
         if name in _NEEDS_SPACE and space is None:
             space = matrix_space(ring, cap)
-        results.append(_RUNNERS[name](ring, space, samples, seed, threads))
+        results.append(_RUNNERS[name](ring, space, samples, seed))
     return results

@@ -233,3 +233,137 @@ def test_decompose_determinant_obstruction_exit_3(capsys):
     assert payload["kind"] == "trace-obstruction"
     assert "determinant obstruction" in payload["error"]
     assert "(1,0)" in payload["error"]
+
+
+# Golden stdout of census, table and verify on two small rings, pinned byte
+# for byte: a change to any of it must be deliberate and recorded.
+GOLDEN_TABLE = {
+    "set-product": (0, """\
+ring,q,n,s,brute_count,formula_count,match,method,error
+polyq:3^1^1,3,1,1,9,9,true,set-product,
+polyq:3^1^1,3,1,2,25,25,true,set-product,
+polyq:3^1^1,3,1,3,33,33,true,set-product,
+polyq:3^1^1,3,1,4,33,33,true,set-product,
+polyq:3^1^1,3,1,5,33,33,true,set-product,
+zmod:3^2,3,2,1,729,,,set-product,
+zmod:3^2,3,2,2,711,,,set-product,
+zmod:3^2,3,2,3,897,897,true,set-product,
+zmod:3^2,3,2,4,897,897,true,set-product,
+zmod:3^2,3,2,5,897,897,true,set-product,
+"""),
+    "orbit-union": (6, """\
+ring,q,n,s,brute_count,formula_count,match,method,error
+polyq:3^1^1,3,1,1,,,,orbit-union,orbit-union census needs s >= 3 for this ring
+polyq:3^1^1,3,1,2,,,,orbit-union,orbit-union census needs s >= 3 for this ring
+polyq:3^1^1,3,1,3,33,33,true,orbit-union,
+polyq:3^1^1,3,1,4,33,33,true,orbit-union,
+polyq:3^1^1,3,1,5,33,33,true,orbit-union,
+zmod:3^2,3,2,1,,,,orbit-union,orbit-union census needs s >= 3 for this ring
+zmod:3^2,3,2,2,,,,orbit-union,orbit-union census needs s >= 3 for this ring
+zmod:3^2,3,2,3,897,897,true,orbit-union,
+zmod:3^2,3,2,4,897,897,true,orbit-union,
+zmod:3^2,3,2,5,897,897,true,orbit-union,
+"""),
+    "formula": (0, """\
+ring,q,n,s,brute_count,formula_count,match,method,error
+polyq:3^1^1,3,1,1,,9,,formula-only,
+polyq:3^1^1,3,1,2,,25,,formula-only,
+polyq:3^1^1,3,1,3,,33,,formula-only,
+polyq:3^1^1,3,1,4,,33,,formula-only,
+polyq:3^1^1,3,1,5,,33,,formula-only,
+zmod:3^2,3,2,1,,,,formula-only,
+zmod:3^2,3,2,2,,,,formula-only,
+zmod:3^2,3,2,3,,897,,formula-only,
+zmod:3^2,3,2,4,,897,,formula-only,
+zmod:3^2,3,2,5,,897,,formula-only,
+"""),
+}
+
+GOLDEN_CENSUS = """\
+{{
+  "ring": "{}",
+  "q": {},
+  "n": {},
+  "s": {},
+  "brute_count": {},
+  "formula_count": {},
+  "match": {},
+  "method": "{}"
+}}
+"""
+
+GOLDEN_VERIFY = {
+    "polyq:3^1^1": """\
+PASS axioms checks=13453 violations=0 (exhaustive laws)
+PASS lemma33 checks=172 violations=0 (exhaustive)
+PASS lemma34 checks=15 violations=0
+PASS lemma35 checks=33 violations=0 (exhaustive)
+PASS lemma36 checks=2673 violations=0 (exhaustive)
+PASS lemma37 checks=0 violations=0 (hypothesis unsatisfiable for n=1)
+PASS lemma311 checks=81 violations=0 (exhaustive pairs)
+PASS thm38 checks=5 violations=0
+PASS cor310 checks=26 violations=0
+PASS example39 checks=0 violations=0 (inapplicable: needs n >= 2)
+PASS thm312 checks=95 violations=0 (census 33 = 33)
+ok: 11 suites
+""",
+    "zmod:3^2": """\
+PASS axioms checks=207357 violations=0 (exhaustive laws)
+PASS lemma33 checks=13852 violations=0 (exhaustive)
+PASS lemma34 checks=69 violations=0
+PASS lemma35 checks=771 violations=0 (exhaustive)
+PASS lemma36 checks=100000 violations=0 (sampled 100000)
+PASS lemma37 checks=0 violations=0 (hypothesis unsatisfiable for n=2)
+PASS lemma311 checks=0 violations=0 (requires a field (n = 1))
+PASS thm38 checks=7 violations=0
+PASS cor310 checks=26 violations=0
+PASS example39 checks=3 violations=0
+PASS thm312 checks=95 violations=0 (census 897 = 897)
+ok: 11 suites
+""",
+}
+
+# the README's decompose example
+GOLDEN_DECOMPOSE = """\
+{
+  "target": "[[(1),(1)],[(0),(0)]]",
+  "factors": [
+    "[[(0),(1)],[(0),(0)]]",
+    "[[(2),(2)],[(1),(1)]]"
+  ],
+  "conjugator": "[[(1),(0)],[(0),(1)]]",
+  "verified": true
+}
+"""
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_TABLE))
+def test_table_golden_output(capsys, method):
+    code, out, _ = run_cli(capsys, "table", "--rings", "polyq:3^1^1,zmod:3^2",
+                           "--s", "1..5", "--method", method)
+    assert (code, out) == GOLDEN_TABLE[method]
+
+
+@pytest.mark.parametrize(
+    "row", GOLDEN_TABLE["set-product"][1].splitlines()[1:])
+def test_census_golden_output(capsys, row):
+    ring, q, n, s, brute, formula, match, method, _ = row.split(",")
+    code, out, _ = run_cli(capsys, "census", "--ring", ring, "--s", s,
+                           "--stable-output")
+    assert code == 0
+    assert out == GOLDEN_CENSUS.format(ring, q, n, s, brute,
+                                       formula or "null", match or "null",
+                                       method)
+
+
+@pytest.mark.parametrize("ring", sorted(GOLDEN_VERIFY))
+def test_verify_golden_output(capsys, ring):
+    code, out, _ = run_cli(capsys, "verify", "--ring", ring, "--suite", "all",
+                           "--format", "text")
+    assert (code, out) == (0, GOLDEN_VERIFY[ring])
+
+
+def test_decompose_readme_example(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--ring", "zmod:3^1",
+                           "--matrix", "[[1,1],[0,0]]", "--s", "2")
+    assert (code, out) == (0, GOLDEN_DECOMPOSE)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import nilquat
 from nilquat.chain_ring import ring_from_string
 from nilquat.mat2 import (CapExceededError, Mat2, MatrixSpace, NilTag,
                           classify_nilpotent, format_matrix, identity,
@@ -192,3 +197,45 @@ def test_scalar_class_conjugators_one_per_scalar_class(text):
     assert np.array_equal(np.sort(scaled), sp.gl_packed)
     ident = sp.pack(*sp.matmul(P, Pinv))
     assert (ident == identity(ring).packed).all()
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # each probe forces one internal invariant to fail; under -O a bare
+    # assert would let it pass silently
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = (
+        "import numpy as np\n"
+        "from nilquat.chain_ring import GFq, Ring, parse_ring_spec\n"
+        "from nilquat.mat2 import Mat2, MatrixSpace, classify_nilpotent\n"
+        "from nilquat.mat2 import identity, parse_matrix\n"
+        "def probe(kind, fn):\n"
+        "    try:\n"
+        "        fn()\n"
+        "    except kind:\n"
+        "        print('refused')\n"
+        "    else:\n"
+        "        print('passed')\n"
+        "r = Ring(parse_ring_spec('zmod:3^1'))\n"
+        "probe(ValueError, lambda: GFq(17, 2).mul_table)\n"
+        "sp = MatrixSpace(r)\n"
+        "sp.invertible_indices = np.array([0])\n"
+        "probe(AssertionError, lambda: sp._gl_data)\n"
+        "class NoRoots:\n"
+        "    q = 3\n"
+        "    def mul(self, x, y): return 0\n"
+        "    def neg(self, x): return 1\n"
+        "    def sub(self, x, y): return 1\n"
+        "r.residue_field = NoRoots()\n"
+        "probe(AssertionError, r.solve_sum_of_squares)\n"
+        "Mat2.is_nilpotent = lambda self: True\n"
+        "z = Ring(parse_ring_spec('zmod:3^2'))\n"
+        "probe(AssertionError, lambda: classify_nilpotent(identity(z)))\n"
+        "probe(AssertionError, lambda: classify_nilpotent(\n"
+        "    parse_matrix(z, '[[1,1],[1,1]]')))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["refused"] * 5

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from nilquat.chain_ring import ring_from_string
-from nilquat.mat2 import Mat2, identity, matrix_space, parse_matrix, top_row
+from nilquat.mat2 import (Mat2, MatrixSpace, identity, matrix_space,
+                          parse_matrix, top_row)
+from nilquat.nilfactor import decompose
 from nilquat.orbits import (conjugate, load_union_bitset,
                             locate_in_orbit_union, orbit_of, orbit_union,
                             save_union_bitset, shear, union_summary,
@@ -120,6 +122,47 @@ def test_second_column_radical_shape_is_inside(z9_space):
                                  parse_matrix(r, "[[0,3],[0,3]]")) is not None
     assert locate_in_orbit_union(z9_space,
                                  parse_matrix(r, "[[0,3],[0,6]]")) is not None
+
+
+def _check_witness(sp, k, in_union):
+    A = sp.matrix_from_packed(int(k))
+    cert = locate_in_orbit_union(sp, A)
+    assert (cert is not None) == bool(in_union), k
+    if cert is not None:
+        assert cert.a == A.trace()
+        assert conjugate(top_row(cert.a, cert.b), cert.conjugator) == A
+
+
+@pytest.mark.parametrize("text", ("polyq:3^1^1", "zmod:5^1", "zmod:3^2",
+                                  "polyq:3^1^2"))
+def test_closed_form_witness_matches_sweep_exhaustively(text):
+    sp = matrix_space(ring_from_string(text))
+    sweep = orbit_union(sp, "sweep")
+    for k in range(sp.count):
+        _check_witness(sp, k, sweep[k])
+
+
+@pytest.mark.parametrize("text", ("zmod:5^2", "zmod:3^3", "polyq:3^1^3"))
+def test_closed_form_witness_matches_rank1_sampled(text):
+    sp = matrix_space(ring_from_string(text))
+    mask = orbit_union(sp, "rank1")
+    rng = np.random.default_rng(8)
+    members = np.flatnonzero(mask)
+    picks = np.concatenate([rng.choice(members, size=1000),
+                            rng.integers(0, sp.count, size=1000)])
+    for k in picks:
+        _check_witness(sp, k, mask[k])
+
+
+def test_witness_and_decompose_build_no_space_data():
+    sp = MatrixSpace(ring_from_string("zmod:3^3"))
+    A = parse_matrix(sp.ring, "[[2,6],[5,15]]")
+    assert locate_in_orbit_union(sp, A) is not None
+    assert len(decompose(sp, A, 4).factors) == 4
+    built = vars(sp)
+    assert "invertible_mask" not in built
+    assert "_gl_data" not in built
+    assert not sp._union_cache
 
 
 def test_union_bitset_save_load(tmp_path, z9_space):
