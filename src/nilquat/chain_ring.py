@@ -11,6 +11,16 @@ GF(q), q = p^r.  The digit encoding gives constant-time valuation and a
 stable bijection onto [0, q^n) (the element "index"), which the packed
 matrix kernels rely on for bitset work.  Everything here is an immutable
 value; rings and elements can be shared freely across threads.
+
+Scalar arithmetic has two routes.  On a ring of at most
+``TABLE_SIZE_LIMIT`` elements every element is interned, one ``RingElem``
+per index, and ``add``, ``neg``, ``sub``, ``mul`` and ``inverse`` are one
+lookup in the ring's dense tables, held as Python lists of the interned
+elements.  The tables themselves are built in numpy straight from the
+digit encoding: zmod by outer sums and products mod q^n, polyq by a
+truncated convolution of digit arrays through the residue field's tables.
+Larger rings, which have no dense tables, compute on digits one operation
+at a time; that digit route is also the tests' oracle for the tables.
 """
 
 from __future__ import annotations
@@ -24,8 +34,11 @@ import numpy as np
 ZMOD = "zmod"
 POLYQ = "polyq"
 
-# Dense per-ring operation tables are only built for rings this small.
+# Dense per-ring operation tables are only built for rings this small;
+# on those rings scalar arithmetic reads them.
 TABLE_SIZE_LIMIT = 1024
+# The public dense tables of a residue field are only built up to this q.
+_GF_TABLE_LIMIT = 256
 
 
 def _is_prime(m: int) -> bool:
@@ -179,33 +192,73 @@ class GFq:
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("zero has no inverse in GF(q)")
+        if self.q <= _GF_TABLE_LIMIT:
+            return int(self.inv_table[x])
         if self.r == 1:
             return pow(x, self.p - 2, self.p)
         return self.pow(x, self.q - 2)
 
-    # Dense tables for vectorised residue work; only sensible for small q.
+    # -- vectorised tables ------------------------------------------------
+    # Built in numpy from the coefficient encoding, never from the scalar
+    # operations above, so those stay an independent check on them.
+
+    def _coefficients(self) -> np.ndarray:
+        """Row x: the base-p coefficient vector of the element x."""
+        x = np.arange(self.q, dtype=np.int64)
+        return (x[:, None] // self.p ** np.arange(self.r)) % self.p
+
+    def _encode_columns(self, columns) -> np.ndarray:
+        """Encode per-coefficient arrays, given lowest degree first."""
+        out = 0
+        for col in reversed(columns):
+            out = out * self.p + col
+        return out
+
     @cached_property
+    def _add_grid(self) -> np.ndarray:
+        """x + y for all x, y in GF(q); unguarded, for the ring tables."""
+        c = self._coefficients()
+        return self._encode_columns(
+            [np.add.outer(c[:, i], c[:, i]) % self.p for i in range(self.r)])
+
+    @cached_property
+    def _mul_grid(self) -> np.ndarray:
+        """x * y for all x, y in GF(q); unguarded, for the ring tables.
+
+        x y = sum_i x_i (t^i y), and the coefficient vectors of t^i y come
+        from r - 1 multiplications of every y by t, each a shift reduced
+        by t^r = -(m_0 + ... + m_(r-1) t^(r-1)).
+        """
+        p, r = self.p, self.r
+        c = self._coefficients()
+        shifts = [c]
+        for _ in range(r - 1):
+            prev = shifts[-1]
+            up = np.roll(prev, 1, axis=1)
+            up[:, 0] = 0
+            shifts.append((up - np.multiply.outer(prev[:, -1],
+                                                  self.modulus[:r])) % p)
+        return self._encode_columns(
+            [(c @ np.stack([t[:, k] for t in shifts])) % p
+             for k in range(r)])
+
+    # Dense tables for vectorised residue work; only sensible for small q.
+    @property
     def mul_table(self) -> np.ndarray:
-        if self.q > 256:
+        if self.q > _GF_TABLE_LIMIT:
             raise ValueError("dense GF tables are only for small fields")
-        t = np.empty((self.q, self.q), dtype=np.int64)
-        for x in range(self.q):
-            for y in range(x, self.q):
-                v = self.mul(x, y)
-                t[x, y] = v
-                t[y, x] = v
-        return t
+        return self._mul_grid
 
     @cached_property
     def neg_table(self) -> np.ndarray:
-        return np.array([self.neg(x) for x in range(self.q)], dtype=np.int64)
+        return self._encode_columns(list((-self._coefficients() % self.p).T))
 
     @cached_property
     def inv_table(self) -> np.ndarray:
         # [0] is a sentinel 0; callers must mask out the zero element.
         t = np.zeros(self.q, dtype=np.int64)
-        for x in range(1, self.q):
-            t[x] = self.inv(x)
+        units, inverses = np.nonzero(self.mul_table == 1)
+        t[units] = inverses
         return t
 
 
@@ -329,7 +382,9 @@ class Ring:
 
     Rings compare by construction parameters; elements refuse to mix across
     different parameter sets.  All operations are pure functions of their
-    arguments, and the dense numpy tables are read-only once built.
+    arguments, and the dense numpy tables are read-only once built.  On a
+    ring of at most ``TABLE_SIZE_LIMIT`` elements every operation returns
+    the ring's interned element for its result index.
     """
 
     def __init__(self, spec: RingSpec):
@@ -360,13 +415,7 @@ class Ring:
         self.size = self.q ** n
         self.residue_field = field
         self._key = (p, r, n, spec.family, norm_modulus)
-        self.zero = RingElem(self, (0,) * n)
-        self.one = RingElem(self, (1,) + (0,) * (n - 1))
-        if n >= 2:
-            self.uniformizer = RingElem(self, (0, 1) + (0,) * (n - 2))
-        else:
-            # J(R) = 0 in the field case, so pi = 0 still generates it
-            self.uniformizer = self.zero
+        self._dense = self.size <= TABLE_SIZE_LIMIT
 
     def __repr__(self):
         return f"Ring({format_ring_spec(self.spec)})"
@@ -380,12 +429,28 @@ class Ring:
 
     # -- construction -----------------------------------------------------
 
+    @cached_property
+    def zero(self) -> RingElem:
+        return self.from_index(0)
+
+    @cached_property
+    def one(self) -> RingElem:
+        return self.from_index(1)
+
+    @cached_property
+    def uniformizer(self) -> RingElem:
+        # J(R) = 0 in the field case, so pi = 0 still generates it
+        return self.from_index(self.q if self.n >= 2 else 0)
+
     def element(self, digits) -> RingElem:
-        return RingElem(self, digits)
+        a = RingElem(self, digits)
+        return self._all_elements[a.idx] if self._dense else a
 
     def from_index(self, idx: int) -> RingElem:
         if not 0 <= idx < self.size:
             raise ValueError(f"index {idx} out of range [0, {self.size})")
+        if self._dense:
+            return self._all_elements[idx]
         return RingElem(self, _digits_of(idx, self.q, self.n))
 
     def from_int(self, k: int) -> RingElem:
@@ -397,38 +462,30 @@ class Ring:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: RingElem, b: RingElem) -> RingElem:
-        self._own(a)
-        self._own(b)
-        if self.spec.family == ZMOD:
-            return self.from_index((a.idx + b.idx) % self.size)
-        f = self.residue_field
-        return RingElem(self, [f.add(x, y) for x, y in zip(a.digits, b.digits)])
+        if a.ring is not self or b.ring is not self:
+            self._own(a)
+            self._own(b)
+        if self._dense:
+            return self._add_rows[a.idx][b.idx]
+        return self._digit_add(a, b)
 
     def neg(self, a: RingElem) -> RingElem:
-        self._own(a)
-        if self.spec.family == ZMOD:
-            return self.from_index((-a.idx) % self.size)
-        f = self.residue_field
-        return RingElem(self, [f.neg(x) for x in a.digits])
+        if a.ring is not self:
+            self._own(a)
+        if self._dense:
+            return self._neg_list[a.idx]
+        return self._digit_neg(a)
 
     def sub(self, a: RingElem, b: RingElem) -> RingElem:
         return self.add(a, self.neg(b))
 
     def mul(self, a: RingElem, b: RingElem) -> RingElem:
-        self._own(a)
-        self._own(b)
-        if self.spec.family == ZMOD:
-            return self.from_index((a.idx * b.idx) % self.size)
-        f = self.residue_field
-        n = self.n
-        out = [0] * n
-        for i, x in enumerate(a.digits):
-            if x:
-                for j in range(n - i):
-                    y = b.digits[j]
-                    if y:
-                        out[i + j] = f.add(out[i + j], f.mul(x, y))
-        return RingElem(self, out)
+        if a.ring is not self or b.ring is not self:
+            self._own(a)
+            self._own(b)
+        if self._dense:
+            return self._mul_rows[a.idx][b.idx]
+        return self._digit_mul(a, b)
 
     def pow(self, a: RingElem, k: int) -> RingElem:
         if k < 0:
@@ -440,6 +497,49 @@ class Ring:
             base = self.mul(base, base)
             k >>= 1
         return out
+
+    # -- the digit route: rings above the table limit, and the tables' oracle
+
+    def _digit_add(self, a: RingElem, b: RingElem) -> RingElem:
+        if self.spec.family == ZMOD:
+            return RingElem(self, _digits_of((a.idx + b.idx) % self.size,
+                                             self.q, self.n))
+        f = self.residue_field
+        return RingElem(self, [f.add(x, y) for x, y in zip(a.digits, b.digits)])
+
+    def _digit_neg(self, a: RingElem) -> RingElem:
+        if self.spec.family == ZMOD:
+            return RingElem(self, _digits_of((-a.idx) % self.size,
+                                             self.q, self.n))
+        f = self.residue_field
+        return RingElem(self, [f.neg(x) for x in a.digits])
+
+    def _digit_mul(self, a: RingElem, b: RingElem) -> RingElem:
+        if self.spec.family == ZMOD:
+            return RingElem(self, _digits_of((a.idx * b.idx) % self.size,
+                                             self.q, self.n))
+        f = self.residue_field
+        n = self.n
+        out = [0] * n
+        for i, x in enumerate(a.digits):
+            if x:
+                for j in range(n - i):
+                    y = b.digits[j]
+                    if y:
+                        out[i + j] = f.add(out[i + j], f.mul(x, y))
+        return RingElem(self, out)
+
+    def _digit_inverse(self, a: RingElem) -> RingElem:
+        """Newton lift of the residue-field inverse; exact after
+        ceil(log2 n) quadratic steps."""
+        x = self.lift(self.residue_field.inv(a.digits[0]))
+        minus_one = self._digit_neg(self.one)
+        for _ in range(self.n.bit_length() + 2):
+            err = self._digit_add(self._digit_mul(a, x), minus_one)
+            if err.idx == 0:
+                return x
+            x = self._digit_add(x, self._digit_neg(self._digit_mul(x, err)))
+        raise AssertionError("inversion failed to converge")
 
     # -- structure ----------------------------------------------------------
 
@@ -456,17 +556,11 @@ class Ring:
         return a.digits[0] != 0
 
     def inverse(self, a: RingElem) -> RingElem:
-        """Newton lift of the residue-field inverse; exact after
-        ceil(log2 n) quadratic steps."""
         if not self.is_unit(a):
             raise ZeroDivisionError("element is not a unit")
-        x = self.lift(self.residue_field.inv(a.digits[0]))
-        for _ in range(self.n.bit_length() + 2):
-            err = self.sub(self.mul(a, x), self.one)
-            if err.idx == 0:
-                return x
-            x = self.sub(x, self.mul(x, err))
-        raise AssertionError("inversion failed to converge")
+        if self._dense:
+            return self._inv_list[a.idx]
+        return self._digit_inverse(a)
 
     def residue(self, a: RingElem) -> int:
         self._own(a)
@@ -475,13 +569,15 @@ class Ring:
     def lift(self, f: int) -> RingElem:
         if not 0 <= f < self.q:
             raise ValueError(f"residue value {f} out of range for GF({self.q})")
-        return RingElem(self, (f,) + (0,) * (self.n - 1))
+        return self.from_index(f)
 
     # -- enumeration ----------------------------------------------------------
 
     @cached_property
     def _all_elements(self) -> tuple[RingElem, ...]:
-        return tuple(self.from_index(i) for i in range(self.size))
+        q, n = self.q, self.n
+        return tuple(RingElem(self, _digits_of(i, q, n))
+                     for i in range(self.size))
 
     def enumerate_ring(self) -> tuple[RingElem, ...]:
         """All q^n elements in ascending canonical index order."""
@@ -527,46 +623,101 @@ class Ring:
             a = self.sub(a, self.mul(defect, self.inverse(self.add(a, a))))
         raise AssertionError("Newton refinement failed to converge")
 
-    # -- dense tables for the packed kernels ----------------------------------
+    # -- dense tables ---------------------------------------------------------
 
-    def _pair_table(self, op) -> np.ndarray:
-        if self.size > TABLE_SIZE_LIMIT:
+    def _require_dense(self) -> None:
+        if not self._dense:
             raise ValueError(
                 f"ring of size {self.size} exceeds the dense table limit "
                 f"{TABLE_SIZE_LIMIT}")
-        els = self._all_elements
-        t = np.empty((self.size, self.size), dtype=np.int64)
-        for i, a in enumerate(els):
-            for j, b in enumerate(els):
-                t[i, j] = op(a, b).idx
-        return t
+
+    @cached_property
+    def _digit_array(self) -> np.ndarray:
+        """The digits of every index: one row per element, column k the
+        coefficient of pi^k."""
+        idx = np.arange(self.size, dtype=np.int64)
+        return (idx[:, None] // self.q ** np.arange(self.n)) % self.q
+
+    def _pairwise(self, table: np.ndarray, i: int, j: int) -> np.ndarray:
+        """table[a_i, b_j] for every pair (a, b) of elements, a_i being
+        digit i of a."""
+        d = self._digit_array
+        return table[d[:, i]][:, d[:, j]]
 
     @cached_property
     def add_table(self) -> np.ndarray:
-        return self._pair_table(self.add)
+        self._require_dense()
+        if self.spec.family == ZMOD:
+            i = np.arange(self.size, dtype=np.int64)
+            return np.add.outer(i, i) % self.size
+        add = self.residue_field._add_grid
+        out = np.zeros((self.size, self.size), dtype=np.int64)
+        for k in reversed(range(self.n)):
+            out = out * self.q + self._pairwise(add, k, k)
+        return out
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        return self._pair_table(self.mul)
+        self._require_dense()
+        if self.spec.family == ZMOD:
+            i = np.arange(self.size, dtype=np.int64)
+            return np.multiply.outer(i, i) % self.size
+        f = self.residue_field
+        add, mul = f._add_grid, f._mul_grid
+        out = np.zeros((self.size, self.size), dtype=np.int64)
+        # digit m of a b is the GF(q) sum of a_k b_(m-k) over k <= m; digits
+        # past n - 1 are truncated away by t^n = 0
+        for m in reversed(range(self.n)):
+            acc = self._pairwise(mul, 0, m)
+            for k in range(1, m + 1):
+                acc = add[acc, self._pairwise(mul, k, m - k)]
+            out = out * self.q + acc
+        return out
 
     @cached_property
     def neg_table(self) -> np.ndarray:
-        return np.array([self.neg(a).idx for a in self._all_elements],
-                        dtype=np.int64)
+        if self.spec.family == ZMOD:
+            return -np.arange(self.size, dtype=np.int64) % self.size
+        neg = self.residue_field.neg_table[self._digit_array]
+        return neg @ self.q ** np.arange(self.n)
 
     @cached_property
     def val_table(self) -> np.ndarray:
-        return np.array([self.valuation(a) for a in self._all_elements],
-                        dtype=np.int64)
+        nonzero = self._digit_array != 0
+        return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), self.n)
 
     @cached_property
     def inv_table(self) -> np.ndarray:
         """Index of the inverse per element; -1 marks non-units."""
         t = np.full(self.size, -1, dtype=np.int64)
-        for a in self._all_elements:
-            if a.is_unit():
-                t[a.idx] = self.inverse(a).idx
+        units, inverses = np.nonzero(self.mul_table == 1)
+        t[units] = inverses
         return t
+
+    # the tables as nested Python lists of interned elements, which the
+    # scalar operations index
+
+    def _interned(self, table: np.ndarray) -> list:
+        # a trailing None slot, so the -1 of a non-unit becomes None
+        els = np.empty(self.size + 1, dtype=object)
+        els[:-1] = self._all_elements
+        return els[table].tolist()
+
+    @cached_property
+    def _add_rows(self) -> list[list[RingElem]]:
+        return self._interned(self.add_table)
+
+    @cached_property
+    def _mul_rows(self) -> list[list[RingElem]]:
+        return self._interned(self.mul_table)
+
+    @cached_property
+    def _neg_list(self) -> list[RingElem]:
+        return self._interned(self.neg_table)
+
+    @cached_property
+    def _inv_list(self) -> list[RingElem | None]:
+        return self._interned(self.inv_table)
 
 
 _RING_CACHE: dict[tuple, Ring] = {}

@@ -103,11 +103,30 @@ _DECOMPOSE_KINDS = (
 )
 
 
+class _SpacePastCap:
+    """Stands in for the MatrixSpace of a ring past the enumeration cap.
+
+    ``decompose`` reads only the ring of its space, except in the s = 2
+    class-reduced search, the one route that needs Q^4 data; there any
+    other attribute raises the cap error the space would have raised.
+    """
+
+    def __init__(self, ring, error: CapExceededError):
+        self.ring = ring
+        self._error = error
+
+    def __getattr__(self, name):
+        raise self._error
+
+
 def _cmd_decompose(args) -> int:
     if args.s < 1:
         raise ValueError("s must be >= 1")
     ring = ring_from_string(args.ring)
-    space = matrix_space(ring, args.cap)
+    try:
+        space = matrix_space(ring, args.cap)
+    except CapExceededError as exc:
+        space = _SpacePastCap(ring, exc)
     target = parse_matrix(ring, args.matrix)
     try:
         fact = decompose(space, target, args.s)

@@ -396,7 +396,7 @@ def _decompose_two(space: MatrixSpace, A: Mat2) -> NilFactorization:
         return NilFactorization.certified(
             A, [Pinv * E * P, Pinv * second * P], P)
     det = A.det()
-    if ring.val_table[det.idx] < min(2, ring.n):
+    if det.valuation() < min(2, ring.n):
         # det is multiplicative and every nilpotent has det in J
         raise TraceObstructionError(
             f"determinant obstruction: det = {format_element(det)} is not "
@@ -418,6 +418,8 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
     closed-form factors, the trace and determinant obstructions and an
     exhaustive class-reduced search (see ``_decompose_two``).  s >= 3 goes
     through the orbit union witness and the constructive factor chains.
+    Only that search reads the space's Q^4 data; every other route uses
+    ``space.ring`` alone.
     """
     ring = space.ring
     if s < 1:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from nilquat.chain_ring import (Ring, make_ring, parse_element,
+from nilquat.chain_ring import (GFq, Ring, make_ring, parse_element,
                                 parse_ring_spec, format_element,
                                 format_ring_spec, ring_from_string,
                                 smallest_irreducible)
+from nilquat.cli import main
 
 
 def test_parse_ring_spec_round_trip():
@@ -166,3 +167,127 @@ def test_ring_cache_reuses_instances():
 def test_repr_uses_digit_tuples():
     r = ring_from_string("zmod:3^2")
     assert repr(r.from_int(5)) == "(2,1)"
+
+
+# -- the dense tables against the digit route -------------------------------
+
+def _check_against_digit_route(r: Ring, pairs) -> None:
+    add, mul, neg, val, inv = (r.add_table, r.mul_table, r.neg_table,
+                               r.val_table, r.inv_table)
+    els = r.enumerate_ring()
+    for i, j in pairs:
+        x, y = els[i], els[j]
+        assert add[i, j] == r._digit_add(x, y).idx
+        assert mul[i, j] == r._digit_mul(x, y).idx
+    for i in sorted({i for i, _ in pairs}):
+        x = els[i]
+        assert neg[i] == r._digit_neg(x).idx
+        assert val[i] == r.valuation(x)
+        if x.is_unit():
+            assert inv[i] == r._digit_inverse(x).idx
+        else:
+            assert inv[i] == -1
+
+
+@pytest.mark.parametrize("text", ("zmod:3^2", "polyq:3^2^1", "zmod:5^2",
+                                  "polyq:3^1^3", "polyq:7^2^1"))
+def test_tables_equal_digit_route_on_every_pair(text):
+    r = Ring(parse_ring_spec(text))
+    _check_against_digit_route(
+        r, [(i, j) for i in range(r.size) for j in range(r.size)])
+
+
+@pytest.mark.parametrize("text", ("zmod:3^6", "polyq:3^2^3", "zmod:5^4"))
+def test_tables_equal_digit_route_on_sampled_pairs(text):
+    r = Ring(parse_ring_spec(text))
+    rng = np.random.default_rng(11)
+    _check_against_digit_route(
+        r, [(int(i), int(j))
+            for i, j in rng.integers(0, r.size, size=(2000, 2))])
+
+
+@pytest.mark.parametrize("p, r", ((3, 1), (3, 2), (5, 2), (3, 3), (7, 2),
+                                  (3, 5), (13, 1)))
+def test_residue_field_tables_equal_scalar_ops(p, r):
+    f = GFq(p, r)
+    for x in range(f.q):
+        assert f.neg_table[x] == f.neg(x)
+        for y in range(f.q):
+            assert f.mul_table[x, y] == f.mul(x, y)
+    for x in range(1, f.q):
+        # the table inverse against the square-and-multiply route
+        assert f.inv(x) == f.pow(x, f.q - 2)
+
+
+def test_large_residue_field_inverts_without_a_table():
+    f = GFq(17, 2)
+    with pytest.raises(ValueError):
+        f.inv_table
+    for x in (1, 2, 18, 288):
+        assert f.mul(x, f.inv(x)) == 1
+
+
+def test_table_build_makes_no_digit_route_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("digit route called")
+
+    for name in ("_digit_add", "_digit_neg", "_digit_mul", "_digit_inverse"):
+        monkeypatch.setattr(Ring, name, refuse)
+    for name in ("add", "neg", "sub", "mul", "pow"):
+        monkeypatch.setattr(GFq, name, refuse)
+    r = Ring(parse_ring_spec("polyq:3^2^3"))
+    for table in (r.add_table, r.mul_table, r.neg_table, r.val_table,
+                  r.inv_table):
+        assert table.shape[0] == r.size
+    x, y = r.from_index(100), r.from_index(728)
+    add, mul, neg = r.add_table, r.mul_table, r.neg_table
+    assert (x * y + x - y) is r.from_index(
+        int(add[add[mul[100, 728], 100], neg[728]]))
+    assert x ** 3 is r.from_index(int(mul[mul[100, 100], 100]))
+    assert (y * y.inverse()) is r.one
+    assert r.from_int(-1) is -r.one
+
+
+def test_ring_above_table_limit_uses_the_digit_route(capsys):
+    r = ring_from_string("zmod:3^7")
+    assert r.size == 2187
+    a, b = r.solve_sum_of_squares()
+    assert (a * a + b * b + r.one).is_zero()
+    x = r.from_int(1000)
+    assert x * x.inverse() == r.one
+    assert main(["decompose", "--ring", "zmod:3^7", "--matrix",
+                 "[[1,1],[0,0]]", "--s", "3"]) == 0
+    assert '"verified": true' in capsys.readouterr().out
+    for name in ("add_table", "mul_table", "neg_table", "inv_table",
+                 "_add_rows", "_mul_rows", "_neg_list", "_inv_list"):
+        assert name not in vars(r)
+    with pytest.raises(ValueError, match="dense table limit"):
+        r.mul_table
+
+
+def test_elements_are_interned():
+    r = Ring(parse_ring_spec("polyq:3^1^3"))
+    x, y = r.from_index(5), r.from_index(13)
+    assert r.from_index(5) is x
+    assert r.enumerate_ring()[5] is x
+    assert r.element((2, 1, 0)) is x
+    assert (x + y) is r.from_index(int(r.add_table[5, 13]))
+    assert (x - y) is r.from_index(int(r.add_table[5, r.neg_table[13]]))
+    assert (x * y) is r.from_index(int(r.mul_table[5, 13]))
+    assert (-x) is r.from_index(int(r.neg_table[5]))
+    assert x.inverse() is r.from_index(int(r.inv_table[5]))
+    assert x ** 0 is r.one is r.from_index(1)
+    assert r.zero is r.from_index(0)
+    assert r.uniformizer is r.from_index(3)
+    assert r.lift(2) is r.from_int(2) is r.from_index(2)
+    # a second handle with the same parameters mixes, answering from its own
+    twin = Ring(parse_ring_spec("polyq:3^1^3"))
+    assert twin.add(x, y) is twin.from_index(int(r.add_table[5, 13]))
+    other = ring_from_string("zmod:3^3")
+    for op in (r.add, r.sub, r.mul):
+        with pytest.raises(ValueError, match="different rings"):
+            op(x, other.one)
+    with pytest.raises(ValueError, match="different rings"):
+        r.neg(other.one)
+    with pytest.raises(ValueError, match="different rings"):
+        r.inverse(other.one)

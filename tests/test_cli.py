@@ -367,3 +367,23 @@ def test_decompose_readme_example(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--ring", "zmod:3^1",
                            "--matrix", "[[1,1],[0,0]]", "--s", "2")
     assert (code, out) == (0, GOLDEN_DECOMPOSE)
+
+
+def test_decompose_past_the_enumeration_cap(capsys):
+    # s = 3, and s = 2 on an orbit-union member, read no Q^4 data
+    for s in (3, 2):
+        code, out, _ = run_cli(capsys, "decompose", "--ring", "zmod:3^5",
+                               "--matrix", "[[1,1],[0,0]]", "--s", str(s))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verified"] is True
+        assert len(payload["factors"]) == s
+    # 9I is off the union with det in J^2, so it reaches the search
+    code, _, err = run_cli(capsys, "decompose", "--ring", "zmod:3^5",
+                           "--matrix", "[[9,0],[0,9]]", "--s", "2")
+    assert code == 2
+    assert "cap" in err
+    code, _, err = run_cli(capsys, "verify", "--ring", "zmod:3^5",
+                           "--suite", "all")
+    assert code == 2
+    assert "cap" in err

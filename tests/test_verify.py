@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from nilquat.chain_ring import ring_from_string
@@ -55,3 +56,13 @@ def test_seeded_runs_are_reproducible():
     b = run_suites(ring, ("lemma36",), samples=2000, seed=5)[0]
     assert (a.checks, a.violations, a.note) == (b.checks, b.violations,
                                                 b.note)
+
+
+def test_iso_bijection_check_counts_a_missed_matrix(monkeypatch):
+    from nilquat import verify
+    from nilquat.quaternion import QuaternionIso
+    r = ring_from_string("zmod:3^1")
+    assert verify._iso_checks(r, np.random.default_rng(0), 100)[1] == 0
+    monkeypatch.setattr(QuaternionIso, "packed_matrices_of_all",
+                        lambda self: np.zeros(81, dtype=np.int64))
+    assert verify._iso_checks(r, np.random.default_rng(0), 100)[1] == 1
