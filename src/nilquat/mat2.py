@@ -224,6 +224,11 @@ class MatrixSpace:
         # the sorted products of Nil's class representatives by Nil,
         # built and read by nilfactor's two-factor search
         self._two_factor_table: tuple | None = None
+        # the product chain S_1 = Nil, S_2, ... as read-only sorted packed
+        # indices, filled on demand by nilfactor.product_set and closed at
+        # its first repeat, after which every later S_s is the last set
+        self._product_chain: list[np.ndarray] = []
+        self._product_chain_closed = False
 
     def __repr__(self):
         return f"MatrixSpace({format_ring_spec(self.ring.spec)})"
@@ -238,6 +243,12 @@ class MatrixSpace:
     def pack(self, a11, a12, a21, a22):
         Q = self.Q
         return ((np.asarray(a22, dtype=np.int64) * Q + a21) * Q + a12) * Q + a11
+
+    @property
+    def index_type(self):
+        """The narrowest integer type holding every packed index; arrays
+        that are only read as gather or scatter indices use it."""
+        return np.int32 if self.count <= 2 ** 31 else np.int64
 
     def matrix_from_packed(self, idx: int) -> Mat2:
         if not 0 <= idx < self.count:
@@ -361,10 +372,8 @@ class MatrixSpace:
     def class_labels(self) -> np.ndarray:
         """For each packed index, the smallest packed index in its GL2
         conjugacy class, by min-label propagation over all Q^4 matrices."""
-        # the images are only read as gather indices; int32 halves them
-        image_type = np.int32 if self.count <= 2 ** 31 else np.int64
         maps = [self._map_space(lambda a, P=P, Pinv=Pinv:
-                                self._conjugate(a, P, Pinv), image_type)
+                                self._conjugate(a, P, Pinv), self.index_type)
                 for P, Pinv in self._conjugation_generators]
         return _propagate_min_labels(maps, self.count)
 

@@ -3,8 +3,8 @@ certified decompositions, sharpness witnesses.
 
 The census routes are independent by construction: ``product_set`` builds
 the exact set of s-fold products bottom-up over the packed encoding, one
-GL2 conjugacy class at a time, while
-``formula_count`` evaluates the closed-form count and ``orbit_union``
+GL2 conjugacy class at a time, while ``rank1_union_count`` and
+``formula_count`` evaluate closed-form counts and ``orbit_union``
 measures the conjugation-orbit union.  Agreement between them is what the
 verification suites assert; nothing here short-circuits one route through
 another.
@@ -69,8 +69,9 @@ def rank1_union_count(q: int, n: int) -> int:
     1 + (q + 1)^2 (q^(3n) - 1) / (q^2 + q + 1).
 
     The division is exact, since q^2 + q + 1 divides q^3 - 1 and so
-    q^(3n) - 1.  Kept apart from ``formula_count``, which it equals for
-    n <= 2 and not for n >= 3.
+    q^(3n) - 1.  It is the count a census compares against from the
+    stable point on.  Kept apart from ``formula_count``, which it equals
+    for n <= 2 and not for n >= 3.
     """
     if not _is_odd_prime_power(q):
         raise ValueError(f"q must be an odd prime power, got {q}")
@@ -104,8 +105,16 @@ def formula_count(q: int, n: int, s: int) -> int:
 
 
 def _formula_or_none(q: int, n: int, s: int) -> int | None:
+    """The closed form a census compares against: none below 2n - 1, the
+    rank-1 union count from the stable point on, and ``formula_count`` in
+    between (n = 1, s in {1, 2}).  Past the stable point the two closed
+    forms agree for n <= 2 and differ by (q^n - 1)(q^n - q)(q^n - q^2) /
+    (q^2 + q + 1) for n >= 3, where the brute chain gives the rank-1
+    count."""
     if s < 2 * n - 1:
         return None
+    if s >= stable_product_count(n):
+        return rank1_union_count(q, n)
     return formula_count(q, n, s)
 
 
@@ -127,27 +136,48 @@ def gl2_count(q: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def pair_products(space: MatrixSpace, left: np.ndarray, right: np.ndarray):
-    """Yield (start, product entries) for every L * R, L in left and R in
+    """Yield (start, packed products) for every L * R, L in left and R in
     right, in row-major pair order.
 
-    Each block holds the rows left[start:start + k] against all of right,
-    as four (k, len(right)) index arrays, with k chosen so a block has
-    about _BULK_PAIR_BLOCK pairs.
+    Each block holds the rows left[start:start + k] against all of right
+    as one (k, len(right)) array of packed indices.  A column (x, y) of R
+    goes to the column L (x, y)^T, so each left factor gets a Q^2-entry
+    table T_L from the column index x + Q y to the packed column u + Q^2 w
+    of its image; then packed(L R) = T_L[b11 + Q b21] + Q T_L[b12 + Q b22],
+    two gathers a pair.  k is chosen so that neither k * len(right) pairs
+    nor the k * Q^2 table entries pass _BULK_PAIR_BLOCK.
     """
-    r = tuple(x[None, :] for x in space.unpack(right))
-    block = max(1, _BULK_PAIR_BLOCK // max(len(right), 1))
+    Q = space.Q
+    add, mul = space.ring.add_table, space.ring.mul_table
+    b11, b12, b21, b22 = space.unpack(right)
+    cols = (b11 + Q * b21, b12 + Q * b22)
+    block = max(1, _BULK_PAIR_BLOCK // max(len(right), Q * Q))
     for start in range(0, len(left), block):
-        l = tuple(x[:, None] for x in space.unpack(left[start:start + block]))
-        yield start, space.matmul(l, r)
+        a11, a12, a21, a22 = space.unpack(left[start:start + block])
+        # table[i, y, x] is the packed image of the column (x, y)
+        table = add[mul[a21][:, None, :], mul[a22][:, :, None]].astype(
+            space.index_type)
+        table *= Q * Q
+        table += add[mul[a11][:, None, :], mul[a12][:, :, None]]
+        table = table.reshape(len(a11), Q * Q)
+        packed = table[:, cols[0]]
+        packed += Q * table[:, cols[1]]
+        yield start, packed
 
 
 def _multiply_sets(space: MatrixSpace, left: np.ndarray,
                    right: np.ndarray) -> np.ndarray:
     """Sorted packed indices of {L * R : L in left, R in right}."""
     mask = np.zeros(space.count, dtype=bool)
-    for _, prod in pair_products(space, left, right):
-        mask[space.pack(*prod).ravel()] = True
+    for _, packed in pair_products(space, left, right):
+        mask[packed] = True
     return np.flatnonzero(mask)
+
+
+def _read_only(indices: np.ndarray) -> np.ndarray:
+    view = indices.view()
+    view.setflags(write=False)
+    return view
 
 
 def product_set(space: MatrixSpace, s: int, threads: int = 1) -> np.ndarray:
@@ -159,22 +189,29 @@ def product_set(space: MatrixSpace, s: int, threads: int = 1) -> np.ndarray:
     only the class representatives of ``MatrixSpace.class_labels`` are
     multiplied.  The sets are not monotone in s, but S_s = S_{s-1} forces
     every later set to equal it, so the chain stops at its first repeat.
-    ``threads`` is accepted for compatibility and has no effect.
+
+    The chain is cached on the space and extended only as far as s or its
+    fixed point, so each step is multiplied once per space; the returned
+    array is that cached set, read-only.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    nil = space.nilpotent_indices
-    cur = nil
-    for _ in range(s - 1):
+    chain = space._product_chain
+    if not chain:
+        chain.append(_read_only(space.nilpotent_indices))
+    while len(chain) < s and not space._product_chain_closed:
+        cur = chain[-1]
         labels = space.class_labels
         reps = cur[labels[cur] == cur]
         hit = np.zeros(space.count, dtype=bool)
-        hit[labels[_multiply_sets(space, reps, nil)]] = True
+        hit[labels[_multiply_sets(space, reps, chain[0])]] = True
         nxt = np.flatnonzero(hit[labels])
         if np.array_equal(nxt, cur):
-            break
-        cur = nxt
-    return cur
+            space._product_chain_closed = True
+        else:
+            chain.append(_read_only(nxt))
+    return chain[min(s, len(chain)) - 1]
 
 
 @dataclass
@@ -202,7 +239,12 @@ class CensusReport:
 def census_set_product(space: MatrixSpace, s: int,
                        threads: int = 1) -> CensusReport:
     """Count s-fold nilpotent products exactly and compare with the
-    closed-form count (absent when s < 2n - 1)."""
+    closed-form count (absent when s < 2n - 1).
+
+    The count reads the product chain cached on ``space``, so
+    ``elapsed_ms`` is the cost of this call: the chain steps it had to
+    add, and a lookup once the chain reaches s or its fixed point.
+    """
     ring = space.ring
     t0 = perf_counter()
     brute = len(product_set(space, s, threads))
@@ -329,14 +371,15 @@ def _two_factor_table(space: MatrixSpace):
         nil = space.nilpotent_indices
         reps = space.class_representatives(nil)
         keys, first = [], []
-        for start, prod in pair_products(space, reps, nil):
-            block, pos = np.unique(space.pack(*prod), return_index=True)
+        for start, packed in pair_products(space, reps, nil):
+            block, pos = np.unique(packed, return_index=True)
             keys.append(block)
             first.append(pos + start * len(nil))
         # a stable unique keeps the first of equal keys, and the blocks
         # are in pair order
         keys, pos = np.unique(np.concatenate(keys), return_index=True)
-        table = (keys, np.concatenate(first)[pos], reps)
+        # int64 like the searched conjugates, so searchsorted copies nothing
+        table = (keys.astype(np.int64), np.concatenate(first)[pos], reps)
         space._two_factor_table = table
     return table
 

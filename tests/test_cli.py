@@ -387,3 +387,16 @@ def test_decompose_past_the_enumeration_cap(capsys):
                            "--suite", "all")
     assert code == 2
     assert "cap" in err
+
+
+def test_n3_census_and_chain_suites_exit_0(capsys):
+    code, out, _ = run_cli(capsys, "census", "--ring", "zmod:3^3", "--s", "5",
+                           "--stable-output")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["brute_count"] == payload["formula_count"] == 24225
+    assert payload["match"] is True
+    code, out, _ = run_cli(capsys, "verify", "--ring", "zmod:3^3", "--suite",
+                           "thm38,thm312,cor310")
+    assert code == 0, out
+    assert out.splitlines()[-1] == "ok: 3 suites"

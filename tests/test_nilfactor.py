@@ -7,14 +7,15 @@ import pytest
 
 import nilquat
 from nilquat.chain_ring import ring_from_string
-from nilquat.mat2 import (Mat2, identity, matrix_space, parse_matrix, top_row,
-                          zero_matrix)
+from nilquat.mat2 import (Mat2, MatrixSpace, identity, matrix_space,
+                          parse_matrix, top_row, zero_matrix)
 from nilquat.nilfactor import (DEFAULT_SEED, NilFactorization,
                                NotInOrbitUnionError, NotNilpotentError,
                                TraceObstructionError, _multiply_sets,
                                census_formula_only, census_orbit_union,
                                census_set_product, decompose, formula_count,
-                               gl2_count, nilpotent_count_check, product_set,
+                               gl2_count, nilpotent_count_check,
+                               pair_products, product_set,
                                rank1_union_count, sharpness_example,
                                stable_product_count,
                                valuation_obstruction_scan)
@@ -418,3 +419,115 @@ def test_rank1_union_count_validation():
         rank1_union_count(4, 1)
     with pytest.raises(ValueError):
         rank1_union_count(3, 0)
+
+
+# --------------------------------------------------------------------------
+# the census closed form past the stable point
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 25, 27))
+def test_rank1_minus_formula_gap_identity(q):
+    for n in range(1, 7):
+        qn = q ** n
+        num = (qn - 1) * (qn - q) * (qn - q * q)
+        assert num % (q * q + q + 1) == 0
+        gap = rank1_union_count(q, n) - formula_count(q, n, max(2 * n - 1, 3))
+        assert gap == num // (q * q + q + 1)
+        assert (gap == 0) == (n <= 2)
+
+
+def test_census_compares_with_rank1_count_past_stable_point():
+    z27 = ring_from_string("zmod:3^3")
+    for s in (5, 6, 9):
+        assert census_formula_only(z27, s).formula_count == 24225
+    assert census_formula_only(z27, 4).formula_count is None
+    gf3 = ring_from_string("polyq:3^1^1")
+    # n = 1 keeps the transcribed values below the stable point
+    assert [census_formula_only(gf3, s).formula_count
+            for s in (1, 2, 3, 4)] == [9, 25, 33, 33]
+
+
+# --------------------------------------------------------------------------
+# the cached product chain and the column-table pair kernel
+# --------------------------------------------------------------------------
+
+def _count_kernel_calls(monkeypatch):
+    from nilquat import nilfactor
+    calls = []
+    kernel = nilfactor.pair_products
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(nilfactor, "pair_products", counted)
+    return calls
+
+
+def test_product_chain_is_cached_and_read_only(monkeypatch):
+    sp = MatrixSpace(ring_from_string("zmod:3^2"))
+    first = product_set(sp, 3)
+    calls = _count_kernel_calls(monkeypatch)
+    again = product_set(sp, 3)
+    assert again is first and calls == []
+    assert census_set_product(sp, 2).brute_count == 711 and calls == []
+    for s in (1, 3):
+        with pytest.raises(ValueError):
+            product_set(sp, s)[0] = 0
+    assert sp.nilpotent_indices.flags.writeable
+
+
+def test_product_chain_stops_at_fixed_point(monkeypatch):
+    sp = MatrixSpace(ring_from_string("zmod:3^2"))
+    calls = _count_kernel_calls(monkeypatch)
+    got = product_set(sp, 50)
+    # S_2 and S_3 are new, and the step to S_4 finds the repeat
+    assert len(calls) == 3
+    assert len(got) == 897
+    assert np.array_equal(product_set(sp, 4), got) and len(calls) == 3
+
+
+@pytest.mark.parametrize("text", _CHAIN_RINGS)
+def test_chain_requested_out_of_order_matches_brute(text):
+    sp = MatrixSpace(ring_from_string(text))
+    nil = sp.nilpotent_indices
+    brute = [nil]
+    for _ in range(5):
+        brute.append(_multiply_sets(sp, brute[-1], nil))
+    for s in (6, 1, 4, 2):
+        assert np.array_equal(product_set(sp, s), brute[s - 1]), s
+
+
+@pytest.mark.parametrize("text", ("zmod:3^3", "zmod:5^2", "polyq:3^2^1",
+                                  "polyq:7^2^1"))
+def test_pair_products_equals_matmul(text):
+    sp = matrix_space(ring_from_string(text))
+    rng = np.random.default_rng(2000)
+    left = rng.integers(0, sp.count, size=40)
+    right = rng.integers(0, sp.count, size=50)
+    l = tuple(x[:, None] for x in sp.unpack(left))
+    r = tuple(x[None, :] for x in sp.unpack(right))
+    want = sp.pack(*sp.matmul(l, r))
+    blocks = list(pair_products(sp, left, right))
+    assert [start for start, _ in blocks] == [0]
+    assert np.array_equal(blocks[0][1], want)
+
+
+def test_pair_products_block_bounds_table_memory():
+    import tracemalloc
+    sp = matrix_space(ring_from_string("zmod:5^2"))
+    left = np.random.default_rng(1).integers(0, sp.count, size=200_000)
+    right = sp.nilpotent_indices[:1]
+    want = sp.pack(*sp.matmul(sp.unpack(left), sp.unpack(right)))
+    tracemalloc.start()
+    try:
+        rows = 0
+        for start, packed in pair_products(sp, left, right):
+            assert start == rows and packed.shape[1] == 1
+            assert np.array_equal(packed[:, 0], want[start:start + len(packed)])
+            rows += len(packed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == len(left)
+    assert peak < 64 * 2 ** 20, peak

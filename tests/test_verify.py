@@ -66,3 +66,14 @@ def test_iso_bijection_check_counts_a_missed_matrix(monkeypatch):
     monkeypatch.setattr(QuaternionIso, "packed_matrices_of_all",
                         lambda self: np.zeros(81, dtype=np.int64))
     assert verify._iso_checks(r, np.random.default_rng(0), 100)[1] == 1
+
+
+def test_n3_product_chain_suites_pass():
+    # thm38, thm312 and cor310 read one cached chain, and thm312 compares
+    # every census past 2n - 1 with the rank-1 union count
+    results = run_suites(ring_from_string("zmod:3^3"),
+                         ("thm38", "thm312", "cor310"))
+    assert [r.suite for r in results] == ["thm38", "thm312", "cor310"]
+    for r in results:
+        assert r.checks > 0 and r.violations == 0, (r.suite, r.note)
+    assert results[1].note == "census 24225 = 24225"
