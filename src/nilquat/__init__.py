@@ -12,15 +12,16 @@ from .chain_ring import (Ring, RingElem, RingSpec, format_element,
                          smallest_irreducible)
 from .mat2 import (DEFAULT_ENUMERATION_CAP, CapExceededError, Mat2,
                    MatrixSpace, NilClass, NilTag, classify_nilpotent,
-                   format_matrix, identity, load_packed, matrix_space,
-                   parse_matrix, save_packed, top_row, zero_matrix)
+                   format_matrix, gl2_count, identity, load_packed,
+                   matrix_space, parse_matrix, save_packed, top_row,
+                   zero_matrix)
 from .nilfactor import (DEFAULT_SEED, CensusReport, DecompositionError,
                         NilFactorization, NotInOrbitUnionError,
                         NotNilpotentError, ScanReport, SharpnessCertificate,
                         TraceObstructionError, census_formula_only,
                         census_orbit_union, census_set_product, decompose,
-                        formula_count, gl2_count, nilpotent_count_check,
-                        product_set, rank1_union_count, sharpness_example,
+                        formula_count, nilpotent_count_check, product_set,
+                        rank1_union_count, sharpness_example,
                         stable_product_count, valuation_obstruction_scan)
 from .orbits import (Orbit, OrbitCertificate, conjugate, load_union_bitset,
                      locate_in_orbit_union, orbit_of, orbit_union,

@@ -8,7 +8,9 @@ integer
 
 and MatrixSpace provides vectorised kernels over whole packed ranges.
 Nilpotency uses the chain-ring criterion trace, det in J(R); the 2n-th
-power oracle it is equivalent to lives in the test suites.
+power oracle it is equivalent to lives in the test suites.  GL2
+conjugacy classes have a closed-form dense code, ``MatrixSpace.class_code``,
+and ``companion_conjugator`` takes a matrix to its class's companion form.
 """
 
 from __future__ import annotations
@@ -113,6 +115,11 @@ class Mat2:
     def is_nilpotent(self) -> bool:
         """Chain-ring criterion: both trace and determinant lie in J(R)."""
         return not self.trace().is_unit() and not self.det().is_unit()
+
+
+def gl2_count(q: int, n: int) -> int:
+    """|GL2(R)| = q^(4(n-1)) (q^2 - 1)(q^2 - q)."""
+    return q ** (4 * (n - 1)) * (q * q - 1) * (q * q - q)
 
 
 def identity(ring: Ring) -> Mat2:
@@ -221,8 +228,8 @@ class MatrixSpace:
         self.Q = ring.size
         self.count = count
         self._union_cache: dict[str, np.ndarray] = {}
-        # the sorted products of Nil's class representatives by Nil,
-        # built and read by nilfactor's two-factor search
+        # the first pair of nilpotents whose product lies in each class,
+        # built and read by nilfactor's two-factor lookup
         self._two_factor_table: tuple | None = None
         # the product chain S_1 = Nil, S_2, ... as read-only sorted packed
         # indices, filled on demand by nilfactor.product_set and closed at
@@ -340,121 +347,130 @@ class MatrixSpace:
     def conjugates_of(self, A: Mat2) -> np.ndarray:
         """Packed P^-1 A P for every P in GL2, in ascending P order."""
         _, P, Pinv = self._gl_data
-        return self._conjugate(tuple(x.idx for x in A.entries()), P, Pinv)
+        a = tuple(x.idx for x in A.entries())
+        return self.pack(*self.matmul(Pinv, self.matmul(a, P)))
+
+    # -- similarity classes ---------------------------------------------------
 
     @cached_property
-    def _conjugation_generators(self) -> list[tuple[tuple, tuple]]:
-        """(P, P^-1) entry tuples of generators of GL2(R).
+    def _code_tables(self):
+        """What ``class_code`` reads: the first code of each j = 0..n and
+        the class count, m = q^(n-j) for each j, and tables indexed by an
+        entry pair x + Q y, diagonal (a11, a22) or off-diagonal (a12, a21):
+        v(x - y), min(v(x), v(y)), and for each j, with b = idx // q^j,
+        offset_j + (d0 m + tr B) m from the diagonal, b_x b_y, -b_x b_y."""
+        ring, q, n, Q = self.ring, self.ring.q, self.ring.n, self.Q
+        add, mul, neg, val = (ring.add_table, ring.mul_table, ring.neg_table,
+                              ring.val_table)
+        offsets = np.cumsum([0] + [q ** (2 * n - j) for j in range(n + 1)])
+        moduli = q ** np.arange(n, -1, -1)
+        y, x = np.divmod(np.arange(Q * Q), Q)
+        head, prod = np.empty((2, n + 1, Q * Q), dtype=np.int64)
+        for j, m in enumerate(moduli):
+            bx, by = x // q ** j, y // q ** j
+            head[j] = offsets[j] + ((x % q ** j) * m + add[bx, by] % m) * m
+            prod[j] = mul[bx, by]
+        return (offsets, moduli, val[add[x, neg[y]]],
+                np.minimum(val[x], val[y]), head, prod, neg[prod])
 
-        SL2 of a local ring is generated by elementary matrices, so E12(t)
-        and E21(t), t in an additive generating set of R, together with
-        diag(u, 1), u in a generating set of R*, generate GL2(R), and
-        conjugation by them connects every conjugacy class.
+    @property
+    def class_count(self) -> int:
+        """The number of GL2 conjugacy classes, sum_{j<=n} q^(2n-j)."""
+        return int(self._code_tables[0][-1])
+
+    def class_code(self, entries) -> np.ndarray:
+        """The dense code in range(class_count) of the GL2 conjugacy class
+        of each matrix given as a 4-tuple of index arrays (broadcasting).
+
+        Let j = min(v(a12), v(a21), v(a11 - a22)) and d0 = idx(a11) mod
+        q^j, so A = d0 I + pi^j B with B defined mod pi^(n-j).  B's residue
+        is not scalar, so B is cyclic and its class is fixed by tr B and
+        det B mod pi^(n-j) (Avni-Onn-Prasad-Vaserstein, Comm. Algebra 37,
+        2009).  The code packs (j, d0, tr B, det B); a scalar has j = n and
+        code offset_n + idx(a11).  In both ring families, division by pi^j
+        is idx // q^j and reduction mod pi^m is idx mod q^m.
         """
-        ring = self.ring
-        zero, one = ring.zero.idx, ring.one.idx
-        neg, inv = ring.neg_table, ring.inv_table
-        conjugators = []
-        for t in _greedy_generators(ring.add_table, range(self.Q), zero):
-            conjugators += [((one, t, zero, one), (one, neg[t], zero, one)),
-                            ((one, zero, t, one), (one, zero, neg[t], one))]
-        for u in _greedy_generators(ring.mul_table, np.flatnonzero(inv >= 0),
-                                    one):
-            conjugators.append(((u, zero, zero, one),
-                                (inv[u], zero, zero, one)))
-        return conjugators
-
-    def _conjugate(self, entries, P, Pinv):
-        """Packed P^-1 A P for A given as a 4-tuple of index arrays."""
-        return self.pack(*self.matmul(Pinv, self.matmul(entries, P)))
+        a11, a12, a21, a22 = (np.asarray(x, dtype=np.int64) for x in entries)
+        diag, off = a11 + self.Q * a22, a12 + self.Q * a21
+        _, moduli, diag_val, off_val, head, prod, neg_prod = self._code_tables
+        j = np.minimum(diag_val[diag], off_val[off])
+        det = self.ring.add_table[prod[j, diag], neg_prod[j, off]] % moduli[j]
+        return head[j, diag] + det
 
     @cached_property
+    def class_code_table(self) -> np.ndarray:
+        """``class_code`` of every packed index as int32, built one a22 at
+        a time with the other three entries broadcast."""
+        x = np.arange(self.Q)
+        table = np.empty((self.Q,) * 4, dtype=np.int32)
+        for a22 in range(self.Q):
+            table[a22] = self.class_code((x, x[:, None], x[:, None, None], a22))
+        return table.reshape(-1)
+
+    @cached_property
+    def class_sizes(self) -> np.ndarray:
+        """|GL2| / |C(A)| for each class code: 1 for a scalar, and for
+        j < n, |C(A)| = q^(4j) q^(2(n-j)) u / q^2 with u the centraliser
+        order of B's residue in GL2(F_q), (q-1)^2, q^2 - 1 or q (q-1) as
+        tr^2 - 4 det is a nonzero square, a non-square or 0."""
+        ring, q, n = self.ring, self.ring.q, self.ring.n
+        add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+        offsets, moduli = self._code_tables[:2]
+        square = np.zeros(q, dtype=bool)
+        square[mul[np.arange(q), np.arange(q)] % q] = True
+        sizes = np.ones(self.class_count, dtype=np.int64)
+        for j, m in enumerate(moduli[:n]):
+            tr, det = np.divmod(np.arange(q ** j * m * m) % (m * m), m)
+            disc = add[mul[tr, tr], neg[mul[ring.from_int(4).idx, det]]] % q
+            u = np.select([disc == 0, square[disc]],
+                          [q * (q - 1), (q - 1) ** 2], q * q - 1)
+            sizes[offsets[j]:offsets[j + 1]] = (
+                gl2_count(q, n) // (q ** (2 * n + 2 * j - 2) * u))
+        return sizes
+
+    @property
     def class_labels(self) -> np.ndarray:
         """For each packed index, the smallest packed index in its GL2
-        conjugacy class, by min-label propagation over all Q^4 matrices."""
-        maps = [self._map_space(lambda a, P=P, Pinv=Pinv:
-                                self._conjugate(a, P, Pinv), self.index_type)
-                for P, Pinv in self._conjugation_generators]
-        return _propagate_min_labels(maps, self.count)
+        conjugacy class, read off the code table on each call."""
+        codes = self.class_code_table
+        _, first = np.unique(codes, return_index=True)
+        return first[codes]
 
     def class_representatives(self, indices: np.ndarray) -> np.ndarray:
         """The smallest member of each GL2 conjugacy class in ``indices``,
-        sorted.
-
-        ``indices`` must be sorted packed indices of a set closed under
-        conjugation, such as the nilpotents; the labels are propagated over
-        that set only, so nothing of size Q^4 is allocated.
-        """
+        sorted.  ``indices`` must be sorted packed indices of a set closed
+        under conjugation, such as the nilpotents, so each code met occurs
+        ``class_sizes`` times; nothing of size Q^4 is allocated."""
         indices = np.asarray(indices, dtype=np.int64)
-        entries = self.unpack(indices)
-        maps = []
-        for P, Pinv in self._conjugation_generators:
-            image = self._conjugate(entries, P, Pinv)
-            pos = np.minimum(np.searchsorted(indices, image),
-                             max(len(indices) - 1, 0))
-            if not np.array_equal(indices[pos], image):
-                raise ValueError("indices must be sorted and closed under "
-                                 "conjugation")
-            maps.append(pos)
-        labels = _propagate_min_labels(maps, len(indices))
-        return indices[labels == np.arange(len(indices))]
-
-    @cached_property
-    def scalar_class_conjugators(self):
-        """(packed, entries, inverse entries) of one GL2 element per class
-        modulo scalars, in ascending packed order.
-
-        Scalars conjugate trivially, so these give every conjugate of a
-        matrix.  Each class has exactly one member whose first row is
-        (1, t), or (j, 1) with j in J.
-        """
-        g, e, inv = self._gl_data
-        one = self.ring.one.idx
-        keep = ((e[0] == one)
-                | ((self.ring.val_table[e[0]] >= 1) & (e[1] == one)))
-        return (g[keep], tuple(x[keep] for x in e),
-                tuple(x[keep] for x in inv))
+        codes = self.class_code(self.unpack(indices))
+        counts = np.bincount(codes, minlength=self.class_count)
+        sizes = np.where(counts > 0, self.class_sizes, 0)
+        if (np.diff(indices) <= 0).any() or (counts != sizes).any():
+            raise ValueError("indices must be sorted and closed under "
+                             "conjugation")
+        _, first = np.unique(codes, return_index=True)
+        return indices[np.sort(first)]
 
 
-def _propagate_min_labels(maps, size: int) -> np.ndarray:
-    """For each position in range(size), the smallest position in its
-    orbit under the group that the permutations ``maps`` generate.
-
-    Labels start as the identity and take the minimum over every map's
-    image, with pointer jumping, until a full round changes nothing.
-    """
-    labels = np.arange(size, dtype=np.int64)
-    while True:
-        before = labels
-        for image in maps:
-            labels = np.minimum(labels, labels[image])
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        if np.array_equal(labels, before):
-            return labels
-
-
-def _greedy_generators(table: np.ndarray, elements, identity: int) -> list[int]:
-    """Generators of the group on ``elements`` whose operation is ``table``:
-    scan in order, keep each element outside the span of those kept so
-    far, and close the span again."""
-    span = np.zeros(len(table), dtype=bool)
-    span[identity] = True
-    gens: list[int] = []
-    for g in elements:
-        if span[g]:
-            continue
-        gens.append(int(g))
-        while True:
-            grown = span.copy()
-            grown[table[np.flatnonzero(span)][:, gens]] = True
-            if np.array_equal(grown, span):
-                break
-            span = grown
-    return gens
+def companion_conjugator(A: Mat2) -> Mat2:
+    """An invertible P with P^-1 A P = d0 I + pi^j C, C = ((0, -det B),
+    (1, tr B)), for A = d0 I + pi^j B as in ``MatrixSpace.class_code``:
+    P = [v | B v] for the first v of e1, e2 and e1 + e2 that makes P
+    invertible (B's non-scalar residue has at most two eigenlines), and
+    B P = P C by Cayley-Hamilton.  The identity for a scalar A."""
+    ring = A.ring
+    j = min(A.a12.valuation(), A.a21.valuation(), (A.a11 - A.a22).valuation())
+    if j == ring.n:
+        return identity(ring)
+    b11, b12, b21, b22 = (ring.from_index(x.idx // ring.q ** j)
+                          for x in A.entries())
+    one, zero = ring.one, ring.zero
+    for v1, v2 in ((one, zero), (zero, one), (one, one)):
+        P = Mat2(v1, b11 * v1 + b12 * v2, v2, b21 * v1 + b22 * v2)
+        if P.is_invertible():
+            return P
+    raise AssertionError("a non-scalar residue has a cyclic vector among "
+                         "e1, e2 and e1 + e2")
 
 
 _SPACE_CACHE: dict[tuple, MatrixSpace] = {}

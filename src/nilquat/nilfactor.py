@@ -18,8 +18,8 @@ from time import perf_counter
 import numpy as np
 
 from .chain_ring import Ring, RingElem, format_element, format_ring_spec
-from .mat2 import (Mat2, MatrixSpace, format_matrix, identity, top_row,
-                   zero_matrix)
+from .mat2 import (Mat2, MatrixSpace, companion_conjugator, format_matrix,
+                   identity, top_row, zero_matrix)
 from .orbits import locate_in_orbit_union, orbit_union
 
 # Any fixed constant works; this one is frozen so seeded runs reproduce.
@@ -81,11 +81,12 @@ def rank1_union_count(q: int, n: int) -> int:
 
 
 def formula_count(q: int, n: int, s: int) -> int:
-    """Closed-form size of the set of s-fold nilpotent products in M2(R)
-    for a chain ring with residue field GF(q) and nilpotency degree n.
-
-    Valid for s >= 2n - 1.  The fraction in the general branch is exact
-    for every admissible q; a ValueError guards the divisibility.
+    """The transcribed closed form for the number of s-fold nilpotent
+    products in M2(R), residue field GF(q) and nilpotency degree n, for
+    s >= 2n - 1.  It equals ``rank1_union_count`` for n <= 2 and falls
+    short of it by (q^n - 1)(q^n - q)(q^n - q^2) / (q^2 + q + 1) for
+    n >= 3, where the brute chain gives the rank-1 count.  A ValueError
+    guards the divisibility of the general branch.
     """
     if not _is_odd_prime_power(q):
         raise ValueError(f"q must be an odd prime power, got {q}")
@@ -124,11 +125,6 @@ def nilpotent_count_check(space: MatrixSpace) -> tuple[int, int, bool]:
     q, n = space.ring.q, space.ring.n
     formula = q ** (2 * (2 * n - 1))
     return enumerated, formula, enumerated == formula
-
-
-def gl2_count(q: int, n: int) -> int:
-    """|GL2(R)| = q^(4(n-1)) (q^2 - 1)(q^2 - q)."""
-    return q ** (4 * (n - 1)) * (q * q - 1) * (q * q - q)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +182,9 @@ def product_set(space: MatrixSpace, s: int, threads: int = 1) -> np.ndarray:
     S_1 is the nilpotent set and S_s = S_{s-1} * Nil.  Both factors are
     closed under conjugation, and A N = P^-1 (r * P N P^-1) P when
     A = P^-1 r P, so S_s is the conjugation closure of reps(S_{s-1}) * Nil:
-    only the class representatives of ``MatrixSpace.class_labels`` are
-    multiplied.  The sets are not monotone in s, but S_s = S_{s-1} forces
-    every later set to equal it, so the chain stops at its first repeat.
+    only ``MatrixSpace.class_representatives`` are multiplied, and each
+    product marks its class code.  The sets are not monotone in s, but
+    S_s = S_{s-1} forces every later set, so the chain stops there.
 
     The chain is cached on the space and extended only as far as s or its
     fixed point, so each step is multiplied once per space; the returned
@@ -202,11 +198,12 @@ def product_set(space: MatrixSpace, s: int, threads: int = 1) -> np.ndarray:
         chain.append(_read_only(space.nilpotent_indices))
     while len(chain) < s and not space._product_chain_closed:
         cur = chain[-1]
-        labels = space.class_labels
-        reps = cur[labels[cur] == cur]
-        hit = np.zeros(space.count, dtype=bool)
-        hit[labels[_multiply_sets(space, reps, chain[0])]] = True
-        nxt = np.flatnonzero(hit[labels])
+        codes = space.class_code_table
+        hit = np.zeros(space.class_count, dtype=bool)
+        for _, packed in pair_products(space, space.class_representatives(cur),
+                                       chain[0]):
+            hit[codes[packed]] = True
+        nxt = np.flatnonzero(hit[codes])
         if np.array_equal(nxt, cur):
             space._product_chain_closed = True
         else:
@@ -362,58 +359,34 @@ def _top_row_factors(ring: Ring, a: RingElem, b: RingElem,
 
 
 def _two_factor_table(space: MatrixSpace):
-    """(keys, first, reps): the sorted distinct products n N, n in reps =
-    the class representatives of Nil and N in Nil, and for each key the
-    index i * |Nil| + j of its first pair (reps[i], Nil[j]).  Built once
-    per space, one block of pairs at a time."""
+    """(first, reps): reps are Nil's class representatives, and first maps
+    each class code to the index i * |Nil| + j of the first pair
+    (reps[i], Nil[j]) whose product lies in the class, or -1.  Built once
+    per space in one pass of ``pair_products``, with no sort."""
     table = space._two_factor_table
     if table is None:
         nil = space.nilpotent_indices
         reps = space.class_representatives(nil)
-        keys, first = [], []
+        codes = space.class_code_table
+        pairs = len(reps) * len(nil)
+        first = np.full(space.class_count, pairs, dtype=np.int64)
         for start, packed in pair_products(space, reps, nil):
-            block, pos = np.unique(packed, return_index=True)
-            keys.append(block)
-            first.append(pos + start * len(nil))
-        # a stable unique keeps the first of equal keys, and the blocks
-        # are in pair order
-        keys, pos = np.unique(np.concatenate(keys), return_index=True)
-        # int64 like the searched conjugates, so searchsorted copies nothing
-        table = (keys.astype(np.int64), np.concatenate(first)[pos], reps)
+            np.minimum.at(first, codes[packed].ravel(),
+                          start * len(nil) + np.arange(packed.size))
+        first[first == pairs] = -1
+        table = (first, reps)
         space._two_factor_table = table
     return table
-
-
-def _search_two_factors(space: MatrixSpace, A: Mat2):
-    """(P, n, N) with P A P^-1 = n N, n a class representative of Nil and
-    N nilpotent, for the first such P in ``scalar_class_conjugators``;
-    None when there is none.
-
-    If A = N1 N2 and N1 = P^-1 n P, then P A P^-1 = n (P N2 P^-1), so
-    trying one P per class modulo scalars against the table of products
-    n N decides A in Nil * Nil exactly.
-    """
-    keys, first, reps = _two_factor_table(space)
-    packed, P, Pinv = space.scalar_class_conjugators
-    a = tuple(x.idx for x in A.entries())
-    conj = space.pack(*space.matmul(P, space.matmul(a, Pinv)))
-    pos = np.minimum(np.searchsorted(keys, conj), len(keys) - 1)
-    hits = np.flatnonzero(keys[pos] == conj)
-    if not len(hits):
-        return None
-    k = int(hits[0])
-    nil = space.nilpotent_indices
-    i, j = divmod(int(first[pos[k]]), len(nil))
-    return tuple(space.matrix_from_packed(int(x))
-                 for x in (packed[k], reps[i], nil[j]))
 
 
 def _decompose_two(space: MatrixSpace, A: Mat2) -> NilFactorization:
     """A as N1 N2, decided exactly, in this order: the zero matrix; the
     trace obstruction (a nonzero residue of trace zero); closed-form
     factors for orbit-union members; the determinant obstruction (det A
-    outside J^2); then the class-reduced search, whose failure is an
-    exhaustive refusal.
+    outside J^2); then the lookup of A's class among the products of two
+    nilpotents, whose failure is an exhaustive refusal: if A = N1 N2 and
+    N1 = P^-1 n P, then P A P^-1 = n (P N2 P^-1), so S_2 is a union of
+    classes, each reached by a pair (n, N) with n a representative.
     """
     ring = space.ring
     E = top_row(ring.zero, ring.one)
@@ -444,12 +417,18 @@ def _decompose_two(space: MatrixSpace, A: Mat2) -> NilFactorization:
         raise TraceObstructionError(
             f"determinant obstruction: det = {format_element(det)} is not "
             f"in J^2, so no two nilpotent factors exist")
-    found = _search_two_factors(space, A)
-    if found is None:
+    first, reps = _two_factor_table(space)
+    pair = int(first[int(space.class_code(tuple(x.idx for x in A.entries())))])
+    if pair < 0:
         raise TraceObstructionError(
             "no product of two nilpotent matrices equals this matrix "
             "(exhaustive search)")
-    P, n, N = found
+    nil = space.nilpotent_indices
+    n = space.matrix_from_packed(int(reps[pair // len(nil)]))
+    N = space.matrix_from_packed(int(nil[pair % len(nil)]))
+    # n N shares A's class, so both reach one companion form, and
+    # P = P_(nN) P_A^-1 gives P A P^-1 = n N
+    P = companion_conjugator(n * N) * companion_conjugator(A).inverse()
     Pinv = P.inverse()
     return NilFactorization.certified(A, [Pinv * n * P, Pinv * N * P], P)
 
@@ -459,10 +438,10 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
 
     s = 1 needs A itself nilpotent.  s = 2 is decided exactly by
     closed-form factors, the trace and determinant obstructions and an
-    exhaustive class-reduced search (see ``_decompose_two``).  s >= 3 goes
-    through the orbit union witness and the constructive factor chains.
-    Only that search reads the space's Q^4 data; every other route uses
-    ``space.ring`` alone.
+    exact lookup of A's conjugacy class (see ``_decompose_two``).  s >= 3
+    goes through the orbit union witness and the constructive factor
+    chains.  Only that lookup reads the space's Q^4 data; every other
+    route uses ``space.ring`` alone.
     """
     ring = space.ring
     if s < 1:

@@ -163,14 +163,14 @@ def locate_in_orbit_union(space: MatrixSpace, A: Mat2) -> OrbitCertificate | Non
 
 def union_summary(space: MatrixSpace) -> dict:
     """Summary dict {ring, union_size, orbit_count}; orbit_count counts the
-    distinct orbits among all Q^2 top-row representatives."""
+    distinct orbits, by class code, among all Q^2 top-row matrices."""
     mask = orbit_union(space)
-    elements = space.ring.enumerate_ring()
-    reps = {int(orbit_of(space, top_row(a, b)).members[0])
-            for a in elements for b in elements}
+    b, a = np.divmod(np.arange(space.Q ** 2), space.Q)
+    zero = space.ring.zero.idx
     return {"ring": format_ring_spec(space.ring.spec),
             "union_size": int(mask.sum()),
-            "orbit_count": len(reps)}
+            "orbit_count": len(np.unique(space.class_code((a, b, zero,
+                                                           zero))))}
 
 
 def save_union_bitset(space: MatrixSpace, path, method: str = "auto"):

@@ -337,6 +337,21 @@ GOLDEN_DECOMPOSE = """\
 """
 
 
+# a two-factor lookup hit off the orbit union; its conjugator is
+# P_M P_A^-1 from the companion forms of the table's product M and of A
+GOLDEN_DECOMPOSE_LOOKUP = """\
+{
+  "target": "[[(0,1),(0,2)],[(0,0),(0,3)]]",
+  "factors": [
+    "[[(4,4),(1,4)],[(4,4),(1,0)]]",
+    "[[(4,4),(1,2)],[(4,4),(1,0)]]"
+  ],
+  "conjugator": "[[(4,4),(1,0)],[(0,0),(1,0)]]",
+  "verified": true
+}
+"""
+
+
 @pytest.mark.parametrize("method", sorted(GOLDEN_TABLE))
 def test_table_golden_output(capsys, method):
     code, out, _ = run_cli(capsys, "table", "--rings", "polyq:3^1^1,zmod:3^2",
@@ -369,6 +384,12 @@ def test_decompose_readme_example(capsys):
     assert (code, out) == (0, GOLDEN_DECOMPOSE)
 
 
+def test_decompose_lookup_hit_golden_output(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--ring", "zmod:5^2",
+                           "--matrix", "[[5,10],[0,15]]", "--s", "2")
+    assert (code, out) == (0, GOLDEN_DECOMPOSE_LOOKUP)
+
+
 def test_decompose_past_the_enumeration_cap(capsys):
     # s = 3, and s = 2 on an orbit-union member, read no Q^4 data
     for s in (3, 2):
@@ -378,7 +399,7 @@ def test_decompose_past_the_enumeration_cap(capsys):
         payload = json.loads(out)
         assert payload["verified"] is True
         assert len(payload["factors"]) == s
-    # 9I is off the union with det in J^2, so it reaches the search
+    # 9I is off the union with det in J^2, so it reaches the class lookup
     code, _, err = run_cli(capsys, "decompose", "--ring", "zmod:3^5",
                            "--matrix", "[[9,0],[0,9]]", "--s", "2")
     assert code == 2

@@ -8,10 +8,10 @@ import pytest
 import nilquat
 from nilquat.chain_ring import ring_from_string
 from nilquat.mat2 import (CapExceededError, Mat2, MatrixSpace, NilTag,
-                          classify_nilpotent, format_matrix, identity,
-                          load_packed, matrix_space, parse_matrix,
-                          save_packed, top_row, zero_matrix)
-from nilquat.nilfactor import gl2_count
+                          classify_nilpotent, companion_conjugator,
+                          format_matrix, gl2_count, identity, load_packed,
+                          matrix_space, parse_matrix, save_packed, top_row,
+                          zero_matrix)
 from nilquat.orbits import orbit_of
 
 
@@ -178,25 +178,56 @@ def test_class_representatives_of_nil_are_label_minima(text):
 
 def test_class_representatives_need_a_closed_set(z9_space):
     nil = z9_space.nilpotent_indices
-    with pytest.raises(ValueError, match="closed under conjugation"):
-        z9_space.class_representatives(nil[:-1])
+    for bad in (nil[:-1], nil[::-1]):
+        with pytest.raises(ValueError, match="closed under conjugation"):
+            z9_space.class_representatives(bad)
 
 
-@pytest.mark.parametrize("text", ("polyq:3^1^1", "zmod:3^2", "polyq:3^2^1"))
-def test_scalar_class_conjugators_one_per_scalar_class(text):
+@pytest.mark.parametrize("text, classes", (
+    ("zmod:3^1", 12), ("zmod:3^2", 117), ("polyq:3^2^1", 90),
+    ("zmod:5^2", 775), ("zmod:3^3", 1080), ("polyq:3^1^3", 1080),
+    ("polyq:5^2^1", 650)))
+def test_class_sizes_are_code_counts(text, classes):
+    sp = matrix_space(ring_from_string(text))
+    q, n = sp.ring.q, sp.ring.n
+    codes = sp.class_code_table
+    assert sp.class_count == classes == sum(q ** (2 * n - j)
+                                            for j in range(n + 1))
+    assert len(np.unique(codes)) == classes
+    assert np.array_equal(np.bincount(codes, minlength=classes),
+                          sp.class_sizes)
+    assert sp.class_sizes.sum() == q ** (4 * n)
+
+
+@pytest.mark.parametrize("text", ("zmod:3^3", "polyq:3^2^1", "polyq:3^1^3"))
+def test_companion_conjugator_reaches_the_companion_form(text):
     sp = matrix_space(ring_from_string(text))
     ring = sp.ring
-    packed, P, Pinv = sp.scalar_class_conjugators
-    units = np.flatnonzero(ring.inv_table >= 0)
-    assert len(packed) * len(units) == gl2_count(ring.q, ring.n)
-    assert np.array_equal(np.unique(packed), packed)
-    # every unit multiple of every conjugator, each GL2 element once
-    scaled = np.concatenate([sp.pack(*(ring.mul_table[u, x] for x in P))
-                             for u in units])
-    assert len(np.unique(scaled)) == len(scaled)
-    assert np.array_equal(np.sort(scaled), sp.gl_packed)
-    ident = sp.pack(*sp.matmul(P, Pinv))
-    assert (ident == identity(ring).packed).all()
+    z, one = ring.zero, ring.one
+    forms = {}
+    for k in np.random.default_rng(2000).integers(0, sp.count, size=2000):
+        A = sp.matrix_from_packed(int(k))
+        P = companion_conjugator(A)
+        assert P.is_invertible()
+        # A = d0 I + pi^j B, read off with scalar ring operations
+        j = min(A.a12.valuation(), A.a21.valuation(),
+                (A.a11 - A.a22).valuation())
+        d0 = ring.from_index(A.a11.idx % ring.q ** j)
+        pj = ring.uniformizer ** j
+        B = Mat2(*((x - d0 if i in (0, 3) else x)
+                   for i, x in enumerate(A.entries())))
+        if j < ring.n:
+            B = Mat2(*(ring.from_index(x.idx // ring.q ** j)
+                       for x in B.entries()))
+        assert Mat2(*(pj * x for x in B.entries())) + Mat2(d0, z, z, d0) == A
+        C = Mat2(z, -B.det(), one, B.trace())
+        want = Mat2(*(pj * x for x in C.entries())) + Mat2(d0, z, z, d0)
+        assert P.inverse() * A * P == want
+        # one companion form per code, and it keeps the code
+        code = int(sp.class_code(tuple(x.idx for x in A.entries())))
+        assert forms.setdefault(code, want) == want
+        assert int(sp.class_code_table[want.packed]) == code
+    assert len(forms) < 2000
 
 
 def test_invariant_checks_survive_optimize_flag():

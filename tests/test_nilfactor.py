@@ -7,15 +7,16 @@ import pytest
 
 import nilquat
 from nilquat.chain_ring import ring_from_string
-from nilquat.mat2 import (Mat2, MatrixSpace, identity, matrix_space,
-                          parse_matrix, top_row, zero_matrix)
+from nilquat.mat2 import (Mat2, MatrixSpace, gl2_count, identity,
+                          matrix_space, parse_matrix, top_row, zero_matrix)
 from nilquat.nilfactor import (DEFAULT_SEED, NilFactorization,
                                NotInOrbitUnionError, NotNilpotentError,
                                TraceObstructionError, _multiply_sets,
+                               _two_factor_table,
                                census_formula_only, census_orbit_union,
                                census_set_product, decompose, formula_count,
-                               gl2_count, nilpotent_count_check,
-                               pair_products, product_set,
+                               nilpotent_count_check, pair_products,
+                               product_set,
                                rank1_union_count, sharpness_example,
                                stable_product_count,
                                valuation_obstruction_scan)
@@ -402,6 +403,60 @@ def test_decompose_two_search_zmod25():
     # mod 5, so the search itself refuses
     with pytest.raises(TraceObstructionError, match="exhaustive search"):
         decompose(sp, parse_matrix(r, "[[5,10],[5,20]]"), 2)
+
+
+def _search_targets(sp):
+    """Every matrix off the orbit union with det in J^2: the targets that
+    the two-factor lookup decides, after the trace obstruction."""
+    e = sp.unpack(np.arange(sp.count))
+    det_val = sp.ring.val_table[sp.det_indices(e)]
+    return np.flatnonzero((det_val >= min(2, sp.ring.n)) & ~orbit_union(sp))
+
+
+def _check_decompose_two(sp, s2, targets):
+    found = 0
+    for k in targets:
+        A = sp.matrix_from_packed(int(k))
+        try:
+            fact = decompose(sp, A, 2)
+        except TraceObstructionError:
+            assert not s2[k], k
+        else:
+            assert s2[k], k
+            assert _reproduct(fact.factors) == A
+            found += 1
+    return found
+
+
+def test_decompose_two_lookup_decides_chain_s2_zmod25():
+    sp = matrix_space(ring_from_string("zmod:5^2"))
+    s2 = np.zeros(sp.count, dtype=bool)
+    s2[product_set(sp, 2)] = True
+    targets = _search_targets(sp)
+    assert len(targets) == 480
+    assert 0 < _check_decompose_two(sp, s2, targets) < len(targets)
+
+
+def test_decompose_two_lookup_decides_chain_s2_zmod27():
+    sp = matrix_space(ring_from_string("zmod:3^3"))
+    s2 = np.zeros(sp.count, dtype=bool)
+    s2[product_set(sp, 2)] = True
+    targets = _search_targets(sp)
+    assert len(targets) == 52320
+    first, _ = _two_factor_table(sp)
+    assert np.array_equal(first[sp.class_code_table[targets]] >= 0,
+                          s2[targets])
+    picks = np.random.default_rng(500).choice(targets, 500, replace=False)
+    assert 0 < _check_decompose_two(sp, s2, picks) < len(picks)
+
+
+def test_search_hit_builds_no_gl2_data():
+    sp = MatrixSpace(ring_from_string("zmod:5^2"))
+    A = parse_matrix(sp.ring, "[[5,10],[0,15]]")
+    assert len(decompose(sp, A, 2).factors) == 2
+    built = vars(sp)
+    assert "_gl_data" not in built
+    assert "invertible_mask" not in built
 
 
 @pytest.mark.parametrize("text, want", (
