@@ -10,6 +10,11 @@ any pair (a, b) with a^2 + b^2 = -1 and a a unit via
 extended R-linearly.  The inverse direction solves the 4x4 linear system
 whose columns are the vectorised basis images; its determinant is a unit,
 which QuaternionIso checks at construction time.
+
+Both directions also have bulk forms on index arrays, for rings with dense
+tables: matrix_entries_bulk maps coefficients to entries and
+coefficients_bulk, the bulk inverse, maps entries back to coefficients.
+Each is a 4x4 matrix of constant ring elements applied by _linear_map_bulk.
 """
 
 from __future__ import annotations
@@ -183,6 +188,12 @@ class QuaternionIso:
         self._functionals, self._system_det = _invert4(ring, rows)
         if not self._system_det.is_unit():
             raise ValueError("basis images must span M2(R) over R")
+        # the two maps as 4x4 matrices of element indices, for the bulk maps
+        self._entry_rows = tuple(
+            tuple(m.entries()[pos].idx for m in self.basis_mats)
+            for pos in range(4))
+        self._coefficient_rows = tuple(tuple(f.idx for f in row)
+                                       for row in self._functionals)
 
     # -- scalar maps ---------------------------------------------------------
 
@@ -213,24 +224,40 @@ class QuaternionIso:
 
     def matrix_entries_bulk(self, coeffs):
         """Map 4-tuples of coefficient index arrays to entry index arrays."""
-        add, mul = self.ring.add_table, self.ring.mul_table
-        out = []
-        for pos in range(4):
-            cols = [m.entries()[pos].idx for m in self.basis_mats]
-            acc = mul[coeffs[0], cols[0]]
-            for t in range(1, 4):
-                acc = add[acc, mul[coeffs[t], cols[t]]]
-            out.append(acc)
-        return tuple(out)
+        return _linear_map_bulk(self.ring, self._entry_rows, coeffs)
+
+    def coefficients_bulk(self, entries):
+        """Map 4-tuples of entry index arrays (a11, a12, a21, a22) back to
+        coefficient index arrays: the bulk form of from_mat."""
+        return _linear_map_bulk(self.ring, self._coefficient_rows, entries)
 
     def packed_matrices_of_all(self) -> np.ndarray:
         """Packed matrix image of every quaternion, indexed by the packed
         quaternion coordinate c1 + c2*Q + c3*Q^2 + c4*Q^3."""
         Q = self.ring.size
-        e = np.arange(Q ** 4, dtype=np.int64)
-        coeffs = (e % Q, (e // Q) % Q, (e // (Q * Q)) % Q, e // (Q * Q * Q))
-        a11, a12, a21, a22 = self.matrix_entries_bulk(coeffs)
-        return a11 + a12 * Q + a21 * Q * Q + a22 * Q ** 3
+        add, mul = self.ring.add_table, self.ring.mul_table
+        packed = np.zeros((Q,) * 4, dtype=np.int64)
+        for pos, row in enumerate(self._entry_rows):
+            # axis 3 holds c1 and axis 0 holds c4, so the C-order ravel puts
+            # c1 fastest; each term c_t * basis entry is one row of mul
+            c1, c2, c3, c4 = (mul[c] for c in row)
+            low = add[c2[:, None], c1[None, :]]
+            low = add[c3[:, None, None], low[None]]
+            packed += add[c4[:, None, None, None], low[None]] * Q ** pos
+        return packed.ravel()
+
+
+def _linear_map_bulk(ring: Ring, rows, vec):
+    """Apply a 4x4 matrix of constant ring element indices to a 4-tuple of
+    index arrays.  Each product with a constant c is the gather mul[c][v]."""
+    add, mul = ring.add_table, ring.mul_table
+    out = []
+    for row in rows:
+        acc = mul[row[0]][vec[0]]
+        for c, v in zip(row[1:], vec[1:]):
+            acc = add[acc, mul[c][v]]
+        out.append(acc)
+    return tuple(out)
 
 
 def build_iso(ring: Ring, pair=None) -> QuaternionIso:

@@ -20,7 +20,7 @@ from .nilfactor import (DEFAULT_SEED, DecompositionError, NotInOrbitUnionError,
                         product_set, rank1_union_count, sharpness_example,
                         stable_product_count, valuation_obstruction_scan)
 from .orbits import conjugate, orbit_union, shear, unit_diag
-from .quaternion import build_iso, coeff_product_bulk
+from .quaternion import Quaternion, build_iso, coeff_product_bulk
 
 SUITE_NAMES = ("axioms", "lemma33", "lemma34", "lemma35", "lemma36",
                "lemma37", "lemma311", "thm38", "cor310", "example39",
@@ -150,17 +150,7 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
         hit[iso.packed_matrices_of_all()] = True
         checks += 1
         viol += not hit.all()
-    from .quaternion import Quaternion
-    for _ in range(min(2000, count)):
-        coeffs = [ring.from_index(int(t))
-                  for t in rng.integers(0, S, size=4)]
-        x = Quaternion(*coeffs)
-        checks += 2
-        viol += iso.from_mat(iso.to_mat(x)) != x
-        entries = [ring.from_index(int(t))
-                   for t in rng.integers(0, S, size=4)]
-        A = Mat2(*entries)
-        viol += iso.to_mat(iso.from_mat(A)) != A
+    rounds = min(2000, count)
     if S <= _PAIR_LIMIT:
         add = ring.add_table
         mul = ring.mul_table
@@ -189,8 +179,25 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
                                                 for a, b in zip(x, y)))
         rhs_add = tuple(add[a, b] for a, b in zip(ax, by))
         viol += int(sum((l != r).sum() for l, r in zip(lhs_add, rhs_add)))
+        # round trips, one violation per sample that does not come back
+        cs = rng.integers(0, S, size=(4, rounds))
+        back = iso.coefficients_bulk(iso.matrix_entries_bulk(tuple(cs)))
+        ms = rng.integers(0, S, size=(4, rounds))
+        forth = iso.matrix_entries_bulk(iso.coefficients_bulk(tuple(ms)))
+        checks += 2 * rounds
+        viol += int((np.stack(back) != cs).any(axis=0).sum())
+        viol += int((np.stack(forth) != ms).any(axis=0).sum())
     else:
-        from .quaternion import Quaternion
+        for _ in range(rounds):
+            coeffs = [ring.from_index(int(t))
+                      for t in rng.integers(0, S, size=4)]
+            x = Quaternion(*coeffs)
+            checks += 2
+            viol += iso.from_mat(iso.to_mat(x)) != x
+            entries = [ring.from_index(int(t))
+                       for t in rng.integers(0, S, size=4)]
+            A = Mat2(*entries)
+            viol += iso.to_mat(iso.from_mat(A)) != A
         for _ in range(200):
             xs = [ring.from_index(int(t))
                   for t in rng.integers(0, S, size=4)]
@@ -233,8 +240,9 @@ def _lemma33(ring, space, samples, seed):
         e = np.arange(space.count, dtype=np.int64)
         note = "exhaustive"
     else:
-        e = np.unique(rng.integers(0, space.count,
-                                   size=min(samples, 100_000)))
+        drawn = np.zeros(space.count, dtype=bool)
+        drawn[rng.integers(0, space.count, size=min(samples, 100_000))] = True
+        e = np.flatnonzero(drawn)
         note = f"sampled {len(e)}"
     ent = space.unpack(e)
     val = ring.val_table

@@ -160,6 +160,21 @@ def test_verify_json_output(capsys):
     assert all(r["passed"] for r in payload)
 
 
+@pytest.mark.parametrize("ring, axioms, lemma33, sampled", [
+    ("polyq:5^2^1", 269707, 176607, 88228),
+    ("polyq:3^1^3", 286469, 184065, 91180)])
+def test_verify_axioms_lemma33_stdout_pinned(capsys, ring, axioms, lemma33,
+                                             sampled):
+    code, out, _ = run_cli(capsys, "verify", "--ring", ring, "--suite",
+                           "axioms,lemma33")
+    assert code == 0
+    assert out == (f"PASS axioms checks={axioms} violations=0 "
+                   "(exhaustive laws)\n"
+                   f"PASS lemma33 checks={lemma33} violations=0 "
+                   f"(sampled {sampled})\n"
+                   "ok: 2 suites\n")
+
+
 def test_verify_unknown_suite_exit_1(capsys):
     code, _, err = run_cli(capsys, "verify", "--ring", "zmod:3^2", "--suite",
                            "bogus")
@@ -223,6 +238,23 @@ def test_module_entry_point_subprocess():
          "--matrix", "[[3,3],[0,3]]", "--s", "3"],
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 4
+
+
+def test_verify_axioms_stdout_same_under_optimize():
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    argv = ["-m", "nilquat", "verify", "--ring", "zmod:3^2", "--suite",
+            "axioms"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                       text=True, timeout=120, env=env)
+        for flags in ((), ("-O",)))
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout == (
+        "PASS axioms checks=207357 violations=0 (exhaustive laws)\n"
+        "ok: 1 suites\n")
 
 
 def test_decompose_determinant_obstruction_exit_3(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nilquat.chain_ring import ring_from_string
-from nilquat.mat2 import identity, matrix_space, zero_matrix
+from nilquat.mat2 import Mat2, identity, matrix_space, zero_matrix
 from nilquat.quaternion import (Quaternion, QuaternionIso, basis, build_iso,
                                 coeff_product_bulk, format_quaternion,
                                 parse_quaternion)
@@ -115,6 +115,48 @@ def test_packed_matrices_of_all_is_injective():
     r = ring_from_string("polyq:3^1^1")
     packed = build_iso(r).packed_matrices_of_all()
     assert len(np.unique(packed)) == r.size ** 4
+
+
+@pytest.mark.parametrize("spec, samples", [
+    ("polyq:3^1^1", None), ("zmod:3^1", None), ("zmod:3^2", 2000),
+    ("polyq:3^2^1", 2000), ("polyq:5^2^1", 2000), ("polyq:3^1^3", 2000)])
+def test_bulk_maps_match_the_scalar_maps(spec, samples):
+    # None: every one of the Q^4 index 4-tuples
+    r = ring_from_string(spec)
+    iso = build_iso(r)
+    if samples is None:
+        t = np.arange(r.size ** 4)
+        cols = np.stack([(t // r.size ** k) % r.size for k in range(4)])
+    else:
+        cols = np.random.default_rng(37).integers(0, r.size,
+                                                  size=(4, samples))
+    entries = np.stack(iso.matrix_entries_bulk(tuple(cols)))
+    coeffs = np.stack(iso.coefficients_bulk(tuple(cols)))
+    want_entries, want_coeffs = [], []
+    for t in range(cols.shape[1]):
+        els = [r.from_index(int(c)) for c in cols[:, t]]
+        want_entries.append([e.idx for e in iso.to_mat(Quaternion(*els))
+                             .entries()])
+        want_coeffs.append([c.idx for c in iso.from_mat(Mat2(*els))
+                            .coefficients()])
+    assert np.array_equal(entries, np.array(want_entries).T)
+    assert np.array_equal(coeffs, np.array(want_coeffs).T)
+    assert np.array_equal(np.stack(iso.coefficients_bulk(tuple(entries))),
+                          cols)
+    assert np.array_equal(np.stack(iso.matrix_entries_bulk(tuple(coeffs))),
+                          cols)
+
+
+@pytest.mark.parametrize("spec", ["zmod:3^2", "polyq:3^1^3"])
+def test_packed_matrices_of_all_matches_the_unpacked_route(spec):
+    r = ring_from_string(spec)
+    iso = build_iso(r)
+    Q = r.size
+    e = np.arange(Q ** 4, dtype=np.int64)
+    a11, a12, a21, a22 = iso.matrix_entries_bulk(
+        (e % Q, (e // Q) % Q, (e // (Q * Q)) % Q, e // Q ** 3))
+    want = a11 + a12 * Q + a21 * Q * Q + a22 * Q ** 3
+    assert np.array_equal(iso.packed_matrices_of_all(), want)
 
 
 def test_explicit_pair_must_satisfy_the_equation():

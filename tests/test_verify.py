@@ -77,3 +77,34 @@ def test_n3_product_chain_suites_pass():
     for r in results:
         assert r.checks > 0 and r.violations == 0, (r.suite, r.note)
     assert results[1].note == "census 24225 = 24225"
+
+
+def test_iso_round_trips_count_each_broken_sample(monkeypatch):
+    from nilquat import verify
+    from nilquat.quaternion import QuaternionIso
+    r = ring_from_string("zmod:3^2")
+    rng = np.random.default_rng
+    # bijection, 2 * 100 sampled products and sums, 2 * 2000 round trips
+    checks = 1 + 200 + 4000
+    assert verify._iso_checks(r, rng(0), 100) == (checks, 0)
+    k = 7
+    bulk = QuaternionIso.coefficients_bulk
+
+    def shifted(self, entries):
+        c1, c2, c3, c4 = (np.array(c) for c in bulk(self, entries))
+        c1[::k] = (c1[::k] + 1) % self.ring.size
+        return c1, c2, c3, c4
+
+    monkeypatch.setattr(QuaternionIso, "coefficients_bulk", shifted)
+    broken = len(range(0, 2000, k))
+    # every shifted sample breaks both the quaternion and the matrix trip
+    assert verify._iso_checks(r, rng(0), 100) == (checks, 2 * broken)
+
+
+def test_iso_scalar_branch_past_the_pair_limit(monkeypatch):
+    from nilquat import verify
+    monkeypatch.setattr(verify, "_PAIR_LIMIT", 8)
+    r = ring_from_string("zmod:3^2")
+    # bijection, 2 * 2000 scalar round trips, 2 * 200 products and sums
+    assert verify._iso_checks(r, np.random.default_rng(0), 100) == \
+        (1 + 4000 + 400, 0)
