@@ -23,7 +23,7 @@ from .nilfactor import (DEFAULT_SEED, CensusReport, DecompositionError,
                         formula_count, nilpotent_count_check, product_set,
                         rank1_union_count, sharpness_example,
                         stable_product_count, valuation_obstruction_scan)
-from .orbits import (Orbit, OrbitCertificate, conjugate, load_union_bitset,
+from .orbits import (OrbitCertificate, conjugate, load_union_bitset,
                      locate_in_orbit_union, orbit_of, orbit_union,
                      save_union_bitset, shear, union_summary, unit_diag)
 from .quaternion import (Quaternion, QuaternionIso, basis, build_iso,
@@ -47,7 +47,7 @@ __all__ = [
     "gl2_count", "nilpotent_count_check", "product_set", "rank1_union_count",
     "sharpness_example",
     "stable_product_count", "valuation_obstruction_scan",
-    "Orbit", "OrbitCertificate", "conjugate", "load_union_bitset",
+    "OrbitCertificate", "conjugate", "load_union_bitset",
     "locate_in_orbit_union", "orbit_of", "orbit_union", "save_union_bitset",
     "shear", "union_summary", "unit_diag",
     "Quaternion", "QuaternionIso", "basis", "build_iso", "format_quaternion",

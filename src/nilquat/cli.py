@@ -209,10 +209,7 @@ def _cmd_table(args) -> int:
                 ring = ring_from_string(spec_text)
                 row["q"], row["n"] = ring.q, ring.n
                 report = _census(ring, s, args.method, args.cap)
-                row.update(ring=report.ring, q=report.q, n=report.n,
-                           brute_count=report.brute_count,
-                           formula_count=report.formula_count,
-                           match=report.match, method=report.method)
+                row.update(report.to_dict(stable=True))
                 if report.match is False:
                     clean = False
             except ValueError as exc:  # includes the cap guard
@@ -294,13 +291,6 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except DecompositionError as exc:
-        for cls, _, code in _DECOMPOSE_KINDS:
-            if isinstance(exc, cls):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -224,7 +224,6 @@ class MatrixSpace:
                 f"q^(4n) = {count} packed matrices exceed the enumeration "
                 f"cap {cap}")
         self.ring = ring
-        self.cap = cap
         self.Q = ring.size
         self.count = count
         self._union_cache: dict[str, np.ndarray] = {}
@@ -290,9 +289,9 @@ class MatrixSpace:
 
     # -- masks over the whole space -------------------------------------------
 
-    def _map_space(self, fn, dtype=bool) -> np.ndarray:
-        """fn applied to every packed matrix, one block at a time."""
-        out = np.empty(self.count, dtype=dtype)
+    def _map_space(self, fn) -> np.ndarray:
+        """Boolean fn applied to every packed matrix, one block at a time."""
+        out = np.empty(self.count, dtype=bool)
         for start in range(0, self.count, _BULK_BLOCK):
             block = np.arange(start, min(start + _BULK_BLOCK, self.count),
                               dtype=np.int64)
@@ -427,14 +426,6 @@ class MatrixSpace:
             sizes[offsets[j]:offsets[j + 1]] = (
                 gl2_count(q, n) // (q ** (2 * n + 2 * j - 2) * u))
         return sizes
-
-    @property
-    def class_labels(self) -> np.ndarray:
-        """For each packed index, the smallest packed index in its GL2
-        conjugacy class, read off the code table on each call."""
-        codes = self.class_code_table
-        _, first = np.unique(codes, return_index=True)
-        return first[codes]
 
     def class_representatives(self, indices: np.ndarray) -> np.ndarray:
         """The smallest member of each GL2 conjugacy class in ``indices``,

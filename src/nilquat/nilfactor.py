@@ -18,14 +18,12 @@ from time import perf_counter
 import numpy as np
 
 from .chain_ring import Ring, RingElem, format_element, format_ring_spec
-from .mat2 import (Mat2, MatrixSpace, companion_conjugator, format_matrix,
-                   identity, top_row, zero_matrix)
+from .mat2 import (_BULK_BLOCK, Mat2, MatrixSpace, companion_conjugator,
+                   format_matrix, identity, top_row, zero_matrix)
 from .orbits import locate_in_orbit_union, orbit_union
 
 # Any fixed constant works; this one is frozen so seeded runs reproduce.
 DEFAULT_SEED = 218184014
-
-_BULK_PAIR_BLOCK = 2_000_000
 
 
 class DecompositionError(ValueError):
@@ -141,13 +139,13 @@ def pair_products(space: MatrixSpace, left: np.ndarray, right: np.ndarray):
     table T_L from the column index x + Q y to the packed column u + Q^2 w
     of its image; then packed(L R) = T_L[b11 + Q b21] + Q T_L[b12 + Q b22],
     two gathers a pair.  k is chosen so that neither k * len(right) pairs
-    nor the k * Q^2 table entries pass _BULK_PAIR_BLOCK.
+    nor the k * Q^2 table entries pass _BULK_BLOCK.
     """
     Q = space.Q
     add, mul = space.ring.add_table, space.ring.mul_table
     b11, b12, b21, b22 = space.unpack(right)
     cols = (b11 + Q * b21, b12 + Q * b22)
-    block = max(1, _BULK_PAIR_BLOCK // max(len(right), Q * Q))
+    block = max(1, _BULK_BLOCK // max(len(right), Q * Q))
     for start in range(0, len(left), block):
         a11, a12, a21, a22 = space.unpack(left[start:start + block])
         # table[i, y, x] is the packed image of the column (x, y)
@@ -233,6 +231,17 @@ class CensusReport:
         return d
 
 
+def _census_report(ring: Ring, s: int, brute: int | None, method: str,
+                   elapsed_ms: float = 0.0) -> CensusReport:
+    """A census of ``brute`` against the closed form for (ring, s); the
+    match is None when either count is absent."""
+    formula = _formula_or_none(ring.q, ring.n, s)
+    match = None if brute is None or formula is None else brute == formula
+    return CensusReport(ring=format_ring_spec(ring.spec), q=ring.q, n=ring.n,
+                        s=s, brute_count=brute, formula_count=formula,
+                        match=match, method=method, elapsed_ms=elapsed_ms)
+
+
 def census_set_product(space: MatrixSpace, s: int,
                        threads: int = 1) -> CensusReport:
     """Count s-fold nilpotent products exactly and compare with the
@@ -242,15 +251,10 @@ def census_set_product(space: MatrixSpace, s: int,
     ``elapsed_ms`` is the cost of this call: the chain steps it had to
     add, and a lookup once the chain reaches s or its fixed point.
     """
-    ring = space.ring
     t0 = perf_counter()
     brute = len(product_set(space, s, threads))
-    elapsed = (perf_counter() - t0) * 1000.0
-    formula = _formula_or_none(ring.q, ring.n, s)
-    return CensusReport(ring=format_ring_spec(ring.spec), q=ring.q, n=ring.n,
-                        s=s, brute_count=brute, formula_count=formula,
-                        match=None if formula is None else brute == formula,
-                        method="set-product", elapsed_ms=elapsed)
+    return _census_report(space.ring, s, brute, "set-product",
+                          (perf_counter() - t0) * 1000.0)
 
 
 def stable_product_count(n: int) -> int:
@@ -258,8 +262,8 @@ def stable_product_count(n: int) -> int:
     return 2 * n - 1 if n >= 2 else 3
 
 
-def census_orbit_union(space: MatrixSpace, s: int | None = None,
-                       method: str = "auto") -> CensusReport:
+def census_orbit_union(space: MatrixSpace,
+                       s: int | None = None) -> CensusReport:
     """Count the orbit union, which equals the s-fold product set for every
     s past the stabilisation point."""
     ring = space.ring
@@ -270,20 +274,13 @@ def census_orbit_union(space: MatrixSpace, s: int | None = None,
         raise ValueError(
             f"orbit-union census needs s >= {floor} for this ring")
     t0 = perf_counter()
-    brute = int(orbit_union(space, method).sum())
-    elapsed = (perf_counter() - t0) * 1000.0
-    formula = _formula_or_none(ring.q, ring.n, s)
-    return CensusReport(ring=format_ring_spec(ring.spec), q=ring.q, n=ring.n,
-                        s=s, brute_count=brute, formula_count=formula,
-                        match=None if formula is None else brute == formula,
-                        method="orbit-union", elapsed_ms=elapsed)
+    brute = int(orbit_union(space).sum())
+    return _census_report(ring, s, brute, "orbit-union",
+                          (perf_counter() - t0) * 1000.0)
 
 
 def census_formula_only(ring: Ring, s: int) -> CensusReport:
-    formula = _formula_or_none(ring.q, ring.n, s)
-    return CensusReport(ring=format_ring_spec(ring.spec), q=ring.q, n=ring.n,
-                        s=s, brute_count=None, formula_count=formula,
-                        match=None, method="formula-only", elapsed_ms=0.0)
+    return _census_report(ring, s, None, "formula-only")
 
 
 # ---------------------------------------------------------------------------

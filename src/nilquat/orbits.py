@@ -6,11 +6,13 @@ the factorization results.  It has the rank-one form
     union = { u * w^T : u a unimodular column, w in R^2 },
 
 since P^-1 ((a, b), (0, 0)) P = (P^-1 e1) ((a, b) P).  ``orbit_union``
-marks it through that parametrisation, with u over the canonical
-projective-line representatives (1, c) and (j, 1), j in J(R); a sweep over
-every conjugate of every top-row matrix is kept as the reference route,
-and the test suites check the two against each other.
-``locate_in_orbit_union`` factors one matrix as u * w^T in closed form.
+has two methods.  ``"rank1"``, the default, marks the union through that
+parametrisation, with u over the canonical projective-line
+representatives (1, c) and (j, 1), j in J(R).  ``"sweep"`` marks every
+conjugate of every top-row matrix, each ``orbit_of`` a sorted array of
+packed indices; it is kept as the reference route, and the test suites
+check the two against each other.  ``locate_in_orbit_union`` factors one
+matrix as u * w^T in closed form.
 """
 
 from __future__ import annotations
@@ -47,19 +49,9 @@ def unit_diag(ring: Ring, alpha: RingElem) -> Mat2:
     return Mat2(ring.one, ring.zero, ring.zero, alpha)
 
 
-@dataclass(frozen=True)
-class Orbit:
-    representative: Mat2
-    members: np.ndarray  # sorted packed indices
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def orbit_of(space: MatrixSpace, A: Mat2) -> Orbit:
+def orbit_of(space: MatrixSpace, A: Mat2) -> np.ndarray:
     """The full conjugation orbit of A, as sorted packed indices."""
-    return Orbit(A, np.unique(space.conjugates_of(A)))
+    return np.unique(space.conjugates_of(A))
 
 
 def _union_by_sweep(space: MatrixSpace) -> np.ndarray:
@@ -67,7 +59,7 @@ def _union_by_sweep(space: MatrixSpace) -> np.ndarray:
     elements = space.ring.enumerate_ring()
     for a in elements:
         for b in elements:
-            mask[orbit_of(space, top_row(a, b)).members] = True
+            mask[orbit_of(space, top_row(a, b))] = True
     return mask
 
 
@@ -92,15 +84,13 @@ def _union_by_rank1(space: MatrixSpace) -> np.ndarray:
     return mask
 
 
-def orbit_union(space: MatrixSpace, method: str = "auto") -> np.ndarray:
+def orbit_union(space: MatrixSpace, method: str = "rank1") -> np.ndarray:
     """Boolean membership mask of the orbit union over all packed indices.
 
-    ``"auto"`` is the rank-one route; ``"sweep"`` is the reference route
+    ``"rank1"`` marks every u * w^T; ``"sweep"`` is the reference route
     over every conjugate of every top-row matrix.  The returned array is
     cached on the space; treat it as read-only.
     """
-    if method == "auto":
-        method = "rank1"
     if method not in ("sweep", "rank1"):
         raise ValueError(f"unknown union method {method!r}")
     cached = space._union_cache.get(method)
@@ -173,10 +163,10 @@ def union_summary(space: MatrixSpace) -> dict:
                                                            zero))))}
 
 
-def save_union_bitset(space: MatrixSpace, path, method: str = "auto"):
+def save_union_bitset(space: MatrixSpace, path):
     """Write the union mask as a bitset file: a text header line
     '<ring-spec> <bit-count>' followed by little-endian packed bits."""
-    mask = orbit_union(space, method)
+    mask = orbit_union(space)
     with open(path, "wb") as fh:
         fh.write(f"{format_ring_spec(space.ring.spec)} {space.count}\n".encode())
         fh.write(np.packbits(mask, bitorder="little").tobytes())

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ring import Ring, format_ring_spec
+from .chain_ring import TABLE_SIZE_LIMIT, Ring, format_ring_spec
 from .mat2 import (DEFAULT_ENUMERATION_CAP, Mat2, classify_nilpotent,
                    matrix_space, top_row, zero_matrix)
 from .nilfactor import (DEFAULT_SEED, DecompositionError, NotInOrbitUnionError,
@@ -30,7 +30,7 @@ _NEEDS_SPACE = frozenset(SUITE_NAMES) - {"axioms", "lemma35"}
 
 # Exhaustive thresholds; beyond them the suites fall back to seeded samples.
 _TRIPLE_LIMIT = 81
-_PAIR_LIMIT = 1024
+_PAIR_LIMIT = TABLE_SIZE_LIMIT  # past it a ring has no dense tables
 _MATRIX_LIMIT = 20000
 
 

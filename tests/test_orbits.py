@@ -67,8 +67,9 @@ def test_sweep_equals_rank1():
 
 
 def test_union_method_validation(gf3_space):
-    with pytest.raises(ValueError, match="union method"):
-        orbit_union(gf3_space, "magic")
+    for method in ("magic", "auto"):
+        with pytest.raises(ValueError, match="union method"):
+            orbit_union(gf3_space, method)
 
 
 def test_union_summary(gf3_space):
