@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: census, decompose, verify, table.  Exit codes: 0 success,
-1 invalid input, 2 enumeration cap exceeded, 3 trace obstruction,
-4 target outside the orbit union, 5 factor not nilpotent, 6 census
-mismatch or verification violations.
+1 invalid input or command line, 2 enumeration cap exceeded, 3 trace
+obstruction, 4 target outside the orbit union, 5 factor not nilpotent,
+6 census mismatch or verification violations.
 """
 
 from __future__ import annotations
@@ -282,7 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2, the cap's code, on a usage error and 0 on --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     if getattr(args, "threads", 1) < 1:
         print("error: threads must be >= 1", file=sys.stderr)
         return EXIT_USAGE

@@ -7,10 +7,12 @@ integer
     idx(a11) + idx(a12)*Q + idx(a21)*Q^2 + idx(a22)*Q^3,   Q = q^n,
 
 and MatrixSpace provides vectorised kernels over whole packed ranges.
+Its whole-space arrays are built one a22 slice of Q^3 matrices at a time.
 Nilpotency uses the chain-ring criterion trace, det in J(R); the 2n-th
-power oracle it is equivalent to lives in the test suites.  GL2
-conjugacy classes have a closed-form dense code, ``MatrixSpace.class_code``,
-and ``companion_conjugator`` takes a matrix to its class's companion form.
+power oracle it is equivalent to lives in the test suites.  GL2 is the
+invertible set, det a unit.  GL2 conjugacy classes have a closed-form
+dense code, ``MatrixSpace.class_code``, and ``companion_conjugator``
+takes a matrix to its class's companion form.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ import numpy as np
 from .chain_ring import Ring, RingElem, format_ring_spec
 
 DEFAULT_ENUMERATION_CAP = 2 ** 24
-
-# Keeps each outer-product block in the bulk kernels around a few dozen MB.
-_BULK_BLOCK = 2_000_000
 
 
 class CapExceededError(ValueError):
@@ -213,8 +212,10 @@ class MatrixSpace:
     """Vectorised kernels over all Q^4 packed matrices of one ring.
 
     Construction fails fast when q^(4n) exceeds the cap, so every bulk
-    array below has a known bounded size.  Masks are built in fixed-size
-    chunks to keep peak memory flat even near the cap.
+    array below has a known bounded size.  The masks and the class code
+    table are built by one sweep, a22 slice by a22 slice, so no temporary
+    is larger than Q^3 entries.  GL2 is the invertible set; nothing about
+    it is cached beyond ``invertible_mask`` and ``invertible_indices``.
     """
 
     def __init__(self, ring: Ring, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -287,16 +288,17 @@ class MatrixSpace:
                          self.ring.neg_table)
         return add[mul[entries[0], entries[3]], neg[mul[entries[1], entries[2]]]]
 
-    # -- masks over the whole space -------------------------------------------
+    # -- arrays over the whole space -----------------------------------------
 
-    def _map_space(self, fn) -> np.ndarray:
-        """Boolean fn applied to every packed matrix, one block at a time."""
-        out = np.empty(self.count, dtype=bool)
-        for start in range(0, self.count, _BULK_BLOCK):
-            block = np.arange(start, min(start + _BULK_BLOCK, self.count),
-                              dtype=np.int64)
-            out[start:start + len(block)] = fn(self.unpack(block))
-        return out
+    def _sweep(self, fn, dtype) -> np.ndarray:
+        """fn of every packed matrix as a flat array of dtype.  fn gets the
+        entries (a11, a12, a21, a22) of one a22 slice as index arrays, with
+        a21, a12 and a11 along the slice's three axes in that order."""
+        x = np.arange(self.Q)
+        out = np.empty((self.Q,) * 4, dtype=dtype)
+        for a22 in range(self.Q):
+            out[a22] = fn((x, x[:, None], x[:, None, None], a22))
+        return out.reshape(-1)
 
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
@@ -306,7 +308,7 @@ class MatrixSpace:
             return ((val[self.trace_indices(entries)] >= 1)
                     & (val[self.det_indices(entries)] >= 1))
 
-        return self._map_space(pred)
+        return self._sweep(pred, bool)
 
     @cached_property
     def nilpotent_indices(self) -> np.ndarray:
@@ -315,37 +317,28 @@ class MatrixSpace:
     @cached_property
     def invertible_mask(self) -> np.ndarray:
         val = self.ring.val_table
-        return self._map_space(lambda e: val[self.det_indices(e)] == 0)
+        return self._sweep(lambda e: val[self.det_indices(e)] == 0, bool)
 
     @cached_property
     def invertible_indices(self) -> np.ndarray:
         return np.flatnonzero(self.invertible_mask)
 
-    # -- the general linear group ----------------------------------------------
+    @property
+    def gl_packed(self) -> np.ndarray:
+        """GL2 as ascending packed indices: the invertible set."""
+        return self.invertible_indices
 
-    @cached_property
-    def _gl_data(self):
-        """(packed, entries, inverse entries) for GL2 in ascending packed
-        order; inverses come from the adjugate scaled by det^-1."""
-        g = self.invertible_indices
-        e = self.unpack(g)
+    def conjugates_of(self, A: Mat2) -> np.ndarray:
+        """Packed P^-1 A P for every P in GL2, in ascending P order; P^-1
+        is the adjugate scaled by det^-1."""
+        P = self.unpack(self.invertible_indices)
         mul, neg = self.ring.mul_table, self.ring.neg_table
-        det = self.det_indices(e)
-        idet = self.ring.inv_table[det]
+        idet = self.ring.inv_table[self.det_indices(P)]
         if (idet < 0).any():
             raise AssertionError("invertible mask must imply unit "
                                  "determinant")
-        inv = (mul[idet, e[3]], mul[idet, neg[e[1]]],
-               mul[idet, neg[e[2]]], mul[idet, e[0]])
-        return g, e, inv
-
-    @property
-    def gl_packed(self) -> np.ndarray:
-        return self._gl_data[0]
-
-    def conjugates_of(self, A: Mat2) -> np.ndarray:
-        """Packed P^-1 A P for every P in GL2, in ascending P order."""
-        _, P, Pinv = self._gl_data
+        Pinv = (mul[idet, P[3]], mul[idet, neg[P[1]]],
+                mul[idet, neg[P[2]]], mul[idet, P[0]])
         a = tuple(x.idx for x in A.entries())
         return self.pack(*self.matmul(Pinv, self.matmul(a, P)))
 
@@ -398,13 +391,8 @@ class MatrixSpace:
 
     @cached_property
     def class_code_table(self) -> np.ndarray:
-        """``class_code`` of every packed index as int32, built one a22 at
-        a time with the other three entries broadcast."""
-        x = np.arange(self.Q)
-        table = np.empty((self.Q,) * 4, dtype=np.int32)
-        for a22 in range(self.Q):
-            table[a22] = self.class_code((x, x[:, None], x[:, None, None], a22))
-        return table.reshape(-1)
+        """``class_code`` of every packed index as int32."""
+        return self._sweep(self.class_code, np.int32)
 
     @cached_property
     def class_sizes(self) -> np.ndarray:

@@ -18,12 +18,15 @@ from time import perf_counter
 import numpy as np
 
 from .chain_ring import Ring, RingElem, format_element, format_ring_spec
-from .mat2 import (_BULK_BLOCK, Mat2, MatrixSpace, companion_conjugator,
-                   format_matrix, identity, top_row, zero_matrix)
+from .mat2 import (Mat2, MatrixSpace, companion_conjugator, format_matrix,
+                   identity, top_row, zero_matrix)
 from .orbits import locate_in_orbit_union, orbit_union
 
 # Any fixed constant works; this one is frozen so seeded runs reproduce.
 DEFAULT_SEED = 218184014
+
+# Keeps each block of pair_products around a few dozen MB.
+_BULK_BLOCK = 2_000_000
 
 
 class DecompositionError(ValueError):

@@ -83,6 +83,23 @@ def test_invalid_inputs_exit_1(capsys):
                    "[[1,2],[3]]", "--s", "2")[0] == 1
     assert run_cli(capsys, "census", "--ring", "zmod:3^2", "--s", "3",
                    "--threads", "0")[0] == 1
+    # argparse's own usage errors exit 1 too, not its default 2 (the cap)
+    for argv in (("--bogus",),
+                 ("census", "--ring", "zmod:3^2"),
+                 ("census", "--ring", "zmod:3^2", "--s", "x"),
+                 ("census", "--ring", "zmod:3^2", "--s", "3",
+                  "--format", "xml")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: nilquat")
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run_cli(capsys, "census", "--help")
+    assert code == 0
+    assert out.startswith("usage: nilquat census")
+    assert err == ""
 
 
 def test_cap_exceeded_exit_2(capsys):

@@ -87,6 +87,38 @@ def test_invertible_counts_frozen():
         assert count == gl2_count(ring.q, ring.n)
 
 
+@pytest.mark.parametrize("text", ("polyq:3^2^1", "zmod:3^3", "polyq:3^1^3"))
+def test_swept_arrays_match_their_definitions(text):
+    sp = MatrixSpace(ring_from_string(text))
+    val = sp.ring.val_table
+    e = sp.unpack(np.arange(sp.count))
+    tr, det = val[sp.trace_indices(e)], val[sp.det_indices(e)]
+    for got, want, dtype in (
+            (sp.nilpotent_mask, (tr >= 1) & (det >= 1), bool),
+            (sp.invertible_mask, det == 0, bool),
+            (sp.class_code_table, sp.class_code(e), np.int32)):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+def test_conjugates_of_matches_scalar_conjugation(z9_space):
+    sp = z9_space
+    A = parse_matrix(sp.ring, "[[1,2],[3,4]]")
+    conj, gl = sp.conjugates_of(A), sp.gl_packed
+    assert len(conj) == len(gl)
+    for i in np.random.default_rng(23).integers(0, len(gl), size=50):
+        P = sp.matrix_from_packed(int(gl[i]))
+        assert int(conj[i]) == (P.inverse() * A * P).packed
+
+
+def test_gl_packed_caches_only_the_invertible_set():
+    sp = MatrixSpace(ring_from_string("zmod:3^2"))
+    before = set(vars(sp))
+    gl = sp.gl_packed
+    assert set(vars(sp)) - before == {"invertible_mask", "invertible_indices"}
+    assert gl is sp.invertible_indices
+
+
 def test_is_nilpotent_matches_power_criterion(z9_space):
     sp = z9_space
     rng = np.random.default_rng(17)
@@ -260,7 +292,7 @@ def test_invariant_checks_survive_optimize_flag():
         "probe(ValueError, lambda: GFq(17, 2).mul_table)\n"
         "sp = MatrixSpace(r)\n"
         "sp.invertible_indices = np.array([0])\n"
-        "probe(AssertionError, lambda: sp._gl_data)\n"
+        "probe(AssertionError, lambda: sp.conjugates_of(identity(r)))\n"
         "class NoRoots:\n"
         "    q = 3\n"
         "    def mul(self, x, y): return 0\n"

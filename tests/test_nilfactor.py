@@ -455,7 +455,6 @@ def test_search_hit_builds_no_gl2_data():
     A = parse_matrix(sp.ring, "[[5,10],[0,15]]")
     assert len(decompose(sp, A, 2).factors) == 2
     built = vars(sp)
-    assert "_gl_data" not in built
     assert "invertible_mask" not in built
 
 

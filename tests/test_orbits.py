@@ -162,7 +162,6 @@ def test_witness_and_decompose_build_no_space_data():
     assert len(decompose(sp, A, 4).factors) == 4
     built = vars(sp)
     assert "invertible_mask" not in built
-    assert "_gl_data" not in built
     assert not sp._union_cache
 
 
