@@ -7,12 +7,14 @@ integer
     idx(a11) + idx(a12)*Q + idx(a21)*Q^2 + idx(a22)*Q^3,   Q = q^n,
 
 and MatrixSpace provides vectorised kernels over whole packed ranges.
-Its whole-space arrays are built one a22 slice of Q^3 matrices at a time.
 Nilpotency uses the chain-ring criterion trace, det in J(R); the 2n-th
 power oracle it is equivalent to lives in the test suites.  GL2 is the
-invertible set, det a unit.  GL2 conjugacy classes have a closed-form
-dense code, ``MatrixSpace.class_code``, and ``companion_conjugator``
-takes a matrix to its class's companion form.
+invertible set, det a unit.  Both tests read only residues, so the two
+masks are broadcast from one Q x Q table of residues of products; only
+the class code table is swept, one a22 slice of Q^3 matrices at a time.
+GL2 conjugacy classes have a closed-form dense code,
+``MatrixSpace.class_code``, and ``companion_conjugator`` takes a matrix
+to its class's companion form.
 """
 
 from __future__ import annotations
@@ -212,10 +214,12 @@ class MatrixSpace:
     """Vectorised kernels over all Q^4 packed matrices of one ring.
 
     Construction fails fast when q^(4n) exceeds the cap, so every bulk
-    array below has a known bounded size.  The masks and the class code
-    table are built by one sweep, a22 slice by a22 slice, so no temporary
-    is larger than Q^3 entries.  GL2 is the invertible set; nothing about
-    it is cached beyond ``invertible_mask`` and ``invertible_indices``.
+    array below has a known bounded size.  Each mask is one Q^4 byte
+    comparison of residues of products, res(a11 a22) against res(a12 a21),
+    with no temporary larger than the mask itself.  The class code table
+    is swept a22 slice by a22 slice, so its temporaries stay below Q^3
+    entries.  GL2 is the invertible set; nothing about it is cached beyond
+    ``invertible_mask`` and ``invertible_indices``.
     """
 
     def __init__(self, ring: Ring, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -290,25 +294,22 @@ class MatrixSpace:
 
     # -- arrays over the whole space -----------------------------------------
 
-    def _sweep(self, fn, dtype) -> np.ndarray:
-        """fn of every packed matrix as a flat array of dtype.  fn gets the
-        entries (a11, a12, a21, a22) of one a22 slice as index arrays, with
-        a21, a12 and a11 along the slice's three axes in that order."""
-        x = np.arange(self.Q)
-        out = np.empty((self.Q,) * 4, dtype=dtype)
-        for a22 in range(self.Q):
-            out[a22] = fn((x, x[:, None], x[:, None, None], a22))
-        return out.reshape(-1)
+    def _det_residues(self):
+        """res(a11 a22) and res(a12 a21) for every packed matrix, as Q x Q
+        operands broadcasting to the layout [a22, a21, a12, a11] of the
+        packed index.  The residue map is a ring homomorphism, so det A
+        lies in J exactly when the two are equal."""
+        ring = self.ring
+        res = (ring.mul_table % ring.q).astype(np.min_scalar_type(ring.q - 1))
+        return res[:, None, None, :], res[None, :, :, None]
 
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
-        val = self.ring.val_table
-
-        def pred(entries):
-            return ((val[self.trace_indices(entries)] >= 1)
-                    & (val[self.det_indices(entries)] >= 1))
-
-        return self._sweep(pred, bool)
+        ring = self.ring
+        diag, off = self._det_residues()
+        mask = diag == off
+        mask &= (ring.val_table[ring.add_table] >= 1)[:, None, None, :]
+        return mask.reshape(-1)
 
     @cached_property
     def nilpotent_indices(self) -> np.ndarray:
@@ -316,8 +317,8 @@ class MatrixSpace:
 
     @cached_property
     def invertible_mask(self) -> np.ndarray:
-        val = self.ring.val_table
-        return self._sweep(lambda e: val[self.det_indices(e)] == 0, bool)
+        diag, off = self._det_residues()
+        return (diag != off).reshape(-1)
 
     @cached_property
     def invertible_indices(self) -> np.ndarray:
@@ -391,8 +392,14 @@ class MatrixSpace:
 
     @cached_property
     def class_code_table(self) -> np.ndarray:
-        """``class_code`` of every packed index as int32."""
-        return self._sweep(self.class_code, np.int32)
+        """``class_code`` of every packed index as int32, built one a22
+        slice of Q^3 matrices at a time, with a21, a12 and a11 along the
+        slice's three axes in that order."""
+        x = np.arange(self.Q)
+        out = np.empty((self.Q,) * 4, dtype=np.int32)
+        for a22 in range(self.Q):
+            out[a22] = self.class_code((x, x[:, None], x[:, None, None], a22))
+        return out.reshape(-1)
 
     @cached_property
     def class_sizes(self) -> np.ndarray:
@@ -506,22 +513,63 @@ def format_matrix(A: Mat2) -> str:
     return repr(A)
 
 
+_PACKED_LIMIT = 2 ** 63
+
+
 def save_packed(path, indices, binary: bool = False):
     """Write packed matrix indices, one unsigned integer per matrix, as
-    decimal text lines or little-endian 64-bit binary."""
-    arr = np.asarray(indices, dtype=np.uint64)
+    decimal text lines or little-endian 64-bit binary.  Every index must
+    lie in [0, 2^63), so it loads back as int64; otherwise ValueError names
+    the line or byte offset it would have had, and nothing is written."""
+    arr = np.asarray(indices).reshape(-1)
+    if arr.size and arr.dtype.kind not in "iuO":
+        raise ValueError(f"packed indices must be integers, not {arr.dtype}")
+    bad = np.flatnonzero((arr < 0) | (arr >= _PACKED_LIMIT))
+    if len(bad):
+        k = int(bad[0])
+        where = f"byte offset {8 * k}" if binary else f"line {k + 1}"
+        raise ValueError(f"packed index {arr[k]} for {where} is outside "
+                         f"[0, 2^63)")
+    arr = arr.astype("<u8")
     if binary:
         with open(path, "wb") as fh:
-            fh.write(arr.astype("<u8").tobytes())
+            fh.write(arr.tobytes())
     else:
         with open(path, "w") as fh:
             fh.writelines(f"{int(v)}\n" for v in arr)
 
 
 def load_packed(path, binary: bool = False) -> np.ndarray:
+    """Read what ``save_packed`` writes, as int64.  A value outside
+    [0, 2^63), a text line that is not an integer or a binary payload that
+    is not a whole number of 8-byte values raises ValueError naming its
+    line or byte offset."""
     if binary:
         with open(path, "rb") as fh:
-            return np.frombuffer(fh.read(), dtype="<u8").astype(np.int64)
+            data = fh.read()
+        if len(data) % 8:
+            raise ValueError(f"{path}: binary payload of {len(data)} bytes "
+                             f"ends in a partial value at byte offset "
+                             f"{len(data) - len(data) % 8}")
+        arr = np.frombuffer(data, dtype="<u8")
+        bad = np.flatnonzero(arr >= _PACKED_LIMIT)
+        if len(bad):
+            k = int(bad[0])
+            raise ValueError(f"{path}: value {arr[k]} at byte offset {8 * k} "
+                             f"is outside [0, 2^63)")
+        return arr.astype(np.int64)
+    values = []
     with open(path) as fh:
-        return np.array([int(line) for line in fh if line.strip()],
-                        dtype=np.int64)
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                v = int(line)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno} is not an integer: "
+                                 f"{line.strip()!r}") from None
+            if not 0 <= v < _PACKED_LIMIT:
+                raise ValueError(f"{path}: line {lineno}: {v} is outside "
+                                 f"[0, 2^63)")
+            values.append(v)
+    return np.array(values, dtype=np.int64)

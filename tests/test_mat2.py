@@ -101,6 +101,31 @@ def test_swept_arrays_match_their_definitions(text):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("text", ("zmod:5^2", "polyq:5^2^1"))
+def test_masks_match_their_definitions(text):
+    sp = MatrixSpace(ring_from_string(text))
+    val = sp.ring.val_table
+    e = sp.unpack(np.arange(sp.count))
+    tr, det = val[sp.trace_indices(e)], val[sp.det_indices(e)]
+    assert sp.nilpotent_mask.dtype == sp.invertible_mask.dtype == bool
+    assert np.array_equal(sp.nilpotent_mask, (tr >= 1) & (det >= 1))
+    assert np.array_equal(sp.invertible_mask, det == 0)
+
+
+def test_masks_past_the_cap_match_scalar_criteria():
+    # q = 9 != p and n = 2: the residue of an index is idx mod q, not mod p
+    sp = MatrixSpace(ring_from_string("polyq:3^2^2"), cap=2 ** 26)
+    rng = np.random.default_rng(29)
+    for k in rng.integers(0, sp.count, size=20000):
+        A = sp.matrix_from_packed(int(k))
+        assert sp.nilpotent_mask[k] == A.is_nilpotent()
+        assert sp.invertible_mask[k] == A.is_invertible()
+    nil = sp.nilpotent_indices
+    assert len(nil) == 9 ** 6
+    for k in rng.choice(nil, size=2000, replace=False):
+        assert sp.matrix_from_packed(int(k)).is_nilpotent()
+
+
 def test_conjugates_of_matches_scalar_conjugation(z9_space):
     sp = z9_space
     A = parse_matrix(sp.ring, "[[1,2],[3,4]]")
@@ -182,6 +207,53 @@ def test_save_load_packed_text_and_binary(tmp_path, z9_space):
     assert np.array_equal(load_packed(p1), idx)
     assert np.array_equal(load_packed(p2, binary=True), idx)
     assert p1.read_text().splitlines()[0] == str(int(idx[0]))
+
+
+@pytest.mark.parametrize("binary, where", ((False, "line 2"),
+                                           (True, "byte offset 8")))
+@pytest.mark.parametrize("values", (np.array([7, -1]),
+                                    np.array([7, 2 ** 63], dtype=np.uint64)),
+                         ids=("negative", "past-int64"))
+def test_save_packed_refuses_out_of_range(tmp_path, binary, where, values):
+    path = tmp_path / "idx"
+    with pytest.raises(ValueError, match=where):
+        save_packed(path, values, binary=binary)
+    assert not path.exists()
+
+
+def test_load_packed_refuses_binary_value_past_int64(tmp_path):
+    path = tmp_path / "idx.bin"
+    path.write_bytes(b"\xff" * 8)
+    with pytest.raises(ValueError, match="byte offset 0"):
+        load_packed(path, binary=True)
+
+
+def test_load_packed_refuses_partial_binary_value(tmp_path):
+    path = tmp_path / "idx.bin"
+    path.write_bytes(b"\x01" * 12)
+    with pytest.raises(ValueError, match="byte offset 8"):
+        load_packed(path, binary=True)
+
+
+def test_load_packed_refuses_negative_text_line(tmp_path):
+    path = tmp_path / "idx.txt"
+    path.write_text("3\n\n-5\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_packed(path)
+
+
+def test_load_packed_refuses_text_line_past_int64(tmp_path):
+    path = tmp_path / "idx.txt"
+    path.write_text("18446744073709551615\n")
+    with pytest.raises(ValueError, match="line 1"):
+        load_packed(path)
+
+
+def test_load_packed_refuses_non_integer_text_line(tmp_path):
+    path = tmp_path / "idx.txt"
+    path.write_text("12\nabc\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_packed(path)
 
 
 def test_space_cache_reuse(z9):

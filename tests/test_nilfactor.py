@@ -458,6 +458,19 @@ def test_search_hit_builds_no_gl2_data():
     assert "invertible_mask" not in built
 
 
+@pytest.mark.xfail(strict=True, raises=NotInOrbitUnionError,
+                   reason="below s = 2n - 1 decompose reaches only the orbit "
+                          "union, a proper subset of S_s")
+def test_decompose_covers_s3_below_the_stable_point():
+    # on zmod:3^3, 1776 of the 26001 members of S_3 lie outside the union
+    sp = matrix_space(ring_from_string("zmod:3^3"))
+    A = parse_matrix(sp.ring, "[[0,9],[3,0]]")
+    assert np.isin(A.packed, product_set(sp, 3))
+    fact = decompose(sp, A, 3)
+    assert len(fact.factors) == 3
+    assert fact.factors[0] * fact.factors[1] * fact.factors[2] == A
+
+
 @pytest.mark.parametrize("text, want", (
     ("polyq:3^1^1", 33), ("zmod:3^2", 897), ("polyq:5^2^1", 16225),
     ("zmod:5^2", 18145), ("zmod:3^3", 24225), ("polyq:3^1^3", 24225)))
