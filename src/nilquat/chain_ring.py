@@ -21,6 +21,11 @@ digit encoding: zmod by outer sums and products mod q^n, polyq by a
 truncated convolution of digit arrays through the residue field's tables.
 Larger rings, which have no dense tables, compute on digits one operation
 at a time; that digit route is also the tests' oracle for the tables.
+
+Bulk arithmetic over index arrays runs through one gather kernel,
+``PairTables``: add and mul raveled to length Q^2 in int16 (int32 once
+Q^2 passes 2^15), so a pair (a, b) is one 1-D take at a*Q + b.  The
+``bulk_*`` methods of ``Ring`` wrap it and return int64.
 """
 
 from __future__ import annotations
@@ -374,6 +379,80 @@ def format_element(a: RingElem) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the bulk gather kernel
+# ---------------------------------------------------------------------------
+
+class PairTables:
+    """A dense ring's operation tables in one narrow integer type.
+
+    ``add`` and ``mul`` gather from the Q x Q tables raveled to length
+    Q^2 at a*Q + b; ``neg`` gathers per element, as does ``inv``, with -1
+    for a non-unit.  The type is int16 when every pair index a*Q + b fits,
+    that is Q^2 <= 2^15, and int32 otherwise.  The kernels take index
+    arrays, scalars or 4-tuples of them (broadcasting) and return arrays
+    of that type; narrow them first with ``narrow`` so the pair index is
+    computed in it too, and ``wide`` a result to int64 before it leaves
+    the kernel's caller.  ``Ring.bulk_*`` do both.
+    """
+
+    def __init__(self, ring: "Ring"):
+        Q = ring.size
+        dtype = np.int16 if Q * Q <= 2 ** 15 else np.int32
+        self.Q = Q
+        self.dtype = np.dtype(dtype)
+        self.add_flat = ring.add_table.astype(dtype).ravel()
+        self.mul_flat = ring.mul_table.astype(dtype).ravel()
+        self.neg_table = ring.neg_table.astype(dtype)
+        self.inv_table = ring.inv_table.astype(dtype)
+
+    def narrow(self, x):
+        """x, or each array of a 4-tuple x, in the kernel's type."""
+        if isinstance(x, tuple):
+            return tuple(np.asarray(t, dtype=self.dtype) for t in x)
+        return np.asarray(x, dtype=self.dtype)
+
+    @staticmethod
+    def wide(x):
+        """A kernel's result, or each array of a tuple of them, as int64."""
+        if isinstance(x, tuple):
+            return tuple(t.astype(np.int64) for t in x)
+        return x.astype(np.int64)
+
+    def add(self, a, b):
+        return np.take(self.add_flat, a * self.Q + b)
+
+    def mul(self, a, b):
+        return np.take(self.mul_flat, a * self.Q + b)
+
+    def neg(self, a):
+        return np.take(self.neg_table, a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul_by(self, c: int, a):
+        """c * a for one constant element c: a gather from row c of mul."""
+        return np.take(self.mul_flat[c * self.Q:(c + 1) * self.Q], a)
+
+    def matmul(self, A, B):
+        """The product of 2x2 matrices given as 4-tuples (a11, a12, a21,
+        a22) of index arrays."""
+        add, mul = self.add, self.mul
+        a11, a12, a21, a22 = A
+        b11, b12, b21, b22 = B
+        return (add(mul(a11, b11), mul(a12, b21)),
+                add(mul(a11, b12), mul(a12, b22)),
+                add(mul(a21, b11), mul(a22, b21)),
+                add(mul(a21, b12), mul(a22, b22)))
+
+    def trace(self, A):
+        return self.add(A[0], A[3])
+
+    def det(self, A):
+        return self.sub(self.mul(A[0], A[3]), self.mul(A[1], A[2]))
+
+
+# ---------------------------------------------------------------------------
 # the ring handle
 # ---------------------------------------------------------------------------
 
@@ -693,6 +772,37 @@ class Ring:
         units, inverses = np.nonzero(self.mul_table == 1)
         t[units] = inverses
         return t
+
+    @cached_property
+    def pair_tables(self) -> PairTables:
+        """The dense tables in the narrow type of the bulk kernels."""
+        self._require_dense()
+        return PairTables(self)
+
+    # -- bulk arithmetic over index arrays, returning int64 ------------------
+    # Matrices are 4-tuples (a11, a12, a21, a22); all arguments broadcast.
+
+    def _bulk(self, kernel, *args):
+        t = self.pair_tables
+        return t.wide(kernel(t, *map(t.narrow, args)))
+
+    def bulk_add(self, a, b) -> np.ndarray:
+        return self._bulk(PairTables.add, a, b)
+
+    def bulk_mul(self, a, b) -> np.ndarray:
+        return self._bulk(PairTables.mul, a, b)
+
+    def bulk_neg(self, a) -> np.ndarray:
+        return self._bulk(PairTables.neg, a)
+
+    def bulk_matmul(self, A, B) -> tuple[np.ndarray, ...]:
+        return self._bulk(PairTables.matmul, A, B)
+
+    def bulk_trace(self, A) -> np.ndarray:
+        return self._bulk(PairTables.trace, A)
+
+    def bulk_det(self, A) -> np.ndarray:
+        return self._bulk(PairTables.det, A)
 
     # the tables as nested Python lists of interned elements, which the
     # scalar operations index

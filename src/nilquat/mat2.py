@@ -7,6 +7,10 @@ integer
     idx(a11) + idx(a12)*Q + idx(a21)*Q^2 + idx(a22)*Q^3,   Q = q^n,
 
 and MatrixSpace provides vectorised kernels over whole packed ranges.
+Products, traces and determinants over index arrays are thin callers of
+the ring's shared gather kernel, ``chain_ring.PairTables`` (through
+``Ring.bulk_matmul``, ``bulk_trace`` and ``bulk_det``), which also serves
+the quaternion maps and the verify suites.
 Nilpotency uses the chain-ring criterion trace, det in J(R); the 2n-th
 power oracle it is equivalent to lives in the test suites.  GL2 is the
 invertible set, det a unit.  Both tests read only residues, so the two
@@ -210,6 +214,17 @@ def classify_nilpotent(A: Mat2) -> NilClass:
 # the packed matrix space
 # ---------------------------------------------------------------------------
 
+def split_packed(packed, Q: int):
+    """The four base-Q digits (x1, x2, x3, x4) of packed indices x1 + x2 Q
+    + x3 Q^2 + x4 Q^3, as int64, by three floor divisions; numpy's %
+    costs about four times a //."""
+    e = np.asarray(packed, dtype=np.int64)
+    e1 = e // Q
+    e2 = e1 // Q
+    x4 = e2 // Q
+    return e - e1 * Q, e1 - e2 * Q, e2 - x4 * Q, x4
+
+
 class MatrixSpace:
     """Vectorised kernels over all Q^4 packed matrices of one ring.
 
@@ -247,9 +262,7 @@ class MatrixSpace:
     # -- packing -----------------------------------------------------------
 
     def unpack(self, packed):
-        Q = self.Q
-        e = np.asarray(packed, dtype=np.int64)
-        return (e % Q, (e // Q) % Q, (e // (Q * Q)) % Q, e // (Q * Q * Q))
+        return split_packed(packed, self.Q)
 
     def pack(self, a11, a12, a21, a22):
         Q = self.Q
@@ -276,21 +289,13 @@ class MatrixSpace:
     def matmul(self, A, B):
         """Product of two matrices given as 4-tuples of index arrays
         (broadcasting; scalars allowed)."""
-        add, mul = self.ring.add_table, self.ring.mul_table
-        a11, a12, a21, a22 = A
-        b11, b12, b21, b22 = B
-        return (add[mul[a11, b11], mul[a12, b21]],
-                add[mul[a11, b12], mul[a12, b22]],
-                add[mul[a21, b11], mul[a22, b21]],
-                add[mul[a21, b12], mul[a22, b22]])
+        return self.ring.bulk_matmul(A, B)
 
     def trace_indices(self, entries):
-        return self.ring.add_table[entries[0], entries[3]]
+        return self.ring.bulk_trace(entries)
 
     def det_indices(self, entries):
-        add, mul, neg = (self.ring.add_table, self.ring.mul_table,
-                         self.ring.neg_table)
-        return add[mul[entries[0], entries[3]], neg[mul[entries[1], entries[2]]]]
+        return self.ring.bulk_det(entries)
 
     # -- arrays over the whole space -----------------------------------------
 
@@ -333,13 +338,13 @@ class MatrixSpace:
         """Packed P^-1 A P for every P in GL2, in ascending P order; P^-1
         is the adjugate scaled by det^-1."""
         P = self.unpack(self.invertible_indices)
-        mul, neg = self.ring.mul_table, self.ring.neg_table
+        mul, neg = self.ring.bulk_mul, self.ring.bulk_neg
         idet = self.ring.inv_table[self.det_indices(P)]
         if (idet < 0).any():
             raise AssertionError("invertible mask must imply unit "
                                  "determinant")
-        Pinv = (mul[idet, P[3]], mul[idet, neg[P[1]]],
-                mul[idet, neg[P[2]]], mul[idet, P[0]])
+        Pinv = (mul(idet, P[3]), mul(idet, neg(P[1])),
+                mul(idet, neg(P[2])), mul(idet, P[0]))
         a = tuple(x.idx for x in A.entries())
         return self.pack(*self.matmul(Pinv, self.matmul(a, P)))
 

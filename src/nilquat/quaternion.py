@@ -15,6 +15,8 @@ Both directions also have bulk forms on index arrays, for rings with dense
 tables: matrix_entries_bulk maps coefficients to entries and
 coefficients_bulk, the bulk inverse, maps entries back to coefficients.
 Each is a 4x4 matrix of constant ring elements applied by _linear_map_bulk.
+These, coeff_product_bulk and packed_matrices_of_all run on the ring's
+shared gather kernel, ``chain_ring.PairTables``, and return int64.
 """
 
 from __future__ import annotations
@@ -118,18 +120,15 @@ def format_quaternion(x: Quaternion) -> str:
 
 def coeff_product_bulk(ring: Ring, x, y):
     """Hamilton product on 4-tuples of coefficient index arrays."""
-    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
-    x1, x2, x3, x4 = x
-    y1, y2, y3, y4 = y
-
-    def sub(a, b):
-        return add[a, neg[b]]
-
-    t1 = sub(sub(sub(mul[x1, y1], mul[x2, y2]), mul[x3, y3]), mul[x4, y4])
-    t2 = sub(add[add[mul[x1, y2], mul[x2, y1]], mul[x3, y4]], mul[x4, y3])
-    t3 = add[add[sub(mul[x1, y3], mul[x2, y4]), mul[x3, y1]], mul[x4, y2]]
-    t4 = add[sub(add[mul[x1, y4], mul[x2, y3]], mul[x3, y2]), mul[x4, y1]]
-    return (t1, t2, t3, t4)
+    t = ring.pair_tables
+    add, mul, sub = t.add, t.mul, t.sub
+    x1, x2, x3, x4 = t.narrow(x)
+    y1, y2, y3, y4 = t.narrow(y)
+    t1 = sub(sub(sub(mul(x1, y1), mul(x2, y2)), mul(x3, y3)), mul(x4, y4))
+    t2 = sub(add(add(mul(x1, y2), mul(x2, y1)), mul(x3, y4)), mul(x4, y3))
+    t3 = add(add(sub(mul(x1, y3), mul(x2, y4)), mul(x3, y1)), mul(x4, y2))
+    t4 = add(sub(add(mul(x1, y4), mul(x2, y3)), mul(x3, y2)), mul(x4, y1))
+    return t.wide((t1, t2, t3, t4))
 
 
 def _invert4(ring: Ring, rows):
@@ -235,29 +234,34 @@ class QuaternionIso:
         """Packed matrix image of every quaternion, indexed by the packed
         quaternion coordinate c1 + c2*Q + c3*Q^2 + c4*Q^3."""
         Q = self.ring.size
-        add, mul = self.ring.add_table, self.ring.mul_table
+        t = self.ring.pair_tables
+        mul = t.mul_flat.reshape(Q, Q)
         packed = np.zeros((Q,) * 4, dtype=np.int64)
         for pos, row in enumerate(self._entry_rows):
             # axis 3 holds c1 and axis 0 holds c4, so the C-order ravel puts
             # c1 fastest; each term c_t * basis entry is one row of mul
             c1, c2, c3, c4 = (mul[c] for c in row)
-            low = add[c2[:, None], c1[None, :]]
-            low = add[c3[:, None, None], low[None]]
-            packed += add[c4[:, None, None, None], low[None]] * Q ** pos
+            low = t.add(c2[:, None], c1[None, :])
+            low = t.add(c3[:, None, None], low[None])
+            entry = t.add(c4[:, None, None, None], low[None])
+            # widen before scaling: Q^pos times an entry overflows int16
+            packed += entry.astype(np.int64) * Q ** pos
         return packed.ravel()
 
 
 def _linear_map_bulk(ring: Ring, rows, vec):
     """Apply a 4x4 matrix of constant ring element indices to a 4-tuple of
-    index arrays.  Each product with a constant c is the gather mul[c][v]."""
-    add, mul = ring.add_table, ring.mul_table
+    index arrays.  Each product with a constant c is a gather from row c of
+    mul."""
+    t = ring.pair_tables
+    vec = t.narrow(vec)
     out = []
     for row in rows:
-        acc = mul[row[0]][vec[0]]
+        acc = t.mul_by(row[0], vec[0])
         for c, v in zip(row[1:], vec[1:]):
-            acc = add[acc, mul[c][v]]
+            acc = t.add(acc, t.mul_by(c, v))
         out.append(acc)
-    return tuple(out)
+    return t.wide(tuple(out))
 
 
 def build_iso(ring: Ring, pair=None) -> QuaternionIso:

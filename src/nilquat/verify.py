@@ -13,7 +13,7 @@ import numpy as np
 
 from .chain_ring import TABLE_SIZE_LIMIT, Ring, format_ring_spec
 from .mat2 import (DEFAULT_ENUMERATION_CAP, Mat2, classify_nilpotent,
-                   matrix_space, top_row, zero_matrix)
+                   matrix_space, split_packed, top_row)
 from .nilfactor import (DEFAULT_SEED, DecompositionError, NotInOrbitUnionError,
                         census_orbit_union, census_set_product, decompose,
                         formula_count, nilpotent_count_check, pair_products,
@@ -152,8 +152,7 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
         viol += not hit.all()
     rounds = min(2000, count)
     if S <= _PAIR_LIMIT:
-        add = ring.add_table
-        mul = ring.mul_table
+        add = ring.bulk_add
         m = min(samples, 100_000) if count ** 2 > 1_000_000 else None
         if m is None:
             e = np.arange(count, dtype=np.int64)
@@ -162,22 +161,16 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
         else:
             xs = rng.integers(0, count, size=m)
             ys = rng.integers(0, count, size=m)
-        def coords(t):
-            return (t % S, (t // S) % S, (t // (S * S)) % S,
-                    t // (S * S * S))
-        x, y = coords(xs), coords(ys)
+        x, y = split_packed(xs, S), split_packed(ys, S)
         ax = iso.matrix_entries_bulk(x)
         by = iso.matrix_entries_bulk(y)
         lhs = iso.matrix_entries_bulk(coeff_product_bulk(ring, x, y))
-        rhs = (add[mul[ax[0], by[0]], mul[ax[1], by[2]]],
-               add[mul[ax[0], by[1]], mul[ax[1], by[3]]],
-               add[mul[ax[2], by[0]], mul[ax[3], by[2]]],
-               add[mul[ax[2], by[1]], mul[ax[3], by[3]]])
+        rhs = ring.bulk_matmul(ax, by)
         checks += len(xs) * 2
         viol += int(sum((l != r).sum() for l, r in zip(lhs, rhs)))
-        lhs_add = iso.matrix_entries_bulk(tuple(add[a, b]
+        lhs_add = iso.matrix_entries_bulk(tuple(add(a, b)
                                                 for a, b in zip(x, y)))
-        rhs_add = tuple(add[a, b] for a, b in zip(ax, by))
+        rhs_add = tuple(add(a, b) for a, b in zip(ax, by))
         viol += int(sum((l != r).sum() for l, r in zip(lhs_add, rhs_add)))
         # round trips, one violation per sample that does not come back
         cs = rng.integers(0, S, size=(4, rounds))
@@ -301,37 +294,88 @@ def _lemma34(ring, space, samples, seed):
 
 
 def _lemma35(ring, space, samples, seed):
+    """Three identities, each one check per input: a shear t conjugates
+    ((a, b), (0, 0)) to ((a, b + a t), (0, 0)) for every t, not only units;
+    the shear v u^-1 conjugates ((u, -v), (w, -u)), w = v^-1 u^2, to
+    ((0, 0), (w, 0)) for units u, v; and diag(1, alpha) is invertible for
+    a unit alpha.  Inputs are element indices, drawn alike on both routes:
+    bulk on rings with dense tables, ``Mat2`` arithmetic past them."""
     rng = np.random.default_rng(seed)
-    els = ring.enumerate_ring()
-    units = ring.units()
-    checks = viol = 0
-    if ring.size ** 3 <= 729:
-        triples = [(a, b, t) for a in els for b in els for t in els]
+    S = ring.size
+    els = np.arange(S, dtype=np.int64)
+    if S ** 3 <= 729:
+        triples = tuple(x.ravel() for x in np.meshgrid(els, els, els,
+                                                       indexing="ij"))
         note = "exhaustive"
     else:
-        picks = rng.integers(0, ring.size, size=(2000, 3))
-        triples = [(ring.from_index(int(i)), ring.from_index(int(j)),
-                    ring.from_index(int(k))) for i, j, k in picks]
+        triples = tuple(rng.integers(0, S, size=(2000, 3)).T)
         note = "sampled 2000 triples"
-    z = ring.zero
-    for a, b, t in triples:
-        # the shear identity holds for every t, not only units
-        checks += 1
-        viol += conjugate(top_row(a, b), shear(ring, t)) != top_row(a, b + a * t)
+    units = els[els % ring.q != 0]
     if len(units) ** 2 <= 400:
-        unit_pairs = [(u, v) for u in units for v in units]
+        pairs = tuple(x.ravel() for x in np.meshgrid(units, units,
+                                                     indexing="ij"))
     else:
-        picks = rng.integers(0, len(units), size=(400, 2))
-        unit_pairs = [(units[i], units[j]) for i, j in picks]
-    for u, v in unit_pairs:
-        A = Mat2(u, -v, v.inverse() * (u * u), -u)
+        pairs = tuple(units[rng.integers(0, len(units), size=(400, 2))].T)
+    alphas = units[:100]
+    check = _lemma35_bulk if S <= _PAIR_LIMIT else _lemma35_scalar
+    checks = len(triples[0]) + len(pairs[0]) + len(alphas)
+    return _result("lemma35", ring, checks,
+                   check(ring, triples, pairs, alphas), note)
+
+
+def _lemma35_scalar(ring, triples, pairs, alphas) -> int:
+    el = ring.from_index
+    z = ring.zero
+    viol = 0
+    for a, b, t in zip(*triples):
+        a, b, t = el(int(a)), el(int(b)), el(int(t))
+        viol += conjugate(top_row(a, b), shear(ring, t)) != top_row(a, b + a * t)
+    for u, v in zip(*pairs):
+        u, v = el(int(u)), el(int(v))
         w = v.inverse() * (u * u)
-        checks += 1
+        A = Mat2(u, -v, w, -u)
         viol += conjugate(A, shear(ring, v * u.inverse())) != Mat2(z, z, w, z)
-    for alpha in units[:100]:
-        checks += 1
-        viol += not unit_diag(ring, alpha).is_invertible()
-    return _result("lemma35", ring, checks, viol, note)
+    for alpha in alphas:
+        viol += not unit_diag(ring, el(int(alpha))).is_invertible()
+    return viol
+
+
+def _conjugate_bulk(t, A, P):
+    """P^-1 A P on the kernel's narrow arrays, with P^-1 the adjugate
+    scaled by inv[det P], as ``orbits.conjugate`` computes it."""
+    idet = np.take(t.inv_table, t.det(P))
+    if (idet < 0).any():
+        raise ValueError("conjugator is not invertible")
+    p11, p12, p21, p22 = P
+    inverse = (t.mul(idet, p22), t.mul(idet, t.neg(p12)),
+               t.mul(idet, t.neg(p21)), t.mul(idet, p11))
+    return t.matmul(t.matmul(inverse, A), P)
+
+
+def _mismatches(X, Y) -> int:
+    """How many matrices differ between two 4-tuples of index arrays."""
+    bad = np.zeros((), dtype=bool)
+    for x, y in zip(X, Y):
+        bad = bad | (x != y)
+    return int(np.count_nonzero(bad))
+
+
+def _lemma35_bulk(ring, triples, pairs, alphas) -> int:
+    t = ring.pair_tables
+    zero, one = t.narrow(ring.zero.idx), t.narrow(ring.one.idx)
+    a, b, s = t.narrow(triples)
+    viol = _mismatches(_conjugate_bulk(t, (a, b, zero, zero),
+                                       (one, s, zero, one)),
+                       (a, t.add(b, t.mul(a, s)), zero, zero))
+    u, v = t.narrow(pairs)
+    inv_u, inv_v = np.take(t.inv_table, u), np.take(t.inv_table, v)
+    w = t.mul(inv_v, t.mul(u, u))
+    viol += _mismatches(_conjugate_bulk(t, (u, t.neg(v), w, t.neg(u)),
+                                        (one, t.mul(v, inv_u), zero, one)),
+                        (zero, zero, w, zero))
+    det = t.det((one, zero, zero, t.narrow(alphas)))
+    viol += int((np.take(t.inv_table, det) < 0).sum())
+    return viol
 
 
 def _lemma36(ring, space, samples, seed):
@@ -363,9 +407,12 @@ def _lemma311(ring, space, samples, seed):
     if ring.n != 1:
         return _result("lemma311", ring, 0, 0, "requires a field (n = 1)")
     nil = space.nilpotent_indices
+    Q = space.Q
     viol = 0
     for _, packed in pair_products(space, nil, nil):
-        tr = space.trace_indices(space.unpack(packed))
+        # the trace reads only a11 and a22: two floor divisions, no unpack
+        a11 = packed - packed // Q * Q
+        tr = ring.bulk_add(a11, packed // Q ** 3)
         viol += int(((packed != 0) & (tr == 0)).sum())
     return _result("lemma311", ring, len(nil) ** 2, viol, "exhaustive pairs")
 
@@ -480,6 +527,8 @@ def run_suites(ring: Ring, names=("all",), *,
 
     ``threads`` is accepted for compatibility and has no effect.
     """
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     if isinstance(names, str):
         names = (names,)
     expanded: list[str] = []

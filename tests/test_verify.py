@@ -108,3 +108,109 @@ def test_iso_scalar_branch_past_the_pair_limit(monkeypatch):
     # bijection, 2 * 2000 scalar round trips, 2 * 200 products and sums
     assert verify._iso_checks(r, np.random.default_rng(0), 100) == \
         (1 + 4000 + 400, 0)
+
+
+# (suite, checks, violations, note) at seed 7 and the default samples,
+# pinned before the suites moved onto the shared gather kernel.  The chain
+# suites thm38, cor310 and thm312 run on zmod:3^2 only.
+_GOLDEN = {
+    "zmod:3^2": [
+        ("axioms", 207357, 0, "exhaustive laws"),
+        ("lemma33", 13852, 0, "exhaustive"),
+        ("lemma34", 69, 0, ""),
+        ("lemma35", 771, 0, "exhaustive"),
+        ("lemma36", 100000, 0, "sampled 100000"),
+        ("lemma37", 0, 0, "hypothesis unsatisfiable for n=2"),
+        ("lemma311", 0, 0, "requires a field (n = 1)"),
+        ("thm38", 7, 0, ""),
+        ("cor310", 26, 0, ""),
+        ("example39", 3, 0, ""),
+        ("thm312", 95, 0, "census 897 = 897"),
+    ],
+    "polyq:5^2^1": [
+        ("axioms", 269707, 0, "exhaustive laws"),
+        ("lemma33", 176265, 0, "sampled 88059"),
+        ("lemma34", 1225, 0, ""),
+        ("lemma35", 2424, 0, "sampled 2000 triples"),
+        ("lemma36", 100000, 0, "sampled 100000"),
+        ("lemma37", 0, 0, "hypothesis unsatisfiable for n=1"),
+        ("lemma311", 390625, 0, "exhaustive pairs"),
+        ("example39", 0, 0, "inapplicable: needs n >= 2"),
+    ],
+    "polyq:3^1^3": [
+        ("axioms", 286469, 0, "exhaustive laws"),
+        ("lemma33", 183835, 0, "sampled 91072"),
+        ("lemma34", 555, 0, ""),
+        ("lemma35", 2342, 0, "sampled 2000 triples"),
+        ("lemma36", 100000, 0, "sampled 100000"),
+        ("lemma37", 100000, 0, "matched hypothesis 467 times"),
+        ("lemma311", 0, 0, "requires a field (n = 1)"),
+        ("example39", 3, 0, ""),
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_GOLDEN))
+def test_suite_reports_match_the_golden_values(spec):
+    want = _GOLDEN[spec]
+    results = run_suites(ring_from_string(spec), [w[0] for w in want],
+                         seed=7)
+    assert [(r.suite, r.checks, r.violations, r.note)
+            for r in results] == want
+
+
+def test_negative_samples_are_rejected_before_any_suite(monkeypatch):
+    from nilquat import verify
+
+    def refuse(*args):
+        raise AssertionError("no suite may run")
+
+    monkeypatch.setitem(verify._RUNNERS, "lemma34", refuse)
+    ring = ring_from_string("polyq:5^2^1")
+    for suite in ("lemma34", "lemma36"):
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            run_suites(ring, (suite,), samples=-1)
+    assert run_suites(ring, ("lemma36",), samples=0)[0].checks == 0
+
+
+def test_negative_samples_exit_1_from_the_cli(capsys):
+    from nilquat.cli import main
+    for suite in ("lemma34", "lemma36"):
+        code = main(["verify", "--ring", "polyq:5^2^1", "--suite", suite,
+                     "--samples", "-1"])
+        out = capsys.readouterr()
+        assert code == 1
+        assert out.out == ""
+        assert "samples" in out.err
+
+
+def test_lemma35_scalar_route_past_the_table_limit():
+    ring = ring_from_string("zmod:3^7")
+    assert not ring._dense
+    r = run_suites(ring, ("lemma35",), seed=7)[0]
+    assert (r.checks, r.violations, r.note) == (2500, 0,
+                                                "sampled 2000 triples")
+
+
+@pytest.mark.parametrize("spec", ["zmod:3^2", "polyq:5^2^1"])
+def test_lemma35_routes_draw_and_count_alike(monkeypatch, spec):
+    from nilquat import verify
+    ring = ring_from_string(spec)
+    bulk = run_suites(ring, ("lemma35",), seed=3)[0]
+    monkeypatch.setattr(verify, "_PAIR_LIMIT", 8)
+    scalar = run_suites(ring, ("lemma35",), seed=3)[0]
+    assert (bulk.checks, bulk.violations, bulk.note) == \
+        (scalar.checks, scalar.violations, scalar.note)
+
+
+def test_lemma35_bulk_counts_each_failed_conjugation(monkeypatch):
+    from nilquat import verify
+    ring = ring_from_string("zmod:3^2")
+    # conjugation that leaves A as it is: a shear t moves ((a, b), (0, 0))
+    # exactly when a t != 0, and the unit-pair matrix always moves
+    monkeypatch.setattr(verify, "_conjugate_bulk", lambda t, A, P: A)
+    r = run_suites(ring, ("lemma35",))[0]
+    i = np.arange(ring.size)
+    moved = int((ring.mul_table[i[:, None], i[None, :]] != 0).sum())
+    units = int((i % ring.q != 0).sum())
+    assert r.violations == moved * ring.size + units ** 2
