@@ -130,19 +130,11 @@ class GFq:
     vector; arithmetic is polynomial arithmetic modulo ``modulus``.
     """
 
-    def __init__(self, p: int, r: int, modulus=None):
+    def __init__(self, p: int, r: int):
         self.p = p
         self.r = r
         self.q = p ** r
-        if modulus is None:
-            modulus = smallest_irreducible(p, r)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != r + 1 or modulus[r] != 1:
-                raise ValueError("modulus_poly must be monic of degree r")
-            if not _poly_is_irreducible(list(modulus), p):
-                raise ValueError("modulus_poly is reducible")
-        self.modulus = tuple(modulus)
+        self.modulus = smallest_irreducible(p, r)
 
     def _decode(self, x: int) -> list[int]:
         return list(_digits_of(x, self.p, self.r))
@@ -279,7 +271,6 @@ class RingSpec:
     r: int
     n: int
     family: str
-    modulus_poly: tuple[int, ...] | None = None
 
 
 def parse_ring_spec(text: str) -> RingSpec:
@@ -451,6 +442,16 @@ class PairTables:
     def det(self, A):
         return self.sub(self.mul(A[0], A[3]), self.mul(A[1], A[2]))
 
+    def inverse(self, A):
+        """(A^-1, inv[det A]) for 2x2 matrices as 4-tuples of index arrays:
+        the adjugate scaled by inv[det A].  Where inv[det A] is -1, det A is
+        not a unit and that matrix's entries of A^-1 mean nothing; callers
+        refuse those first."""
+        idet = np.take(self.inv_table, self.det(A))
+        a11, a12, a21, a22 = A
+        return (self.mul(idet, a22), self.mul(idet, self.neg(a12)),
+                self.mul(idet, self.neg(a21)), self.mul(idet, a11)), idet
+
 
 # ---------------------------------------------------------------------------
 # the ring handle
@@ -477,23 +478,16 @@ class Ring:
         if spec.family == ZMOD:
             if r != 1:
                 raise ValueError("zmod requires r = 1")
-            if spec.modulus_poly is not None:
-                raise ValueError("modulus_poly only applies to polyq")
-            field = GFq(p, 1)
-            norm_modulus = None
-        elif spec.family == POLYQ:
-            field = GFq(p, r, spec.modulus_poly)
-            norm_modulus = field.modulus
-        else:
+        elif spec.family != POLYQ:
             raise ValueError(f"unknown ring family {spec.family!r}")
-        self.spec = RingSpec(p, r, n, spec.family, norm_modulus)
+        self.spec = spec
         self.p = p
         self.r = r
         self.n = n
         self.q = p ** r
         self.size = self.q ** n
-        self.residue_field = field
-        self._key = (p, r, n, spec.family, norm_modulus)
+        self.residue_field = GFq(p, r)
+        self._key = (p, r, n, spec.family)
         self._dense = self.size <= TABLE_SIZE_LIMIT
 
     def __repr__(self):

@@ -337,16 +337,14 @@ class MatrixSpace:
     def conjugates_of(self, A: Mat2) -> np.ndarray:
         """Packed P^-1 A P for every P in GL2, in ascending P order; P^-1
         is the adjugate scaled by det^-1."""
-        P = self.unpack(self.invertible_indices)
-        mul, neg = self.ring.bulk_mul, self.ring.bulk_neg
-        idet = self.ring.inv_table[self.det_indices(P)]
+        t = self.ring.pair_tables
+        P = t.narrow(self.unpack(self.invertible_indices))
+        Pinv, idet = t.inverse(P)
         if (idet < 0).any():
             raise AssertionError("invertible mask must imply unit "
                                  "determinant")
-        Pinv = (mul(idet, P[3]), mul(idet, neg(P[1])),
-                mul(idet, neg(P[2])), mul(idet, P[0]))
-        a = tuple(x.idx for x in A.entries())
-        return self.pack(*self.matmul(Pinv, self.matmul(a, P)))
+        a = t.narrow(tuple(x.idx for x in A.entries()))
+        return self.pack(*t.wide(t.matmul(Pinv, t.matmul(a, P))))
 
     # -- similarity classes ---------------------------------------------------
 

@@ -5,16 +5,23 @@ For odd q the ring is isomorphic to M2(R); the isomorphism is built from
 any pair (a, b) with a^2 + b^2 = -1 and a a unit via
 
     phi(i) = ((a, b), (b, -a)),   phi(j) = ((0, 1), (-1, 0)),
-    phi(k) = phi(i) phi(j),
+    phi(k) = phi(i) phi(j) = ((-b, a), (a, b)),
 
-extended R-linearly.  The inverse direction solves the 4x4 linear system
-whose columns are the vectorised basis images; its determinant is a unit,
-which QuaternionIso checks at construction time.
+extended R-linearly, so the entries (m11, m12, m21, m22) of phi(r1 + r2 i
++ r3 j + r4 k) have the rows (1, a, 0, -b), (0, b, 1, a), (0, b, -1, a)
+and (1, -a, 0, b).  Since 2 is a unit, the inverse is closed too: with
+h = 1/2, x = h(m11 - m22) and y = h(m12 + m21),
+
+    phi^-1(M) = (h(m11 + m22), -(a x + b y), h(m12 - m21), b x - a y).
+
+QuaternionIso holds both as constant 4x4 matrices of ring elements and
+checks at construction time that the basis images satisfy the quaternion
+relations and that the two matrices multiply to the identity.
 
 Both directions also have bulk forms on index arrays, for rings with dense
 tables: matrix_entries_bulk maps coefficients to entries and
 coefficients_bulk, the bulk inverse, maps entries back to coefficients.
-Each is a 4x4 matrix of constant ring elements applied by _linear_map_bulk.
+Each applies the same constant rows as its scalar form, by _linear_map_bulk.
 These, coeff_product_bulk and packed_matrices_of_all run on the ring's
 shared gather kernel, ``chain_ring.PairTables``, and return int64.
 """
@@ -131,35 +138,12 @@ def coeff_product_bulk(ring: Ring, x, y):
     return t.wide((t1, t2, t3, t4))
 
 
-def _invert4(ring: Ring, rows):
-    """Invert a 4x4 matrix of ring elements by unit-pivot elimination.
-
-    Over a local ring the elimination can only stall when the matrix is
-    not invertible.  Returns (inverse rows, determinant)."""
-    k = 4
-    aug = [list(r) + [ring.one if i == j else ring.zero for j in range(k)]
-           for i, r in enumerate(rows)]
-    det = ring.one
-    for col in range(k):
-        piv = next((i for i in range(col, k) if aug[i][col].is_unit()), None)
-        if piv is None:
-            raise ValueError("system matrix is not invertible")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        pivot = aug[col][col]
-        det = det * pivot
-        inv_p = pivot.inverse()
-        aug[col] = [e * inv_p for e in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col].idx:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[k:] for row in aug], det
-
-
 class QuaternionIso:
-    """A concrete isomorphism H(R) -> M2(R) for one solved pair (a, b)."""
+    """A concrete isomorphism H(R) -> M2(R) for one solved pair (a, b).
+
+    Both directions are constant 4x4 matrices of ring elements:
+    ``entry_rows`` maps the coefficients of 1, i, j, k to the entries
+    (a11, a12, a21, a22), and ``coefficient_rows`` maps them back."""
 
     def __init__(self, ring: Ring, pair: tuple[RingElem, RingElem] | None = None):
         if pair is None:
@@ -172,49 +156,33 @@ class QuaternionIso:
         self.ring = ring
         self.a = a
         self.b = b
-        z = ring.zero
-        phi_i = Mat2(a, b, b, -a)
-        phi_j = Mat2(z, ring.one, -ring.one, z)
-        phi_k = phi_i * phi_j
-        self.basis_mats = (identity(ring), phi_i, phi_j, phi_k)
+        z, o = ring.zero, ring.one
+        self.entry_rows = ((o, a, z, -b), (z, b, o, a), (z, b, -o, a),
+                           (o, -a, z, b))
+        h = ring.from_int(2).inverse()
+        ha, hb = h * a, h * b
+        self.coefficient_rows = ((h, z, z, h), (-ha, -hb, -hb, ha),
+                                 (z, h, -h, z), (hb, -ha, -ha, -hb))
+        one, phi_i, phi_j, phi_k = (Mat2(*(row[t] for row in self.entry_rows))
+                                    for t in range(4))
         minus_id = -identity(ring)
-        if not (phi_i * phi_i == minus_id and phi_j * phi_j == minus_id
-                and phi_k * phi_k == minus_id
-                and phi_i * phi_j == -(phi_j * phi_i)):
+        if not (one == identity(ring) and phi_i * phi_i == minus_id
+                and phi_j * phi_j == minus_id and phi_i * phi_j == phi_k
+                and phi_j * phi_i == -phi_k):
             raise ValueError("basis images violate the quaternion relations")
-        # rows of the 4x4 system: entry position x basis element
-        rows = [[m.entries()[pos] for m in self.basis_mats] for pos in range(4)]
-        self._functionals, self._system_det = _invert4(ring, rows)
-        if not self._system_det.is_unit():
-            raise ValueError("basis images must span M2(R) over R")
-        # the two maps as 4x4 matrices of element indices, for the bulk maps
-        self._entry_rows = tuple(
-            tuple(m.entries()[pos].idx for m in self.basis_mats)
-            for pos in range(4))
-        self._coefficient_rows = tuple(tuple(f.idx for f in row)
-                                       for row in self._functionals)
+        # phi after phi^-1, one column at a time, must be the identity
+        for t, column in enumerate(zip(*self.coefficient_rows)):
+            if ([e.idx for e in _linear_map(self.entry_rows, column)]
+                    != [int(s == t) for s in range(4)]):
+                raise ValueError("the two maps are not mutually inverse")
 
     # -- scalar maps ---------------------------------------------------------
 
     def to_mat(self, x: Quaternion) -> Mat2:
-        coeffs = x.coefficients()
-        entries = []
-        for pos in range(4):
-            acc = self.ring.zero
-            for c, m in zip(coeffs, self.basis_mats):
-                acc = acc + c * m.entries()[pos]
-            entries.append(acc)
-        return Mat2(*entries)
+        return Mat2(*_linear_map(self.entry_rows, x.coefficients()))
 
     def from_mat(self, A: Mat2) -> Quaternion:
-        vec = A.entries()
-        coeffs = []
-        for row in self._functionals:
-            acc = self.ring.zero
-            for f, v in zip(row, vec):
-                acc = acc + f * v
-            coeffs.append(acc)
-        return Quaternion(*coeffs)
+        return Quaternion(*_linear_map(self.coefficient_rows, A.entries()))
 
     def is_nilpotent(self, x: Quaternion) -> bool:
         return self.to_mat(x).is_nilpotent()
@@ -223,12 +191,12 @@ class QuaternionIso:
 
     def matrix_entries_bulk(self, coeffs):
         """Map 4-tuples of coefficient index arrays to entry index arrays."""
-        return _linear_map_bulk(self.ring, self._entry_rows, coeffs)
+        return _linear_map_bulk(self.ring, self.entry_rows, coeffs)
 
     def coefficients_bulk(self, entries):
         """Map 4-tuples of entry index arrays (a11, a12, a21, a22) back to
         coefficient index arrays: the bulk form of from_mat."""
-        return _linear_map_bulk(self.ring, self._coefficient_rows, entries)
+        return _linear_map_bulk(self.ring, self.coefficient_rows, entries)
 
     def packed_matrices_of_all(self) -> np.ndarray:
         """Packed matrix image of every quaternion, indexed by the packed
@@ -237,10 +205,10 @@ class QuaternionIso:
         t = self.ring.pair_tables
         mul = t.mul_flat.reshape(Q, Q)
         packed = np.zeros((Q,) * 4, dtype=np.int64)
-        for pos, row in enumerate(self._entry_rows):
+        for pos, row in enumerate(self.entry_rows):
             # axis 3 holds c1 and axis 0 holds c4, so the C-order ravel puts
             # c1 fastest; each term c_t * basis entry is one row of mul
-            c1, c2, c3, c4 = (mul[c] for c in row)
+            c1, c2, c3, c4 = (mul[c.idx] for c in row)
             low = t.add(c2[:, None], c1[None, :])
             low = t.add(c3[:, None, None], low[None])
             entry = t.add(c4[:, None, None, None], low[None])
@@ -249,17 +217,29 @@ class QuaternionIso:
         return packed.ravel()
 
 
+def _linear_map(rows, vec):
+    """Apply a 4x4 matrix of constant ring elements to a 4-tuple of
+    elements: the scalar form of _linear_map_bulk."""
+    out = []
+    for row in rows:
+        acc = row[0] * vec[0]
+        for c, v in zip(row[1:], vec[1:]):
+            acc = acc + c * v
+        out.append(acc)
+    return tuple(out)
+
+
 def _linear_map_bulk(ring: Ring, rows, vec):
-    """Apply a 4x4 matrix of constant ring element indices to a 4-tuple of
-    index arrays.  Each product with a constant c is a gather from row c of
+    """Apply a 4x4 matrix of constant ring elements to a 4-tuple of index
+    arrays.  Each product with a constant c is a gather from row c of
     mul."""
     t = ring.pair_tables
     vec = t.narrow(vec)
     out = []
     for row in rows:
-        acc = t.mul_by(row[0], vec[0])
+        acc = t.mul_by(row[0].idx, vec[0])
         for c, v in zip(row[1:], vec[1:]):
-            acc = t.add(acc, t.mul_by(c, v))
+            acc = t.add(acc, t.mul_by(c.idx, v))
         out.append(acc)
     return t.wide(tuple(out))
 

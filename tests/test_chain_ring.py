@@ -60,6 +60,10 @@ def test_smallest_irreducible_frozen():
     assert smallest_irreducible(3, 2) == (1, 0, 1)
     assert smallest_irreducible(3, 3) == (1, 2, 0, 1)
     assert smallest_irreducible(5, 2) == (2, 0, 1)
+    # a ring's residue field always reduces by it; the ring key omits it
+    r = ring_from_string("polyq:3^3^2")
+    assert r.residue_field.modulus == (1, 2, 0, 1)
+    assert r._key == (3, 3, 2, "polyq")
 
 
 def test_gf9_generator_square():

@@ -64,6 +64,13 @@ def test_matrix_kernels_match_mat2(case):
     assert ring.bulk_trace(tuple(x[:4])).tolist() == \
         _idx(M.trace() for M in A)
     assert ring.bulk_det(tuple(x[:4])).tolist() == _idx(M.det() for M in A)
+    t = ring.pair_tables
+    inverse, idet = t.inverse(t.narrow(tuple(x[:4])))
+    inverse = np.stack(t.wide(inverse))
+    assert (idet >= 0).tolist() == [M.is_invertible() for M in A]
+    assert [inverse[:, k].tolist() for k, M in enumerate(A)
+            if M.is_invertible()] == \
+        [_idx(M.inverse().entries()) for M in A if M.is_invertible()]
 
 
 def test_quaternion_kernels_match_scalar_arithmetic(case):

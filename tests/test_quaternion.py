@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import nilquat
 
 from nilquat.chain_ring import ring_from_string
 from nilquat.mat2 import Mat2, identity, matrix_space, zero_matrix
@@ -167,3 +173,57 @@ def test_explicit_pair_must_satisfy_the_equation():
         QuaternionIso(r, (r.from_int(2), r.from_int(1)))
     with pytest.raises(ValueError):
         QuaternionIso(r, (r.from_int(3), r.from_int(1)))
+
+
+@pytest.mark.parametrize("spec", ["zmod:3^2", "polyq:3^2^1", "polyq:5^2^1",
+                                  "polyq:3^6^1", "zmod:3^7"])
+def test_stored_rows_are_mutually_inverse_and_maps_round_trip(spec):
+    # zmod:3^7 has no dense tables, so its maps run on digit arithmetic
+    r = ring_from_string(spec)
+    iso = build_iso(r)
+    E, C = iso.entry_rows, iso.coefficient_rows
+    for X, Y in ((E, C), (C, E)):
+        for i in range(4):
+            for j in range(4):
+                acc = r.zero
+                for k in range(4):
+                    acc = acc + X[i][k] * Y[k][j]
+                assert acc == (r.one if i == j else r.zero)
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        x = Quaternion(*(r.from_index(int(t))
+                         for t in rng.integers(0, r.size, size=4)))
+        assert iso.from_mat(iso.to_mat(x)) == x
+        A = Mat2(*(r.from_index(int(t))
+                   for t in rng.integers(0, r.size, size=4)))
+        assert iso.to_mat(iso.from_mat(A)) == A
+
+
+def test_construction_refusals_survive_optimize_flag():
+    # a bad pair and rows that do not invert each other refuse with
+    # ValueError under -O too, where a bare assert would pass silently
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = (
+        "import nilquat.quaternion as qu\n"
+        "from nilquat.chain_ring import ring_from_string\n"
+        "def probe(fn):\n"
+        "    try:\n"
+        "        fn()\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+        "    else:\n"
+        "        print('built')\n"
+        "r = ring_from_string('zmod:3^2')\n"
+        "f = ring_from_string('zmod:5^1')\n"
+        "# 4 + 1 != -1 mod 9; 0 + 4 = -1 mod 5 but 0 is not a unit\n"
+        "probe(lambda: qu.QuaternionIso(r, (r.from_int(2), r.one)))\n"
+        "probe(lambda: qu.QuaternionIso(f, (f.zero, f.from_int(2))))\n"
+        "qu._linear_map = lambda rows, vec: tuple(vec)\n"
+        "probe(lambda: qu.QuaternionIso(r))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["refused"] * 3

@@ -184,6 +184,27 @@ def test_negative_samples_exit_1_from_the_cli(capsys):
         assert "samples" in out.err
 
 
+def test_sampled_suites_cap_their_draws():
+    # a (samples, k) draw at 10^12 would ask for terabytes; every sampled
+    # suite stops at 100,000 draws and reports as it does at the cap
+    ring = ring_from_string("zmod:3^3")
+    suites = ("axioms", "lemma33", "lemma36", "lemma37")
+    huge = run_suites(ring, suites, samples=10 ** 12, seed=7)
+    capped = run_suites(ring, suites, samples=100_000, seed=7)
+    assert [(r.suite, r.checks, r.violations, r.note) for r in huge] == \
+        [(r.suite, r.checks, r.violations, r.note) for r in capped]
+    assert (huge[3].checks, huge[3].violations) == (100_000, 0)
+
+
+def test_lemma37_caps_huge_samples_from_the_cli(capsys):
+    from nilquat.cli import main
+    code = main(["verify", "--ring", "zmod:3^3", "--suite", "lemma37",
+                 "--samples", str(10 ** 12)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "lemma37 checks=100000 violations=0" in out
+
+
 def test_lemma35_scalar_route_past_the_table_limit():
     ring = ring_from_string("zmod:3^7")
     assert not ring._dense
