@@ -12,7 +12,9 @@ the ring's shared gather kernel, ``chain_ring.PairTables`` (through
 ``Ring.bulk_matmul``, ``bulk_trace`` and ``bulk_det``), which also serves
 the quaternion maps and the verify suites.
 Nilpotency uses the chain-ring criterion trace, det in J(R); the 2n-th
-power oracle it is equivalent to lives in the test suites.  GL2 is the
+power oracle it is equivalent to lives in the test suites.  The
+four-class taxonomy of nilpotents has a scalar form, classify_nilpotent,
+and one over index arrays, classify_nilpotent_bulk.  GL2 is the
 invertible set, det a unit.  Both tests read only residues, so the two
 masks are broadcast from one Q x Q table of residues of products; only
 the class code table is swept, one a22 slice of Q^3 matrices at a time.
@@ -208,6 +210,82 @@ def classify_nilpotent(A: Mat2) -> NilClass:
     if any(e.is_unit() for e in pert.entries()):
         raise AssertionError("perturbation must lie in M2(J)")
     return NilClass(tag, u, v, pert)
+
+
+def _class_representatives(t, tag, u, v):
+    """_class_representative over arrays of NilTag values and witnesses,
+    on the kernel ``t``.  A witness of -1 (None) or a v without inverse
+    is read as 0, so every gather stays in range; only rows whose tag
+    uses a witness read it."""
+    u, v = np.maximum(u, 0), np.maximum(v, 0)
+    inv_v = np.maximum(np.take(t.inv_table, v), 0)
+    unit = tag == NilTag.UNIT_TRACE.value
+    zero = np.zeros_like(u)
+    return (np.where(unit, u, zero),
+            np.where(unit, t.neg(v),
+                     np.where(tag == NilTag.UPPER_UNIT.value, u, zero)),
+            np.where(unit, t.mul(inv_v, t.mul(u, u)),
+                     np.where(tag == NilTag.LOWER_UNIT.value, u, zero)),
+            np.where(unit, t.neg(u), zero))
+
+
+@dataclass(frozen=True)
+class NilClasses:
+    """``classify_nilpotent`` over arrays, in the ring kernel's type: the
+    NilTag values, the witnesses u and v as element indices with -1 where
+    the scalar form has None, and the perturbation as a 4-tuple."""
+
+    ring: Ring
+    tag: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    perturbation: tuple
+
+    def matrix(self) -> tuple:
+        """Representative plus perturbation, with all four entries -1
+        where the witnesses do not fit the tag: u is None exactly for
+        ZERO_ISH, v is a unit for UNIT_TRACE and None otherwise."""
+        t = self.ring.pair_tables
+        tag, u, v = self.tag, self.u, self.v
+        unit = tag == NilTag.UNIT_TRACE.value
+        ok = (((u < 0) == (tag == NilTag.ZERO_ISH.value))
+              & np.where(unit, np.take(t.inv_table, np.maximum(v, 0)) >= 0,
+                         v < 0))
+        rep = _class_representatives(t, tag, u, v)
+        return tuple(np.where(ok, t.add(r, p), -1)
+                     for r, p in zip(rep, self.perturbation))
+
+
+def classify_nilpotent_bulk(ring: Ring, entries) -> NilClasses:
+    """``classify_nilpotent`` over a 4-tuple of equal-length entry index
+    arrays (a11, a12, a21, a22), with the same refusals: ValueError if
+    any matrix is not nilpotent, AssertionError on an impossible residue
+    or a perturbation outside M2(J).  In both ring families res(x) is
+    idx mod q and lift(r) is the index r."""
+    t = ring.pair_tables
+    A = t.narrow(tuple(entries))
+    val = ring.val_table
+    if ((np.take(val, t.trace(A)) < 1) | (np.take(val, t.det(A)) < 1)).any():
+        raise ValueError("matrix is not nilpotent")
+    r11, r12, r21, r22 = (x % ring.q for x in A)
+    z11, z12, z21, z22 = r11 == 0, r12 == 0, r21 == 0, r22 == 0
+    zero_ish = z11 & z12 & z21 & z22
+    upper = z11 & z21 & z22 & ~z12
+    lower = z11 & z12 & z22 & ~z21
+    unit = ~(zero_ish | upper | lower)
+    if (unit & (z11 | z12 | z21 | z22)).any():
+        raise AssertionError("impossible nilpotent residue")
+    tag = np.select([zero_ish, upper, lower], [NilTag.ZERO_ISH.value,
+                    NilTag.UPPER_UNIT.value, NilTag.LOWER_UNIT.value],
+                    NilTag.UNIT_TRACE.value).astype(np.int8)
+    u = np.select([upper, lower, unit], [r12, r21, r11], -1).astype(t.dtype)
+    neg_r12 = np.take(ring.residue_field.neg_table, r12)
+    v = np.where(unit, neg_r12, -1).astype(t.dtype)
+    rep = _class_representatives(t, tag, u, v)
+    pert = tuple(t.sub(a, r) for a, r in zip(A, rep))
+    if any((np.take(val, e) == 0).any() for e in pert):
+        raise AssertionError("perturbation must lie in M2(J)")
+    return NilClasses(ring, tag, u, v, pert)
 
 
 # ---------------------------------------------------------------------------

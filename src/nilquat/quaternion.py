@@ -23,14 +23,18 @@ tables: matrix_entries_bulk maps coefficients to entries and
 coefficients_bulk, the bulk inverse, maps entries back to coefficients.
 Each applies the same constant rows as its scalar form, by _linear_map_bulk.
 These, coeff_product_bulk and packed_matrices_of_all run on the ring's
-shared gather kernel, ``chain_ring.PairTables``, and return int64.
+shared gather kernel, ``chain_ring.PairTables``, and return int64; each
+bulk map is a narrow -> core -> wide wrapper, and the cores
+(matrix_entries_narrow, coeff_product_narrow) keep the kernel's type.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
-from .chain_ring import Ring, RingElem, parse_element
+from .chain_ring import PairTables, Ring, RingElem, parse_element
 from .mat2 import Mat2, identity
 
 
@@ -128,14 +132,19 @@ def format_quaternion(x: Quaternion) -> str:
 def coeff_product_bulk(ring: Ring, x, y):
     """Hamilton product on 4-tuples of coefficient index arrays."""
     t = ring.pair_tables
+    return t.wide(coeff_product_narrow(t, t.narrow(x), t.narrow(y)))
+
+
+def coeff_product_narrow(t: PairTables, x, y):
+    """coeff_product_bulk on arrays in the kernel's type, returning it."""
     add, mul, sub = t.add, t.mul, t.sub
-    x1, x2, x3, x4 = t.narrow(x)
-    y1, y2, y3, y4 = t.narrow(y)
+    x1, x2, x3, x4 = x
+    y1, y2, y3, y4 = y
     t1 = sub(sub(sub(mul(x1, y1), mul(x2, y2)), mul(x3, y3)), mul(x4, y4))
     t2 = sub(add(add(mul(x1, y2), mul(x2, y1)), mul(x3, y4)), mul(x4, y3))
     t3 = add(add(sub(mul(x1, y3), mul(x2, y4)), mul(x3, y1)), mul(x4, y2))
     t4 = add(sub(add(mul(x1, y4), mul(x2, y3)), mul(x3, y2)), mul(x4, y1))
-    return t.wide((t1, t2, t3, t4))
+    return t1, t2, t3, t4
 
 
 class QuaternionIso:
@@ -193,6 +202,12 @@ class QuaternionIso:
         """Map 4-tuples of coefficient index arrays to entry index arrays."""
         return _linear_map_bulk(self.ring, self.entry_rows, coeffs)
 
+    def matrix_entries_narrow(self, coeffs):
+        """matrix_entries_bulk on arrays in the kernel's type, returning
+        it: the form the verify suites chain without widening."""
+        return _linear_map_narrow(self.ring.pair_tables, self.entry_rows,
+                                  coeffs)
+
     def coefficients_bulk(self, entries):
         """Map 4-tuples of entry index arrays (a11, a12, a21, a22) back to
         coefficient index arrays: the bulk form of from_mat."""
@@ -231,17 +246,22 @@ def _linear_map(rows, vec):
 
 def _linear_map_bulk(ring: Ring, rows, vec):
     """Apply a 4x4 matrix of constant ring elements to a 4-tuple of index
-    arrays.  Each product with a constant c is a gather from row c of
-    mul."""
+    arrays, returning int64."""
     t = ring.pair_tables
-    vec = t.narrow(vec)
+    return t.wide(_linear_map_narrow(t, rows, t.narrow(vec)))
+
+
+def _linear_map_narrow(t: PairTables, rows, vec):
+    """_linear_map_bulk on arrays in the kernel's type, returning it.  Each
+    product with a constant c is a gather from row c of mul; a constant 0
+    term is skipped and a constant 1 passes its array through, both exact.
+    No row of an invertible map is all zero."""
     out = []
     for row in rows:
-        acc = t.mul_by(row[0].idx, vec[0])
-        for c, v in zip(row[1:], vec[1:]):
-            acc = t.add(acc, t.mul_by(c.idx, v))
-        out.append(acc)
-    return t.wide(tuple(out))
+        terms = [v if c.idx == 1 else t.mul_by(c.idx, v)
+                 for c, v in zip(row, vec) if c.idx != 0]
+        out.append(reduce(t.add, terms))
+    return tuple(out)
 
 
 def build_iso(ring: Ring, pair=None) -> QuaternionIso:

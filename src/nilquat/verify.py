@@ -13,14 +13,15 @@ import numpy as np
 
 from .chain_ring import TABLE_SIZE_LIMIT, Ring, format_ring_spec
 from .mat2 import (DEFAULT_ENUMERATION_CAP, Mat2, classify_nilpotent,
-                   matrix_space, split_packed, top_row)
+                   classify_nilpotent_bulk, matrix_space, split_packed,
+                   top_row)
 from .nilfactor import (DEFAULT_SEED, DecompositionError, NotInOrbitUnionError,
                         census_orbit_union, census_set_product, decompose,
                         formula_count, nilpotent_count_check, pair_products,
                         product_set, rank1_union_count, sharpness_example,
                         stable_product_count, valuation_obstruction_scan)
 from .orbits import conjugate, orbit_union, shear, unit_diag
-from .quaternion import Quaternion, build_iso, coeff_product_bulk
+from .quaternion import Quaternion, build_iso, coeff_product_narrow
 
 SUITE_NAMES = ("axioms", "lemma33", "lemma34", "lemma35", "lemma36",
                "lemma37", "lemma311", "thm38", "cor310", "example39",
@@ -152,7 +153,7 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
         viol += not hit.all()
     rounds = min(2000, count)
     if S <= _PAIR_LIMIT:
-        add = ring.bulk_add
+        t = ring.pair_tables
         m = min(samples, 100_000) if count ** 2 > 1_000_000 else None
         if m is None:
             e = np.arange(count, dtype=np.int64)
@@ -161,17 +162,15 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
         else:
             xs = rng.integers(0, count, size=m)
             ys = rng.integers(0, count, size=m)
-        x, y = split_packed(xs, S), split_packed(ys, S)
-        ax = iso.matrix_entries_bulk(x)
-        by = iso.matrix_entries_bulk(y)
-        lhs = iso.matrix_entries_bulk(coeff_product_bulk(ring, x, y))
-        rhs = ring.bulk_matmul(ax, by)
+        # narrowed once; every map below stays in the kernel's type
+        x, y = t.narrow(split_packed(xs, S)), t.narrow(split_packed(ys, S))
+        phi = iso.matrix_entries_narrow
+        ax, by = phi(x), phi(y)
         checks += len(xs) * 2
-        viol += int(sum((l != r).sum() for l, r in zip(lhs, rhs)))
-        lhs_add = iso.matrix_entries_bulk(tuple(add(a, b)
-                                                for a, b in zip(x, y)))
-        rhs_add = tuple(add(a, b) for a, b in zip(ax, by))
-        viol += int(sum((l != r).sum() for l, r in zip(lhs_add, rhs_add)))
+        viol += _entry_mismatches(phi(coeff_product_narrow(t, x, y)),
+                                  t.matmul(ax, by))
+        viol += _entry_mismatches(phi(tuple(map(t.add, x, y))),
+                                  tuple(map(t.add, ax, by)))
         # round trips, one violation per sample that does not come back
         cs = rng.integers(0, S, size=(4, rounds))
         back = iso.coefficients_bulk(iso.matrix_entries_bulk(tuple(cs)))
@@ -201,6 +200,11 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
             viol += iso.to_mat(x * y) != iso.to_mat(x) * iso.to_mat(y)
             viol += iso.to_mat(x + y) != iso.to_mat(x) + iso.to_mat(y)
     return checks, viol
+
+
+def _entry_mismatches(X, Y) -> int:
+    """How many entries differ between two 4-tuples of index arrays."""
+    return sum(int(np.count_nonzero(x != y)) for x, y in zip(X, Y))
 
 
 def _axioms(ring, space, samples, seed):
@@ -237,14 +241,21 @@ def _lemma33(ring, space, samples, seed):
         drawn[rng.integers(0, space.count, size=min(samples, 100_000))] = True
         e = np.flatnonzero(drawn)
         note = f"sampled {len(e)}"
-    ent = space.unpack(e)
+    t = ring.pair_tables
+    ent = t.narrow(space.unpack(e))
     val = ring.val_table
-    crit = ((val[space.trace_indices(ent)] >= 1)
-            & (val[space.det_indices(ent)] >= 1))
-    cur = ent
-    for _ in range(2 * n - 1):
-        cur = space.matmul(cur, ent)
-    powmask = (cur[0] == 0) & (cur[1] == 0) & (cur[2] == 0) & (cur[3] == 0)
+    crit = ((np.take(val, t.trace(ent)) >= 1)
+            & (np.take(val, t.det(ent)) >= 1))
+    # A^(2n) by square-and-multiply
+    power, base, k = None, ent, 2 * n
+    while k:
+        if k & 1:
+            power = base if power is None else t.matmul(power, base)
+        k >>= 1
+        if k:
+            base = t.matmul(base, base)
+    powmask = ((power[0] == 0) & (power[1] == 0) & (power[2] == 0)
+               & (power[3] == 0))
     # independent residue-shape route over GF(q)
     f = ring.residue_field
     mt, it, nt = f.mul_table, f.inv_table, f.neg_table
@@ -258,13 +269,24 @@ def _lemma33(ring, space, samples, seed):
     shape = zero_sh | upper | lower | shape4
     checks = 2 * len(e)
     viol = int((crit != powmask).sum()) + int((crit != shape).sum())
-    # classification must reproduce its input exactly
-    nil = e[crit]
-    step = max(1, len(nil) // 1500)
-    for idx in nil[::step]:
-        A = space.matrix_from_packed(int(idx))
-        checks += 1
-        viol += classify_nilpotent(A).matrix() != A
+    # classification must reproduce its input exactly, one check a sample
+    pick = np.flatnonzero(crit)
+    pick = pick[::max(1, len(pick) // 1500)]
+    A = tuple(x[pick] for x in ent)
+    cls = classify_nilpotent_bulk(ring, A)
+    bad = np.zeros(len(pick), dtype=bool)
+    for x, y in zip(cls.matrix(), A):
+        bad |= x != y
+    # the scalar classifier agrees with the bulk one on up to 150 samples
+    for i in range(0, len(pick), max(1, -(-len(pick) // 150))):
+        got = classify_nilpotent(space.matrix_from_packed(int(e[pick[i]])))
+        bad[i] |= ((got.tag.value,
+                    *(-1 if w is None else w.idx for w in (got.u, got.v)),
+                    *(x.idx for x in got.perturbation.entries()))
+                   != (cls.tag[i], cls.u[i], cls.v[i],
+                       *(x[i] for x in cls.perturbation)))
+    checks += len(pick)
+    viol += int(bad.sum())
     if note == "exhaustive":
         enumerated, formula, ok = nilpotent_count_check(space)
         checks += 1

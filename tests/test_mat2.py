@@ -8,7 +8,8 @@ import pytest
 import nilquat
 from nilquat.chain_ring import ring_from_string
 from nilquat.mat2 import (CapExceededError, Mat2, MatrixSpace, NilTag,
-                          classify_nilpotent, companion_conjugator,
+                          classify_nilpotent, classify_nilpotent_bulk,
+                          companion_conjugator,
                           format_matrix, gl2_count, identity, load_packed,
                           matrix_space, parse_matrix, save_packed, top_row,
                           zero_matrix)
@@ -168,6 +169,29 @@ def test_classification_reconstructs_all_nilpotents(z9_space):
 def test_classify_rejects_non_nilpotent(z9):
     with pytest.raises(ValueError, match="not nilpotent"):
         classify_nilpotent(identity(z9))
+
+
+@pytest.mark.parametrize("text", ["zmod:3^2", "polyq:3^2^1", "polyq:3^1^3"])
+def test_bulk_classifier_matches_the_scalar_form(text):
+    sp = matrix_space(ring_from_string(text))
+    nil = sp.nilpotent_indices
+    entries = sp.unpack(nil)
+    cls = classify_nilpotent_bulk(sp.ring, entries)
+    assert all(np.array_equal(x, y) for x, y in zip(cls.matrix(), entries))
+    for i, k in enumerate(nil):
+        want = classify_nilpotent(sp.matrix_from_packed(int(k)))
+        assert (NilTag(cls.tag[i]),
+                *(None if w < 0 else sp.ring.from_index(int(w))
+                  for w in (cls.u[i], cls.v[i])),
+                *(int(x[i]) for x in cls.perturbation)) == \
+            (want.tag, want.u, want.v,
+             *(x.idx for x in want.perturbation.entries()))
+
+
+def test_bulk_classifier_rejects_non_nilpotent(z9):
+    nilpotent_then_identity = ([0, 1], [3, 0], [0, 0], [0, 1])
+    with pytest.raises(ValueError, match="not nilpotent"):
+        classify_nilpotent_bulk(z9, nilpotent_then_identity)
 
 
 def test_parse_format_matrix(z9):
@@ -381,3 +405,31 @@ def test_invariant_checks_survive_optimize_flag():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["refused"] * 5
+
+
+def test_bulk_classifier_checks_survive_optimize_flag():
+    # with the nilpotency test forced to pass, the identity has an
+    # impossible residue and ((1, 1), (1, 1)) over Z/9 a unit perturbation
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = (
+        "import numpy as np\n"
+        "from nilquat.chain_ring import ring_from_string\n"
+        "from nilquat.mat2 import classify_nilpotent_bulk\n"
+        "z = ring_from_string('zmod:3^2')\n"
+        "t = z.pair_tables\n"
+        "t.trace = t.det = lambda A: np.zeros_like(A[0])\n"
+        "for entries in (([1], [0], [0], [1]), ([1], [1], [1], [1])):\n"
+        "    try:\n"
+        "        classify_nilpotent_bulk(z, entries)\n"
+        "    except AssertionError as exc:\n"
+        "        print(str(exc).replace(' ', '_'))\n"
+        "    else:\n"
+        "        print('passed')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["impossible_nilpotent_residue",
+                                   "perturbation_must_lie_in_M2(J)"]

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import nilquat
 
 from nilquat.chain_ring import ring_from_string
 from nilquat.verify import SUITE_NAMES, run_suites
@@ -157,6 +163,100 @@ def test_suite_reports_match_the_golden_values(spec):
                          seed=7)
     assert [(r.suite, r.checks, r.violations, r.note)
             for r in results] == want
+
+
+# the same at n = 3, and on zmod:3^5, whose Q^2 = 59049 > 2^15 puts the
+# kernel in int32; pinned before axioms and lemma33 kept their arrays
+# narrow end to end
+_GOLDEN_NARROW = {
+    "zmod:3^3": [
+        ("axioms", 286469, 0, "exhaustive laws"),
+        ("lemma33", 183835, 0, "sampled 91072"),
+    ],
+    "zmod:3^5": [
+        ("axioms", 421161, 0, "sampled 10000 triples"),
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_GOLDEN_NARROW))
+def test_narrow_suite_reports_match_the_golden_values(spec):
+    want = _GOLDEN_NARROW[spec]
+    results = run_suites(ring_from_string(spec), [w[0] for w in want],
+                         seed=7)
+    assert [(r.suite, r.checks, r.violations, r.note)
+            for r in results] == want
+
+
+@pytest.mark.parametrize("spec", ["zmod:3^2", "polyq:3^1^3"])
+def test_lemma33_classification_counts_each_broken_sample(monkeypatch, spec):
+    import dataclasses
+
+    from nilquat import verify
+    from nilquat.mat2 import matrix_space
+    ring = ring_from_string(spec)
+    space = matrix_space(ring)
+    good = verify._lemma33(ring, space, 100_000, 7)
+    assert good.violations == 0
+    k = 7
+    bulk = verify.classify_nilpotent_bulk
+    sizes = []
+
+    def shifted(ring, entries):
+        cls = bulk(ring, entries)
+        u = cls.u.copy()
+        u[::k] = (u[::k] + 1) % ring.size
+        sizes.append(len(u))
+        return dataclasses.replace(cls, u=u)
+
+    monkeypatch.setattr(verify, "classify_nilpotent_bulk", shifted)
+    broken = verify._lemma33(ring, space, 100_000, 7)
+    assert len(sizes) == 1 and sizes[0] > 500
+    # a zero-ish sample's u of None (-1) becomes 0, which breaks it too
+    assert (broken.checks, broken.violations) == \
+        (good.checks, len(range(0, sizes[0], k)))
+
+
+def test_lemma33_with_no_draws_classifies_nothing():
+    ring = ring_from_string("polyq:5^2^1")
+    for samples, checks in ((0, 0), (1, 2)):
+        r = run_suites(ring, ("lemma33",), samples=samples, seed=7)[0]
+        assert (r.checks, r.violations, r.note) == \
+            (checks, 0, f"sampled {samples}")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_axioms_and_lemma33_memory_rise_stays_narrow():
+    # in a fresh process, after the space, its nilpotents and the kernel
+    # tables exist, the two suites raise the peak RSS by 17.5 MB on narrow
+    # arrays; widening every intermediate to int64 took 35 MB.  The peak is
+    # VmHWM, the process's own: a child's ru_maxrss starts at its
+    # launcher's peak, which under pytest hides any rise below it
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = (
+        "from nilquat.chain_ring import ring_from_string\n"
+        "from nilquat.mat2 import matrix_space\n"
+        "from nilquat.verify import run_suites\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "ring = ring_from_string('polyq:3^1^3')\n"
+        "space = matrix_space(ring)\n"
+        "space.nilpotent_indices, ring.pair_tables\n"
+        "before = peak_kib()\n"
+        "res = run_suites(ring, ('axioms', 'lemma33'), seed=7)\n"
+        "after = peak_kib()\n"
+        "assert all(r.passed for r in res)\n"
+        "print((after - before) / 1024)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < float(proc.stdout) < 25
 
 
 def test_negative_samples_are_rejected_before_any_suite(monkeypatch):
