@@ -24,8 +24,9 @@ at a time; that digit route is also the tests' oracle for the tables.
 
 Bulk arithmetic over index arrays runs through one gather kernel,
 ``PairTables``: add and mul raveled to length Q^2 in int16 (int32 once
-Q^2 passes 2^15), so a pair (a, b) is one 1-D take at a*Q + b.  The
-``bulk_*`` methods of ``Ring`` wrap it and return int64.
+Q^2 passes 2^15), so a pair (a, b) is one 1-D take at a*Q + b.  Callers
+that hand int64 results out get them from ``Ring._bulk``, the one
+narrow -> kernel -> int64 adapter.
 """
 
 from __future__ import annotations
@@ -383,7 +384,7 @@ class PairTables:
     arrays, scalars or 4-tuples of them (broadcasting) and return arrays
     of that type; narrow them first with ``narrow`` so the pair index is
     computed in it too, and ``wide`` a result to int64 before it leaves
-    the kernel's caller.  ``Ring.bulk_*`` do both.
+    the kernel's caller.  ``Ring._bulk`` does both.
     """
 
     def __init__(self, ring: "Ring"):
@@ -773,30 +774,14 @@ class Ring:
         self._require_dense()
         return PairTables(self)
 
-    # -- bulk arithmetic over index arrays, returning int64 ------------------
-    # Matrices are 4-tuples (a11, a12, a21, a22); all arguments broadcast.
-
     def _bulk(self, kernel, *args):
+        """kernel(pair_tables, *args) with every argument narrowed to the
+        kernel's type and the result widened to int64: the one adapter
+        for callers that hand bulk results out.  Arguments are index
+        arrays, scalars or 4-tuples (a11, a12, a21, a22) of them, and
+        broadcast."""
         t = self.pair_tables
         return t.wide(kernel(t, *map(t.narrow, args)))
-
-    def bulk_add(self, a, b) -> np.ndarray:
-        return self._bulk(PairTables.add, a, b)
-
-    def bulk_mul(self, a, b) -> np.ndarray:
-        return self._bulk(PairTables.mul, a, b)
-
-    def bulk_neg(self, a) -> np.ndarray:
-        return self._bulk(PairTables.neg, a)
-
-    def bulk_matmul(self, A, B) -> tuple[np.ndarray, ...]:
-        return self._bulk(PairTables.matmul, A, B)
-
-    def bulk_trace(self, A) -> np.ndarray:
-        return self._bulk(PairTables.trace, A)
-
-    def bulk_det(self, A) -> np.ndarray:
-        return self._bulk(PairTables.det, A)
 
     # the tables as nested Python lists of interned elements, which the
     # scalar operations index

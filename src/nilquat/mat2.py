@@ -8,9 +8,9 @@ integer
 
 and MatrixSpace provides vectorised kernels over whole packed ranges.
 Products, traces and determinants over index arrays are thin callers of
-the ring's shared gather kernel, ``chain_ring.PairTables`` (through
-``Ring.bulk_matmul``, ``bulk_trace`` and ``bulk_det``), which also serves
-the quaternion maps and the verify suites.
+the ring's shared gather kernel, ``chain_ring.PairTables``, through its
+one int64 adapter ``Ring._bulk``; the same kernel serves the quaternion
+maps and the verify suites.
 Nilpotency uses the chain-ring criterion trace, det in J(R); the 2n-th
 power oracle it is equivalent to lives in the test suites.  The
 four-class taxonomy of nilpotents has a scalar form, classify_nilpotent,
@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain_ring import Ring, RingElem, format_ring_spec
+from .chain_ring import PairTables, Ring, RingElem, format_ring_spec
 
 DEFAULT_ENUMERATION_CAP = 2 ** 24
 
@@ -367,13 +367,13 @@ class MatrixSpace:
     def matmul(self, A, B):
         """Product of two matrices given as 4-tuples of index arrays
         (broadcasting; scalars allowed)."""
-        return self.ring.bulk_matmul(A, B)
+        return self.ring._bulk(PairTables.matmul, A, B)
 
     def trace_indices(self, entries):
-        return self.ring.bulk_trace(entries)
+        return self.ring._bulk(PairTables.trace, entries)
 
     def det_indices(self, entries):
-        return self.ring.bulk_det(entries)
+        return self.ring._bulk(PairTables.det, entries)
 
     # -- arrays over the whole space -----------------------------------------
 

@@ -21,11 +21,13 @@ relations and that the two matrices multiply to the identity.
 Both directions also have bulk forms on index arrays, for rings with dense
 tables: matrix_entries_bulk maps coefficients to entries and
 coefficients_bulk, the bulk inverse, maps entries back to coefficients.
-Each applies the same constant rows as its scalar form, by _linear_map_bulk.
-These, coeff_product_bulk and packed_matrices_of_all run on the ring's
-shared gather kernel, ``chain_ring.PairTables``, and return int64; each
-bulk map is a narrow -> core -> wide wrapper, and the cores
-(matrix_entries_narrow, coeff_product_narrow) keep the kernel's type.
+Each applies the same constant rows as its scalar form, by the narrow core
+_linear_map_narrow on the ring's shared gather kernel,
+``chain_ring.PairTables``.  The cores (matrix_entries_narrow,
+coeff_product_narrow) keep the kernel's type; the public bulk maps and
+coeff_product_bulk wrap them in ``Ring._bulk`` and return int64.
+packed_matrices_of_all is matrix_entries_narrow on four broadcast
+coordinate axes, packed in int64.
 """
 
 from __future__ import annotations
@@ -131,8 +133,7 @@ def format_quaternion(x: Quaternion) -> str:
 
 def coeff_product_bulk(ring: Ring, x, y):
     """Hamilton product on 4-tuples of coefficient index arrays."""
-    t = ring.pair_tables
-    return t.wide(coeff_product_narrow(t, t.narrow(x), t.narrow(y)))
+    return ring._bulk(coeff_product_narrow, x, y)
 
 
 def coeff_product_narrow(t: PairTables, x, y):
@@ -217,16 +218,13 @@ class QuaternionIso:
         """Packed matrix image of every quaternion, indexed by the packed
         quaternion coordinate c1 + c2*Q + c3*Q^2 + c4*Q^3."""
         Q = self.ring.size
-        t = self.ring.pair_tables
-        mul = t.mul_flat.reshape(Q, Q)
+        c = np.arange(Q, dtype=self.ring.pair_tables.dtype)
+        # axis 3 holds c1 and axis 0 holds c4, so the C-order ravel puts c1
+        # fastest; each entry broadcasts only over the axes its row reads
+        axes = tuple(c.reshape([Q if d == 3 - k else 1 for d in range(4)])
+                     for k in range(4))
         packed = np.zeros((Q,) * 4, dtype=np.int64)
-        for pos, row in enumerate(self.entry_rows):
-            # axis 3 holds c1 and axis 0 holds c4, so the C-order ravel puts
-            # c1 fastest; each term c_t * basis entry is one row of mul
-            c1, c2, c3, c4 = (mul[c.idx] for c in row)
-            low = t.add(c2[:, None], c1[None, :])
-            low = t.add(c3[:, None, None], low[None])
-            entry = t.add(c4[:, None, None, None], low[None])
+        for pos, entry in enumerate(self.matrix_entries_narrow(axes)):
             # widen before scaling: Q^pos times an entry overflows int16
             packed += entry.astype(np.int64) * Q ** pos
         return packed.ravel()
@@ -247,8 +245,7 @@ def _linear_map(rows, vec):
 def _linear_map_bulk(ring: Ring, rows, vec):
     """Apply a 4x4 matrix of constant ring elements to a 4-tuple of index
     arrays, returning int64."""
-    t = ring.pair_tables
-    return t.wide(_linear_map_narrow(t, rows, t.narrow(vec)))
+    return ring._bulk(lambda t, v: _linear_map_narrow(t, rows, v), vec)
 
 
 def _linear_map_narrow(t: PairTables, rows, vec):

@@ -101,11 +101,9 @@ def _valuation_checks(ring: Ring, rng) -> tuple[int, int]:
     checks = viol = 0
     n, S = ring.n, ring.size
     if S <= _PAIR_LIMIT:
-        val, add, mul = ring.val_table, ring.add_table, ring.mul_table
+        val = ring.val_table
         va, vb = val[:, None], val[None, :]
-        i = np.arange(S, dtype=np.int64)
-        prod_v = val[mul[i[:, None], i[None, :]]]
-        sum_v = val[add[i[:, None], i[None, :]]]
+        prod_v, sum_v = val[ring.mul_table], val[ring.add_table]
         checks += 3 * S * S
         viol += int((prod_v != np.minimum(va + vb, n)).sum())
         viol += int((sum_v < np.minimum(va, vb)).sum())
@@ -295,21 +293,19 @@ def _lemma33(ring, space, samples, seed):
 
 
 def _lemma34(ring, space, samples, seed):
-    n, Q = ring.n, ring.size
-    val = ring.val_table
+    n, val = ring.n, ring.val_table
     mask = orbit_union(space)
-    Q2 = Q * Q
     checks = viol = 0
-    jn1 = np.flatnonzero(val >= n - 1).astype(np.int64)
+    jn1 = np.flatnonzero(val >= n - 1)
     for k in range(n):
-        ts = np.flatnonzero(val == k).astype(np.int64)
+        ts = np.flatnonzero(val == k)
         for l in range(k + 1, n + 1):
-            j1s = np.flatnonzero(val == l).astype(np.int64)
-            grid = (ts[:, None, None] + j1s[None, :, None] * Q
-                    + jn1[None, None, :] * Q2).ravel()
+            j1s = np.flatnonzero(val == l)
+            grid = space.pack(ts[:, None, None], j1s[None, :, None],
+                              jn1[None, None, :], 0).ravel()
             checks += grid.size
             viol += int((~mask[grid]).sum())
-    grid2 = (jn1[:, None] * Q + jn1[None, :] * Q2 * Q).ravel()
+    grid2 = space.pack(0, jn1[:, None], 0, jn1[None, :]).ravel()
     checks += grid2.size
     viol += int((~mask[grid2]).sum())
     return _result("lemma34", ring, checks, viol)
@@ -427,11 +423,12 @@ def _lemma311(ring, space, samples, seed):
         return _result("lemma311", ring, 0, 0, "requires a field (n = 1)")
     nil = space.nilpotent_indices
     Q = space.Q
+    t = ring.pair_tables
     viol = 0
     for _, packed in pair_products(space, nil, nil):
         # the trace reads only a11 and a22: two floor divisions, no unpack
         a11 = packed - packed // Q * Q
-        tr = ring.bulk_add(a11, packed // Q ** 3)
+        tr = t.add(t.narrow(a11), t.narrow(packed // Q ** 3))
         viol += int(((packed != 0) & (tr == 0)).sum())
     return _result("lemma311", ring, len(nil) ** 2, viol, "exhaustive pairs")
 

@@ -153,7 +153,7 @@ def test_bulk_maps_match_the_scalar_maps(spec, samples):
                           cols)
 
 
-@pytest.mark.parametrize("spec", ["zmod:3^2", "polyq:3^1^3"])
+@pytest.mark.parametrize("spec", ["zmod:3^2", "polyq:3^1^3", "zmod:5^2"])
 def test_packed_matrices_of_all_matches_the_unpacked_route(spec):
     r = ring_from_string(spec)
     iso = build_iso(r)

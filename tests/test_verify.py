@@ -217,6 +217,21 @@ def test_lemma33_classification_counts_each_broken_sample(monkeypatch, spec):
         (good.checks, len(range(0, sizes[0], k)))
 
 
+def test_lemma311_counts_each_nonzero_trace_zero_product(monkeypatch):
+    from nilquat import verify
+    from nilquat.mat2 import matrix_space
+    ring = ring_from_string("polyq:5^2^1")
+    space = matrix_space(ring)
+    Q = space.Q
+    # the zero matrix, E12, 2 E12 and E21 + E22 (trace 1): only the two
+    # nonzero trace-zero products are violations
+    block = np.array([[0, Q, 2 * Q, Q ** 2 + Q ** 3]], dtype=space.index_type)
+    monkeypatch.setattr(verify, "pair_products",
+                        lambda space, left, right: iter([(0, block)]))
+    r = verify._lemma311(ring, space, 0, 7)
+    assert (r.checks, r.violations) == (625 ** 2, 2)
+
+
 def test_lemma33_with_no_draws_classifies_nothing():
     ring = ring_from_string("polyq:5^2^1")
     for samples, checks in ((0, 0), (1, 2)):
@@ -229,7 +244,7 @@ def test_lemma33_with_no_draws_classifies_nothing():
                     reason="reads the peak RSS from /proc/self/status")
 def test_axioms_and_lemma33_memory_rise_stays_narrow():
     # in a fresh process, after the space, its nilpotents and the kernel
-    # tables exist, the two suites raise the peak RSS by 17.5 MB on narrow
+    # tables exist, the two suites raise the peak RSS by 13 MB on narrow
     # arrays; widening every intermediate to int64 took 35 MB.  The peak is
     # VmHWM, the process's own: a child's ru_maxrss starts at its
     # launcher's peak, which under pytest hides any rise below it
