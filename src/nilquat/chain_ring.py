@@ -561,6 +561,26 @@ class Ring:
             return self._mul_rows[a.idx][b.idx]
         return self._digit_mul(a, b)
 
+    @cached_property
+    def _dot(self):
+        """The function (a, b, c, d) -> a*b + c*d, the fused step of the
+        2x2 matrix arithmetic, with no ownership check: ``Mat2`` checks
+        its operands' ring once per matrix.  On a dense ring it is one
+        add-table step on the two product indices, on a larger one the
+        digit route.  The branch is taken once per ring, here, since a
+        matrix product makes four of these calls."""
+        if self._dense:
+            add, mul = self._add_rows, self._mul_rows
+
+            def dot(a, b, c, d):
+                return add[mul[a.idx][b.idx].idx][mul[c.idx][d.idx].idx]
+        else:
+            digit_add, digit_mul = self._digit_add, self._digit_mul
+
+            def dot(a, b, c, d):
+                return digit_add(digit_mul(a, b), digit_mul(c, d))
+        return dot
+
     def pow(self, a: RingElem, k: int) -> RingElem:
         if k < 0:
             raise ValueError("negative powers are not supported")
@@ -619,14 +639,16 @@ class Ring:
 
     def valuation(self, a: RingElem) -> int:
         """Largest k with a in J(R)^k; the zero element reports n."""
-        self._own(a)
+        if a.ring is not self:
+            self._own(a)
         for k, d in enumerate(a.digits):
             if d:
                 return k
         return self.n
 
     def is_unit(self, a: RingElem) -> bool:
-        self._own(a)
+        if a.ring is not self:
+            self._own(a)
         return a.digits[0] != 0
 
     def inverse(self, a: RingElem) -> RingElem:
@@ -637,7 +659,8 @@ class Ring:
         return self._digit_inverse(a)
 
     def residue(self, a: RingElem) -> int:
-        self._own(a)
+        if a.ring is not self:
+            self._own(a)
         return a.digits[0]
 
     def lift(self, f: int) -> RingElem:
@@ -779,7 +802,15 @@ class Ring:
         kernel's type and the result widened to int64: the one adapter
         for callers that hand bulk results out.  Arguments are index
         arrays, scalars or 4-tuples (a11, a12, a21, a22) of them, and
-        broadcast."""
+        broadcast.  Every index must lie in [0, size), else ValueError:
+        the kernels gather at a*Q + b with no bounds of their own, so an
+        out-of-range b would read the next row and a negative one wrap."""
+        for x in args:
+            for a in x if isinstance(x, tuple) else (x,):
+                a = np.asarray(a)
+                if a.size and (a.min() < 0 or a.max() >= self.size):
+                    raise ValueError(f"element index out of range "
+                                     f"[0, {self.size})")
         t = self.pair_tables
         return t.wide(kernel(t, *map(t.narrow, args)))
 

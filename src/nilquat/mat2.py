@@ -1,8 +1,13 @@
 """2x2 matrices over a chain ring: arithmetic, invertibility, nilpotency.
 
-Scalar matrices are small value objects built from ring elements.  The
-counting work runs over a packed integer encoding instead: a matrix is the
-integer
+A scalar matrix, ``Mat2``, is a value object over one ring's elements.
+Each entry of its arithmetic is one call into the ring: a product entry
+and a determinant are each one call of the fused primitive ``Ring._dot``
+(a*b + c*d), and sums, negation and the inverse's scaling one
+``Ring.add``/``neg``/``mul`` each.  On a ring with dense tables each such
+call is one table step on the interned elements; the choice between the
+tables and the digit route stays in ``Ring``.  The counting work runs over
+a packed integer encoding instead: a matrix is the integer
 
     idx(a11) + idx(a12)*Q + idx(a21)*Q^2 + idx(a22)*Q^3,   Q = q^n,
 
@@ -41,7 +46,12 @@ class CapExceededError(ValueError):
 
 
 class Mat2:
-    """An immutable 2x2 matrix with entries in one chain ring."""
+    """An immutable 2x2 matrix with entries in one chain ring.
+
+    The constructor checks that all four entries share one ring.  The
+    arithmetic checks the operands' ring once per matrix and builds its
+    result with ``_mat``, since every entry it computes comes from that
+    ring's own tables or digit route."""
 
     __slots__ = ("ring", "a11", "a12", "a21", "a22")
 
@@ -60,21 +70,38 @@ class Mat2:
     def entries(self) -> tuple[RingElem, RingElem, RingElem, RingElem]:
         return (self.a11, self.a12, self.a21, self.a22)
 
+    def _ring_with(self, other: "Mat2") -> Ring:
+        """The ring of both operands; ValueError if they differ."""
+        ring = self.ring
+        if not ring.same_ring(other.ring):
+            raise ValueError("matrices from different rings")
+        return ring
+
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(*(x + y for x, y in zip(self.entries(), other.entries())))
+        ring = self._ring_with(other)
+        add = ring.add
+        return _mat(ring, add(self.a11, other.a11), add(self.a12, other.a12),
+                    add(self.a21, other.a21), add(self.a22, other.a22))
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(*(x - y for x, y in zip(self.entries(), other.entries())))
+        ring = self._ring_with(other)
+        sub = ring.sub
+        return _mat(ring, sub(self.a11, other.a11), sub(self.a12, other.a12),
+                    sub(self.a21, other.a21), sub(self.a22, other.a22))
 
     def __neg__(self) -> "Mat2":
-        return Mat2(*(-x for x in self.entries()))
+        ring = self.ring
+        neg = ring.neg
+        return _mat(ring, neg(self.a11), neg(self.a12), neg(self.a21),
+                    neg(self.a22))
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        a, b = self, other
-        return Mat2(a.a11 * b.a11 + a.a12 * b.a21,
-                    a.a11 * b.a12 + a.a12 * b.a22,
-                    a.a21 * b.a11 + a.a22 * b.a21,
-                    a.a21 * b.a12 + a.a22 * b.a22)
+        ring = self._ring_with(other)
+        dot = ring._dot
+        a11, a12, a21, a22 = self.a11, self.a12, self.a21, self.a22
+        b11, b12, b21, b22 = other.a11, other.a12, other.a21, other.a22
+        return _mat(ring, dot(a11, b11, a12, b21), dot(a11, b12, a12, b22),
+                    dot(a21, b11, a22, b21), dot(a21, b12, a22, b22))
 
     def __pow__(self, k: int) -> "Mat2":
         if k < 0:
@@ -86,8 +113,10 @@ class Mat2:
 
     def __eq__(self, other):
         return (isinstance(other, Mat2) and self.ring.same_ring(other.ring)
-                and all(x.idx == y.idx
-                        for x, y in zip(self.entries(), other.entries())))
+                and self.a11.idx == other.a11.idx
+                and self.a12.idx == other.a12.idx
+                and self.a21.idx == other.a21.idx
+                and self.a22.idx == other.a22.idx)
 
     def __hash__(self):
         return hash((self.ring._key, self.packed))
@@ -103,25 +132,42 @@ class Mat2:
             + self.a11.idx
 
     def trace(self) -> RingElem:
-        return self.a11 + self.a22
+        return self.ring.add(self.a11, self.a22)
 
     def det(self) -> RingElem:
-        return self.a11 * self.a22 - self.a12 * self.a21
+        ring = self.ring
+        return ring._dot(self.a11, self.a22, ring.neg(self.a12), self.a21)
 
     def is_invertible(self) -> bool:
         return self.det().is_unit()
 
     def inverse(self) -> "Mat2":
+        """The adjugate scaled by det^-1; ValueError if det is no unit."""
+        ring = self.ring
         d = self.det()
         if not d.is_unit():
             raise ValueError("matrix is not invertible")
-        di = d.inverse()
-        return Mat2(di * self.a22, di * (-self.a12),
-                    di * (-self.a21), di * self.a11)
+        di = ring.inverse(d)
+        ndi, mul = ring.neg(di), ring.mul
+        return _mat(ring, mul(di, self.a22), mul(ndi, self.a12),
+                    mul(ndi, self.a21), mul(di, self.a11))
 
     def is_nilpotent(self) -> bool:
         """Chain-ring criterion: both trace and determinant lie in J(R)."""
         return not self.trace().is_unit() and not self.det().is_unit()
+
+
+def _mat(ring: Ring, a11: RingElem, a12: RingElem, a21: RingElem,
+         a22: RingElem) -> Mat2:
+    """A Mat2 over ``ring`` from entries its arithmetic computed, without
+    the constructor's per-entry ring check."""
+    m = object.__new__(Mat2)
+    m.ring = ring
+    m.a11 = a11
+    m.a12 = a12
+    m.a21 = a21
+    m.a22 = a22
+    return m
 
 
 def gl2_count(q: int, n: int) -> int:

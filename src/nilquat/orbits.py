@@ -125,8 +125,9 @@ def locate_in_orbit_union(space: MatrixSpace, A: Mat2) -> OrbitCertificate | Non
     """
     ring = A.ring
     zero, one = ring.zero, ring.one
+    val = ring.valuation
     cols = ((A.a11, A.a21), (A.a12, A.a22))
-    vals = [min(x.valuation() for x in col) for col in cols]
+    vals = [min(val(x), val(y)) for x, y in cols]
     k = min(vals)
     if k == ring.n:
         return OrbitCertificate(a=zero, b=zero, conjugator=identity(ring))

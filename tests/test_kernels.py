@@ -111,3 +111,22 @@ def test_space_bulk_functions_return_int64():
                space.conjugates_of(space.matrix_from_packed(5))]
     assert {o.dtype for o in outputs} == {np.dtype(np.int64)}
     assert np.array_equal(space.pack(*A), packed)
+
+
+@pytest.mark.parametrize("bad", [
+    (0, 0, 0, 9),                                   # spills into row 1
+    (-1, 0, 0, 0),                                  # wraps to the end
+    (np.array([0, 2 ** 16]), 0, 0, 0),              # wraps in int16
+])
+def test_bulk_entry_points_refuse_out_of_range_indices(bad):
+    ring = ring_from_string("zmod:3^2")
+    space, iso, ok = matrix_space(ring), build_iso(ring), (0, 1, 2, 8)
+    calls = [lambda: space.trace_indices(bad), lambda: space.det_indices(bad),
+             lambda: space.matmul(bad, ok), lambda: space.matmul(ok, bad),
+             lambda: iso.matrix_entries_bulk(bad),
+             lambda: iso.coefficients_bulk(bad),
+             lambda: coeff_product_bulk(ring, ok, bad)]
+    for call in calls:
+        with pytest.raises(ValueError, match="out of range"):
+            call()
+    assert space.trace_indices(ok) == 8 and space.det_indices(ok) == 7
