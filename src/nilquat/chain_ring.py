@@ -797,6 +797,15 @@ class Ring:
         self._require_dense()
         return PairTables(self)
 
+    def _require_indices(self, arrays):
+        """ValueError unless every element index in ``arrays`` lies in
+        [0, size)."""
+        for a in arrays:
+            a = np.asarray(a)
+            if a.size and (a.min() < 0 or a.max() >= self.size):
+                raise ValueError(f"element index out of range "
+                                 f"[0, {self.size})")
+
     def _bulk(self, kernel, *args):
         """kernel(pair_tables, *args) with every argument narrowed to the
         kernel's type and the result widened to int64: the one adapter
@@ -806,11 +815,7 @@ class Ring:
         the kernels gather at a*Q + b with no bounds of their own, so an
         out-of-range b would read the next row and a negative one wrap."""
         for x in args:
-            for a in x if isinstance(x, tuple) else (x,):
-                a = np.asarray(a)
-                if a.size and (a.min() < 0 or a.max() >= self.size):
-                    raise ValueError(f"element index out of range "
-                                     f"[0, {self.size})")
+            self._require_indices(x if isinstance(x, tuple) else (x,))
         t = self.pair_tables
         return t.wide(kernel(t, *map(t.narrow, args)))
 

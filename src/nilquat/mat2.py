@@ -20,9 +20,10 @@ Nilpotency uses the chain-ring criterion trace, det in J(R); the 2n-th
 power oracle it is equivalent to lives in the test suites.  The
 four-class taxonomy of nilpotents has a scalar form, classify_nilpotent,
 and one over index arrays, classify_nilpotent_bulk.  GL2 is the
-invertible set, det a unit.  Both tests read only residues, so the two
-masks are broadcast from one Q x Q table of residues of products; only
-the class code table is swept, one a22 slice of Q^3 matrices at a time.
+invertible set, det a unit.  Both tests read only residues, so each is a
+comparison broadcast from a Q x Q table of residues of products; the
+index sets are filled from it, and the class code table swept, one a22
+slice of Q^3 matrices at a time.
 GL2 conjugacy classes have a closed-form dense code,
 ``MatrixSpace.class_code``, and ``companion_conjugator`` takes a matrix
 to its class's companion form.
@@ -353,12 +354,18 @@ class MatrixSpace:
     """Vectorised kernels over all Q^4 packed matrices of one ring.
 
     Construction fails fast when q^(4n) exceeds the cap, so every bulk
-    array below has a known bounded size.  Each mask is one Q^4 byte
-    comparison of residues of products, res(a11 a22) against res(a12 a21),
-    with no temporary larger than the mask itself.  The class code table
-    is swept a22 slice by a22 slice, so its temporaries stay below Q^3
-    entries.  GL2 is the invertible set; nothing about it is cached beyond
-    ``invertible_mask`` and ``invertible_indices``.
+    array below has a known bounded size.  Nilpotency and invertibility
+    compare residues of products, res(a11 a22) against res(a12 a21),
+    broadcast from Q x Q tables.  The index sets, ``nilpotent_indices``,
+    ``invertible_indices`` and the product chain's S_s, are ascending
+    packed indices in ``index_type``, preallocated from per-slice counts
+    and filled one a22 slice of Q^3 matrices at a time, so none of them
+    makes a Q^4-long index array or caches a mask.  ``nilpotent_mask``
+    and ``invertible_mask``, one Q^4 byte comparison each, are cached only
+    for their own readers.  The class code table is swept a22 slice by
+    a22 slice too, so its temporaries stay below Q^3 entries.  GL2 is the
+    invertible set; ``gl_packed`` caches nothing beyond
+    ``invertible_indices``.
     """
 
     def __init__(self, ring: Ring, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -394,8 +401,9 @@ class MatrixSpace:
 
     @property
     def index_type(self):
-        """The narrowest integer type holding every packed index; arrays
-        that are only read as gather or scatter indices use it."""
+        """The narrowest integer type holding every packed index: int32
+        up to 2^31 packed matrices, so under the default cap, else int64.
+        The cached index sets and the blocks of pair products use it."""
         return np.int32 if self.count <= 2 ** 31 else np.int64
 
     def matrix_from_packed(self, idx: int) -> Mat2:
@@ -424,34 +432,71 @@ class MatrixSpace:
     # -- arrays over the whole space -----------------------------------------
 
     def _det_residues(self):
-        """res(a11 a22) and res(a12 a21) for every packed matrix, as Q x Q
-        operands broadcasting to the layout [a22, a21, a12, a11] of the
-        packed index.  The residue map is a ring homomorphism, so det A
-        lies in J exactly when the two are equal."""
+        """The Q x Q table res[x, y] = res(x y), read both as res(a11 a22)
+        at [a22, a11] and as res(a12 a21) at [a21, a12].  The residue map
+        is a ring homomorphism, so det A lies in J exactly when the two
+        are equal.  Its type also holds q, a residue no product has."""
         ring = self.ring
-        res = (ring.mul_table % ring.q).astype(np.min_scalar_type(ring.q - 1))
-        return res[:, None, None, :], res[None, :, :, None]
+        return (ring.mul_table % ring.q).astype(np.min_scalar_type(ring.q))
+
+    def _nilpotent_residues(self):
+        """(diag, off), Q x Q tables over (a22, a11) and (a21, a12), with
+        A nilpotent exactly when diag[a22, a11] == off[a21, a12]: diag is
+        res(a11 a22), or q where the trace a11 + a22 is a unit."""
+        ring = self.ring
+        res = self._det_residues()
+        trace_in_j = ring.val_table[ring.add_table] >= 1
+        return np.where(trace_in_j, res, ring.q), res
 
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
-        ring = self.ring
-        diag, off = self._det_residues()
-        mask = diag == off
-        mask &= (ring.val_table[ring.add_table] >= 1)[:, None, None, :]
-        return mask.reshape(-1)
+        diag, off = self._nilpotent_residues()
+        return (diag[:, None, None, :] == off[None, :, :, None]).reshape(-1)
 
     @cached_property
     def nilpotent_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.nilpotent_mask)
+        return self._residue_indices(*self._nilpotent_residues(), equal=True)
 
     @cached_property
     def invertible_mask(self) -> np.ndarray:
-        diag, off = self._det_residues()
-        return (diag != off).reshape(-1)
+        res = self._det_residues()
+        return (res[:, None, None, :] != res[None, :, :, None]).reshape(-1)
 
     @cached_property
     def invertible_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.invertible_mask)
+        res = self._det_residues()
+        return self._residue_indices(res, res, equal=False)
+
+    def _residue_indices(self, diag, off, equal: bool) -> np.ndarray:
+        """Ascending packed indices of the matrices with diag[a22, a11]
+        equal (or, if not ``equal``, unequal) to off[a21, a12].  Each a22
+        slice's count is the histogram of off read at that slice's diag
+        row; each slice is then compared into one reused Q^3 bool."""
+        step = self.Q ** 3
+        equal_count = np.bincount(off.ravel(), minlength=self.ring.q + 1)
+        counts = equal_count[diag].sum(axis=1)
+        if not equal:
+            counts = step - counts
+        compare = np.equal if equal else np.not_equal
+        column = off[:, :, None]
+        buf = np.empty((self.Q,) * 3, dtype=bool)
+        return self._fill_slices(counts, (compare(row, column, out=buf)
+                                          for row in diag))
+
+    def _fill_slices(self, counts, slices) -> np.ndarray:
+        """Ascending packed indices, in ``index_type``, of the matrices
+        marked in ``slices``: for each a22 in turn, a bool over its slice
+        of Q^3 matrices in packed order, marking ``counts[a22]`` of them.
+        Each slice is written straight into the preallocated result, so
+        no Q^4-long index array is made."""
+        step = self.Q ** 3
+        out = np.empty(int(np.sum(counts)), dtype=self.index_type)
+        low = np.arange(step, dtype=self.index_type)
+        end = 0
+        for a22, (k, marked) in enumerate(zip(counts, slices)):
+            np.add(low[marked.reshape(-1)], a22 * step, out=out[end:end + k])
+            end += k
+        return out
 
     @property
     def gl_packed(self) -> np.ndarray:
@@ -508,8 +553,17 @@ class MatrixSpace:
         det B mod pi^(n-j) (Avni-Onn-Prasad-Vaserstein, Comm. Algebra 37,
         2009).  The code packs (j, d0, tr B, det B); a scalar has j = n and
         code offset_n + idx(a11).  In both ring families, division by pi^j
-        is idx // q^j and reduction mod pi^m is idx mod q^m.
+        is idx // q^j and reduction mod pi^m is idx mod q^m.  Every entry
+        must lie in [0, Q), else ValueError: the tables are read at
+        a11 + Q a22 and a12 + Q a21, where an out-of-range entry would
+        read another pair's code.
         """
+        entries = tuple(np.asarray(x, dtype=np.int64) for x in entries)
+        self.ring._require_indices(entries)
+        return self._class_code(entries)
+
+    def _class_code(self, entries) -> np.ndarray:
+        """``class_code`` without the range check, for entries in range."""
         a11, a12, a21, a22 = (np.asarray(x, dtype=np.int64) for x in entries)
         diag, off = a11 + self.Q * a22, a12 + self.Q * a21
         _, moduli, diag_val, off_val, head, prod, neg_prod = self._code_tables
@@ -525,7 +579,8 @@ class MatrixSpace:
         x = np.arange(self.Q)
         out = np.empty((self.Q,) * 4, dtype=np.int32)
         for a22 in range(self.Q):
-            out[a22] = self.class_code((x, x[:, None], x[:, None, None], a22))
+            out[a22] = self._class_code((x, x[:, None], x[:, None, None],
+                                         a22))
         return out.reshape(-1)
 
     @cached_property

@@ -157,8 +157,9 @@ def pair_products(space: MatrixSpace, left: np.ndarray, right: np.ndarray):
         table *= Q * Q
         table += add[mul[a11][:, None, :], mul[a12][:, :, None]]
         table = table.reshape(len(a11), Q * Q)
-        packed = table[:, cols[0]]
-        packed += Q * table[:, cols[1]]
+        packed = table[:, cols[1]]
+        packed *= Q
+        packed += table[:, cols[0]]
         yield start, packed
 
 
@@ -178,7 +179,8 @@ def _read_only(indices: np.ndarray) -> np.ndarray:
 
 
 def product_set(space: MatrixSpace, s: int, threads: int = 1) -> np.ndarray:
-    """Sorted packed indices of every product of exactly s nilpotents.
+    """Sorted packed indices, in ``space.index_type``, of every product of
+    exactly s nilpotents.
 
     S_1 is the nilpotent set and S_s = S_{s-1} * Nil.  Both factors are
     closed under conjugation, and A N = P^-1 (r * P N P^-1) P when
@@ -204,7 +206,9 @@ def product_set(space: MatrixSpace, s: int, threads: int = 1) -> np.ndarray:
         for _, packed in pair_products(space, space.class_representatives(cur),
                                        chain[0]):
             hit[codes[packed]] = True
-        nxt = np.flatnonzero(hit[codes])
+        marked = hit[codes].reshape(space.Q, -1)
+        nxt = space._fill_slices([np.count_nonzero(m) for m in marked],
+                                 marked)
         if np.array_equal(nxt, cur):
             space._product_chain_closed = True
         else:
@@ -362,7 +366,11 @@ def _two_factor_table(space: MatrixSpace):
     """(first, reps): reps are Nil's class representatives, and first maps
     each class code to the index i * |Nil| + j of the first pair
     (reps[i], Nil[j]) whose product lies in the class, or -1.  Built once
-    per space in one pass of ``pair_products``, with no sort."""
+    per space in one pass of ``pair_products``, with no sort.  Each row
+    of a block, one representative against all of Nil, is scattered into
+    ``first`` by ``np.minimum.at``, its pair indices one shared
+    ``arange(|Nil|)`` plus the row's offset, so beside the block itself
+    no transient is longer than |Nil|."""
     table = space._two_factor_table
     if table is None:
         nil = space.nilpotent_indices
@@ -370,9 +378,10 @@ def _two_factor_table(space: MatrixSpace):
         codes = space.class_code_table
         pairs = len(reps) * len(nil)
         first = np.full(space.class_count, pairs, dtype=np.int64)
+        columns = np.arange(len(nil), dtype=np.int64)
         for start, packed in pair_products(space, reps, nil):
-            np.minimum.at(first, codes[packed].ravel(),
-                          start * len(nil) + np.arange(packed.size))
+            for i, row in enumerate(packed, start):
+                np.minimum.at(first, codes[row], columns + i * len(nil))
         first[first == pairs] = -1
         table = (first, reps)
         space._two_factor_table = table
@@ -418,7 +427,9 @@ def _decompose_two(space: MatrixSpace, A: Mat2) -> NilFactorization:
             f"determinant obstruction: det = {format_element(det)} is not "
             f"in J^2, so no two nilpotent factors exist")
     first, reps = _two_factor_table(space)
-    pair = int(first[int(space.class_code(tuple(x.idx for x in A.entries())))])
+    # A's entries are element indices, so the range check is skipped
+    code = space._class_code(tuple(x.idx for x in A.entries()))
+    pair = int(first[int(code)])
     if pair < 0:
         raise TraceObstructionError(
             "no product of two nilpotent matrices equals this matrix "

@@ -141,8 +141,59 @@ def test_gl_packed_caches_only_the_invertible_set():
     sp = MatrixSpace(ring_from_string("zmod:3^2"))
     before = set(vars(sp))
     gl = sp.gl_packed
-    assert set(vars(sp)) - before == {"invertible_mask", "invertible_indices"}
+    assert set(vars(sp)) - before == {"invertible_indices"}
     assert gl is sp.invertible_indices
+
+
+_NARROW_RINGS = ("zmod:3^2", "polyq:3^2^1", "zmod:5^2", "zmod:3^3",
+                 "polyq:7^2^1")
+
+
+@pytest.mark.parametrize("wide", (False, True), ids=("default", "int64"))
+@pytest.mark.parametrize("text", _NARROW_RINGS)
+def test_index_sets_are_ascending_in_index_type(text, wide, monkeypatch):
+    # int64 stands for a space past 2^31 packed matrices, out of reach here
+    if wide:
+        monkeypatch.setattr(MatrixSpace, "index_type",
+                            property(lambda self: np.int64))
+    sp = MatrixSpace(ring_from_string(text))
+    want = np.int64 if wide else np.int32
+    for name in ("nilpotent", "invertible"):
+        got = getattr(sp, f"{name}_indices")
+        assert f"{name}_mask" not in vars(sp)
+        assert got.dtype == sp.index_type == want
+        assert np.array_equal(got, np.flatnonzero(getattr(sp, f"{name}_mask")))
+        assert (np.diff(got) > 0).all()
+
+
+def test_index_set_build_memory_rise_stays_narrow():
+    # in a fresh process, after the ring tables of polyq:7^2^1 (5.76M
+    # matrices) exist, the nilpotent and invertible sets and the orbit
+    # union raise the peak RSS by about 29 MB; int64 sets built through
+    # cached Q^4 masks took 60 MB.  VmHWM is the process's own peak
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = (
+        "from nilquat.chain_ring import ring_from_string\n"
+        "from nilquat.mat2 import MatrixSpace\n"
+        "from nilquat.orbits import orbit_union\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "ring = ring_from_string('polyq:7^2^1')\n"
+        "ring.add_table, ring.mul_table, ring.neg_table, ring.val_table\n"
+        "space = MatrixSpace(ring)\n"
+        "before = peak_kib()\n"
+        "space.nilpotent_indices, space.invertible_indices\n"
+        "orbit_union(space)\n"
+        "print((peak_kib() - before) / 1024)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < float(proc.stdout) < 40
 
 
 def test_is_nilpotent_matches_power_criterion(z9_space):
@@ -316,6 +367,33 @@ def test_class_representatives_need_a_closed_set(z9_space):
     for bad in (nil[:-1], nil[::-1]):
         with pytest.raises(ValueError, match="closed under conjugation"):
             z9_space.class_representatives(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    (9, 0, 0, 0),                                   # reads (0, 0, 0, 1)
+    (-1, 0, 0, 0),                                  # wraps to the end
+    (0, 0, 0, 9),
+    (np.array([0, 1]), 0, np.array([2, 9]), 0),
+])
+def test_class_code_refuses_out_of_range_entries(z9_space, bad):
+    with pytest.raises(ValueError, match="out of range"):
+        z9_space.class_code(bad)
+    assert int(z9_space.class_code((8, 0, 0, 0))) == 72
+
+
+def test_class_representatives_refuse_indices_past_the_space(z9_space):
+    with pytest.raises(ValueError, match="out of range"):
+        z9_space.class_representatives(np.array([z9_space.count]))
+
+
+def test_save_packed_bytes_do_not_depend_on_index_type(z9_space, tmp_path):
+    nil = z9_space.nilpotent_indices
+    assert nil.dtype == np.int32
+    for binary in (False, True):
+        narrow, wide = tmp_path / "narrow", tmp_path / "wide"
+        save_packed(narrow, nil, binary=binary)
+        save_packed(wide, nil.astype(np.int64), binary=binary)
+        assert narrow.read_bytes() == wide.read_bytes()
 
 
 @pytest.mark.parametrize("text, classes", (

@@ -450,6 +450,56 @@ def test_decompose_two_lookup_decides_chain_s2_zmod27():
     assert 0 < _check_decompose_two(sp, s2, picks) < len(picks)
 
 
+def _two_factor_oracle(sp, reps):
+    """For each class code, the first pair index i |Nil| + j whose
+    product reps[i] Nil[j] has that code, by np.unique over each row of
+    pair products from the int64 matmul, or -1."""
+    nil = sp.nilpotent_indices
+    right = sp.unpack(nil)
+    want = np.full(sp.class_count, -1, dtype=np.int64)
+    for i, rep in enumerate(reps):
+        codes = sp.class_code(sp.matmul(sp.unpack(rep), right))
+        found, j = np.unique(codes, return_index=True)
+        new = want[found] < 0
+        want[found[new]] = i * len(nil) + j[new]
+    return want
+
+
+@pytest.mark.parametrize("text", ("zmod:5^2", "zmod:3^3"))
+def test_two_factor_table_matches_unique_oracle(text):
+    sp = MatrixSpace(ring_from_string(text))
+    first, reps = _two_factor_table(sp)
+    assert np.array_equal(reps,
+                          sp.class_representatives(sp.nilpotent_indices))
+    assert np.array_equal(first, _two_factor_oracle(sp, reps))
+
+
+_CHAIN_COUNTS = {
+    "zmod:3^2": [729, 711, 897],
+    "polyq:3^2^1": [81, 721, 801],
+    "zmod:5^2": [15625, 15425, 18145],
+    "zmod:3^3": [59049, 57591, 26001, 24273, 24225],
+    "polyq:5^2^1": [625, 15601, 16225],
+}
+
+
+@pytest.mark.parametrize("wide", (False, True), ids=("default", "int64"))
+@pytest.mark.parametrize("text", sorted(_CHAIN_COUNTS))
+def test_product_chain_sets_are_in_index_type(text, wide, monkeypatch):
+    # int64 stands for a space past 2^31 packed matrices, out of reach here
+    if wide:
+        monkeypatch.setattr(MatrixSpace, "index_type",
+                            property(lambda self: np.int64))
+    sp = MatrixSpace(ring_from_string(text))
+    counts = _CHAIN_COUNTS[text]
+    reports = [census_set_product(sp, s) for s in range(1, len(counts) + 2)]
+    assert [r.brute_count for r in reports] == counts + counts[-1:]
+    assert len(sp._product_chain) == len(counts)
+    for got in sp._product_chain:
+        assert got.dtype == sp.index_type == (np.int64 if wide else np.int32)
+        assert (np.diff(got) > 0).all()
+
+
 def test_search_hit_builds_no_gl2_data():
     sp = MatrixSpace(ring_from_string("zmod:5^2"))
     A = parse_matrix(sp.ring, "[[5,10],[0,15]]")
