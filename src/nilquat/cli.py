@@ -3,7 +3,9 @@
 Subcommands: census, decompose, verify, table.  Exit codes: 0 success,
 1 invalid input or command line, 2 enumeration cap exceeded, 3 trace
 obstruction, 4 target outside the orbit union, 5 factor not nilpotent,
-6 census mismatch or verification violations.
+6 census mismatch or verification violations.  The cap is checked where
+a command first builds Q^4 data, so work that needs none, such as most
+of ``decompose`` and the ``example39`` suite, runs on any ring.
 """
 
 from __future__ import annotations
@@ -103,33 +105,13 @@ _DECOMPOSE_KINDS = (
 )
 
 
-class _SpacePastCap:
-    """Stands in for the MatrixSpace of a ring past the enumeration cap.
-
-    ``decompose`` reads only the ring of its space, except in the s = 2
-    class-reduced search, the one route that needs Q^4 data; there any
-    other attribute raises the cap error the space would have raised.
-    """
-
-    def __init__(self, ring, error: CapExceededError):
-        self.ring = ring
-        self._error = error
-
-    def __getattr__(self, name):
-        raise self._error
-
-
 def _cmd_decompose(args) -> int:
     if args.s < 1:
         raise ValueError("s must be >= 1")
     ring = ring_from_string(args.ring)
-    try:
-        space = matrix_space(ring, args.cap)
-    except CapExceededError as exc:
-        space = _SpacePastCap(ring, exc)
     target = parse_matrix(ring, args.matrix)
     try:
-        fact = decompose(space, target, args.s)
+        fact = decompose(matrix_space(ring, args.cap), target, args.s)
     except DecompositionError as exc:
         kind, code = "decomposition-error", EXIT_USAGE
         for cls, name, c in _DECOMPOSE_KINDS:

@@ -353,30 +353,28 @@ def split_packed(packed, Q: int):
 class MatrixSpace:
     """Vectorised kernels over all Q^4 packed matrices of one ring.
 
-    Construction fails fast when q^(4n) exceeds the cap, so every bulk
-    array below has a known bounded size.  Nilpotency and invertibility
-    compare residues of products, res(a11 a22) against res(a12 a21),
-    broadcast from Q x Q tables.  The index sets, ``nilpotent_indices``,
-    ``invertible_indices`` and the product chain's S_s, are ascending
-    packed indices in ``index_type``, preallocated from per-slice counts
-    and filled one a22 slice of Q^3 matrices at a time, so none of them
-    makes a Q^4-long index array or caches a mask.  ``nilpotent_mask``
-    and ``invertible_mask``, one Q^4 byte comparison each, are cached only
-    for their own readers.  The class code table is swept a22 slice by
-    a22 slice too, so its temporaries stay below Q^3 entries.  GL2 is the
+    Construction is cheap on every ring; packing, the bulk arithmetic,
+    ``class_code`` and ``class_sizes`` read at most Q x Q tables.  Each
+    builder of Q^4-sized data (``nilpotent_indices``,
+    ``invertible_indices``, ``class_code_table``, ``orbits.orbit_union``)
+    first calls ``require_enumerable``, which refuses q^(4n) past the cap.
+    Nilpotency and invertibility compare residues of products,
+    res(a11 a22) against res(a12 a21), broadcast from Q x Q tables.  The
+    index sets, ``nilpotent_indices``, ``invertible_indices`` and the
+    product chain's S_s, are ascending packed indices in ``index_type``,
+    preallocated from per-slice counts and filled one a22 slice of Q^3
+    matrices at a time, so none of them makes a Q^4-long index array or
+    caches a mask.  The class code table is swept a22 slice by a22 slice
+    too, so its temporaries stay below Q^3 entries.  GL2 is the
     invertible set; ``gl_packed`` caches nothing beyond
     ``invertible_indices``.
     """
 
     def __init__(self, ring: Ring, cap: int = DEFAULT_ENUMERATION_CAP):
-        count = ring.size ** 4
-        if count > cap:
-            raise CapExceededError(
-                f"q^(4n) = {count} packed matrices exceed the enumeration "
-                f"cap {cap}")
         self.ring = ring
         self.Q = ring.size
-        self.count = count
+        self.count = ring.size ** 4
+        self._cap = cap
         self._union_cache: dict[str, np.ndarray] = {}
         # the first pair of nilpotents whose product lies in each class,
         # built and read by nilfactor's two-factor lookup
@@ -386,6 +384,14 @@ class MatrixSpace:
         # its first repeat, after which every later S_s is the last set
         self._product_chain: list[np.ndarray] = []
         self._product_chain_closed = False
+
+    def require_enumerable(self) -> None:
+        """Raise CapExceededError when the Q^4 packed matrices exceed the
+        cap; called before anything of that size is built."""
+        if self.count > self._cap:
+            raise CapExceededError(
+                f"q^(4n) = {self.count} packed matrices exceed the "
+                f"enumeration cap {self._cap}")
 
     def __repr__(self):
         return f"MatrixSpace({format_ring_spec(self.ring.spec)})"
@@ -449,21 +455,13 @@ class MatrixSpace:
         return np.where(trace_in_j, res, ring.q), res
 
     @cached_property
-    def nilpotent_mask(self) -> np.ndarray:
-        diag, off = self._nilpotent_residues()
-        return (diag[:, None, None, :] == off[None, :, :, None]).reshape(-1)
-
-    @cached_property
     def nilpotent_indices(self) -> np.ndarray:
+        self.require_enumerable()
         return self._residue_indices(*self._nilpotent_residues(), equal=True)
 
     @cached_property
-    def invertible_mask(self) -> np.ndarray:
-        res = self._det_residues()
-        return (res[:, None, None, :] != res[None, :, :, None]).reshape(-1)
-
-    @cached_property
     def invertible_indices(self) -> np.ndarray:
+        self.require_enumerable()
         res = self._det_residues()
         return self._residue_indices(res, res, equal=False)
 
@@ -506,12 +504,13 @@ class MatrixSpace:
     def conjugates_of(self, A: Mat2) -> np.ndarray:
         """Packed P^-1 A P for every P in GL2, in ascending P order; P^-1
         is the adjugate scaled by det^-1."""
+        gl = self.invertible_indices  # the cap before the ring's tables
         t = self.ring.pair_tables
-        P = t.narrow(self.unpack(self.invertible_indices))
+        P = t.narrow(self.unpack(gl))
         Pinv, idet = t.inverse(P)
         if (idet < 0).any():
-            raise AssertionError("invertible mask must imply unit "
-                                 "determinant")
+            raise AssertionError("invertible indices must have unit "
+                                 "determinants")
         a = t.narrow(tuple(x.idx for x in A.entries()))
         return self.pack(*t.wide(t.matmul(Pinv, t.matmul(a, P))))
 
@@ -576,6 +575,7 @@ class MatrixSpace:
         """``class_code`` of every packed index as int32, built one a22
         slice of Q^3 matrices at a time, with a21, a12 and a11 along the
         slice's three axes in that order."""
+        self.require_enumerable()
         x = np.arange(self.Q)
         out = np.empty((self.Q,) * 4, dtype=np.int32)
         for a22 in range(self.Q):

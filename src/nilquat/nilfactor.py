@@ -121,8 +121,8 @@ def _formula_or_none(q: int, n: int, s: int) -> int | None:
 
 
 def nilpotent_count_check(space: MatrixSpace) -> tuple[int, int, bool]:
-    """(enumerated nilpotents, q^(2(2n-1)), agreement flag)."""
-    enumerated = int(space.nilpotent_mask.sum())
+    """(|nilpotent_indices|, q^(2(2n-1)), agreement flag)."""
+    enumerated = len(space.nilpotent_indices)
     q, n = space.ring.q, space.ring.n
     formula = q ** (2 * (2 * n - 1))
     return enumerated, formula, enumerated == formula
@@ -451,8 +451,9 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
     closed-form factors, the trace and determinant obstructions and an
     exact lookup of A's conjugacy class (see ``_decompose_two``).  s >= 3
     goes through the orbit union witness and the constructive factor
-    chains.  Only that lookup reads the space's Q^4 data; every other
-    route uses ``space.ring`` alone.
+    chains.  Only that lookup reads the space's Q^4 data, and raises
+    CapExceededError past the space's cap; every other route uses
+    ``space.ring`` alone.
     """
     ring = space.ring
     if s < 1:

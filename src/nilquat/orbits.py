@@ -89,10 +89,12 @@ def orbit_union(space: MatrixSpace, method: str = "rank1") -> np.ndarray:
 
     ``"rank1"`` marks every u * w^T; ``"sweep"`` is the reference route
     over every conjugate of every top-row matrix.  The returned array is
-    cached on the space; treat it as read-only.
+    cached on the space; treat it as read-only.  CapExceededError past
+    the space's cap.
     """
     if method not in ("sweep", "rank1"):
         raise ValueError(f"unknown union method {method!r}")
+    space.require_enumerable()
     cached = space._union_cache.get(method)
     if cached is None:
         cached = (_union_by_sweep(space) if method == "sweep"

@@ -27,8 +27,6 @@ SUITE_NAMES = ("axioms", "lemma33", "lemma34", "lemma35", "lemma36",
                "lemma37", "lemma311", "thm38", "cor310", "example39",
                "thm312")
 
-_NEEDS_SPACE = frozenset(SUITE_NAMES) - {"axioms", "lemma35"}
-
 # Exhaustive thresholds; beyond them the suites fall back to seeded samples.
 _TRIPLE_LIMIT = 81
 _PAIR_LIMIT = TABLE_SIZE_LIMIT  # past it a ring has no dense tables
@@ -229,6 +227,7 @@ def _axioms(ring, space, samples, seed):
 # ---------------------------------------------------------------------------
 
 def _lemma33(ring, space, samples, seed):
+    space.require_enumerable()
     n, q = ring.n, ring.q
     rng = np.random.default_rng(seed)
     if space.count <= _MATRIX_LIMIT:
@@ -541,7 +540,11 @@ def run_suites(ring: Ring, names=("all",), *,
                seed: int = DEFAULT_SEED, threads: int = 1) -> list[SuiteResult]:
     """Run the named suites (or all of them) against one ring.
 
-    ``threads`` is accepted for compatibility and has no effect.
+    The suites share one space.  Past its cap, ``axioms``, ``lemma35``,
+    ``example39``, ``lemma311`` at n >= 2 and ``lemma37`` at n <= 2 read
+    no Q^4 data and run; the first suite that does raises
+    CapExceededError, which ends the run.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
@@ -556,10 +559,5 @@ def run_suites(ring: Ring, names=("all",), *,
         else:
             raise ValueError(
                 f"unknown suite {name!r}; valid: {', '.join(SUITE_NAMES)}, all")
-    space = None
-    results = []
-    for name in expanded:
-        if name in _NEEDS_SPACE and space is None:
-            space = matrix_space(ring, cap)
-        results.append(_RUNNERS[name](ring, space, samples, seed))
-    return results
+    space = matrix_space(ring, cap)
+    return [_RUNNERS[name](ring, space, samples, seed) for name in expanded]

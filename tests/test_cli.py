@@ -453,8 +453,29 @@ def test_decompose_past_the_enumeration_cap(capsys):
                            "--matrix", "[[9,0],[0,9]]", "--s", "2")
     assert code == 2
     assert "cap" in err
-    code, _, err = run_cli(capsys, "verify", "--ring", "zmod:3^5",
-                           "--suite", "all")
+    # the sharpness certificate is closed-form, so example39 runs; a suite
+    # that builds Q^4 data still ends the run with the cap error
+    code, out, _ = run_cli(capsys, "verify", "--ring", "zmod:3^5",
+                           "--suite", "example39")
+    assert code == 0
+    assert out.splitlines() == ["PASS example39 checks=3 violations=0",
+                                "ok: 1 suites"]
+    code, out, err = run_cli(capsys, "verify", "--ring", "zmod:3^5",
+                             "--suite", "all")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: q^(4n) = 3486784401 packed matrices exceed the "
+                   "enumeration cap 16777216\n")
+
+
+def test_orbit_union_census_checks_s_before_the_cap(capsys):
+    # s below the stable point is a usage error, on any ring
+    code, _, err = run_cli(capsys, "census", "--ring", "zmod:3^5", "--s", "8",
+                           "--method", "orbit-union")
+    assert code == 1
+    assert "needs s >= 9" in err
+    code, _, err = run_cli(capsys, "census", "--ring", "zmod:3^5", "--s", "9",
+                           "--method", "orbit-union")
     assert code == 2
     assert "cap" in err
 

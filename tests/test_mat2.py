@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,11 @@ from nilquat.mat2 import (CapExceededError, Mat2, MatrixSpace, NilTag,
                           format_matrix, gl2_count, identity, load_packed,
                           matrix_space, parse_matrix, save_packed, top_row,
                           zero_matrix)
-from nilquat.orbits import orbit_of
+from nilquat.nilfactor import (DEFAULT_SEED, census_orbit_union, decompose,
+                               pair_products, product_set)
+from nilquat.orbits import (locate_in_orbit_union, orbit_of, orbit_union,
+                            save_union_bitset, union_summary)
+from nilquat.verify import _lemma33
 
 
 @pytest.fixture(scope="module")
@@ -88,41 +93,38 @@ def test_invertible_counts_frozen():
         assert count == gl2_count(ring.q, ring.n)
 
 
-@pytest.mark.parametrize("text", ("polyq:3^2^1", "zmod:3^3", "polyq:3^1^3"))
+@pytest.mark.parametrize("text", ("polyq:3^2^1", "zmod:3^3", "polyq:3^1^3",
+                                  "zmod:5^2", "polyq:5^2^1"))
 def test_swept_arrays_match_their_definitions(text):
     sp = MatrixSpace(ring_from_string(text))
     val = sp.ring.val_table
     e = sp.unpack(np.arange(sp.count))
     tr, det = val[sp.trace_indices(e)], val[sp.det_indices(e)]
     for got, want, dtype in (
-            (sp.nilpotent_mask, (tr >= 1) & (det >= 1), bool),
-            (sp.invertible_mask, det == 0, bool),
+            (sp.nilpotent_indices, np.flatnonzero((tr >= 1) & (det >= 1)),
+             sp.index_type),
+            (sp.invertible_indices, np.flatnonzero(det == 0), sp.index_type),
             (sp.class_code_table, sp.class_code(e), np.int32)):
         assert got.dtype == dtype
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("text", ("zmod:5^2", "polyq:5^2^1"))
-def test_masks_match_their_definitions(text):
-    sp = MatrixSpace(ring_from_string(text))
-    val = sp.ring.val_table
-    e = sp.unpack(np.arange(sp.count))
-    tr, det = val[sp.trace_indices(e)], val[sp.det_indices(e)]
-    assert sp.nilpotent_mask.dtype == sp.invertible_mask.dtype == bool
-    assert np.array_equal(sp.nilpotent_mask, (tr >= 1) & (det >= 1))
-    assert np.array_equal(sp.invertible_mask, det == 0)
-
-
-def test_masks_past_the_cap_match_scalar_criteria():
-    # q = 9 != p and n = 2: the residue of an index is idx mod q, not mod p
+def test_index_sets_past_the_cap_match_scalar_criteria():
+    # q = 9 != p and n = 2: the residue of an index is idx mod q, not mod p.
+    # GL2 here is 151 MB of int32, so invertibility checks the residue rule
+    # that invertible_indices is filled from
     sp = MatrixSpace(ring_from_string("polyq:3^2^2"), cap=2 ** 26)
-    rng = np.random.default_rng(29)
-    for k in rng.integers(0, sp.count, size=20000):
-        A = sp.matrix_from_packed(int(k))
-        assert sp.nilpotent_mask[k] == A.is_nilpotent()
-        assert sp.invertible_mask[k] == A.is_invertible()
     nil = sp.nilpotent_indices
     assert len(nil) == 9 ** 6
+    res = sp._det_residues()
+    rng = np.random.default_rng(29)
+    ks = rng.integers(0, sp.count, size=20000)
+    a11, a12, a21, a22 = sp.unpack(ks)
+    for k, nilpotent, invertible in zip(ks, np.isin(ks, nil),
+                                        res[a22, a11] != res[a21, a12]):
+        A = sp.matrix_from_packed(int(k))
+        assert nilpotent == A.is_nilpotent()
+        assert invertible == A.is_invertible()
     for k in rng.choice(nil, size=2000, replace=False):
         assert sp.matrix_from_packed(int(k)).is_nilpotent()
 
@@ -158,11 +160,17 @@ def test_index_sets_are_ascending_in_index_type(text, wide, monkeypatch):
                             property(lambda self: np.int64))
     sp = MatrixSpace(ring_from_string(text))
     want = np.int64 if wide else np.int32
-    for name in ("nilpotent", "invertible"):
+    res = sp._det_residues()
+    for name, (diag, off), compare in (
+            ("nilpotent", sp._nilpotent_residues(), np.equal),
+            ("invertible", (res, res), np.not_equal)):
+        before = set(vars(sp))
         got = getattr(sp, f"{name}_indices")
-        assert f"{name}_mask" not in vars(sp)
+        assert set(vars(sp)) - before == {f"{name}_indices"}
         assert got.dtype == sp.index_type == want
-        assert np.array_equal(got, np.flatnonzero(getattr(sp, f"{name}_mask")))
+        # the slice-by-slice fill against one broadcast Q^4 comparison
+        marked = compare(diag[:, None, None, :], off[None, :, :, None])
+        assert np.array_equal(got, np.flatnonzero(marked))
         assert (np.diff(got) > 0).all()
 
 
@@ -266,11 +274,90 @@ def test_matrix_algebra(z9):
     assert top_row(z9.one, z9.from_int(2)) == parse_matrix(z9, "[[1,2],[0,0]]")
 
 
+_PAST_CAP = ("zmod:3^5", "zmod:3^7")  # 3^7 is past the dense tables too
+
+
 def test_enumeration_cap():
-    with pytest.raises(CapExceededError, match="cap"):
-        matrix_space(ring_from_string("zmod:3^4"))
-    with pytest.raises(CapExceededError):
-        MatrixSpace(ring_from_string("polyq:3^1^1"), cap=80)
+    # construction never refuses; the first Q^4 build does, at the cap's edge
+    sp = matrix_space(ring_from_string("zmod:3^4"))
+    with pytest.raises(CapExceededError, match="43046721 packed matrices "
+                                               "exceed the enumeration cap "
+                                               "16777216"):
+        sp.nilpotent_indices
+    ring = ring_from_string("polyq:3^1^1")
+    with pytest.raises(CapExceededError, match="cap 80"):
+        MatrixSpace(ring, cap=80).require_enumerable()
+    assert len(MatrixSpace(ring, cap=81).nilpotent_indices) == 9
+    for text in _PAST_CAP:
+        sp = MatrixSpace(ring_from_string(text))
+        assert sp.index_type == np.int64
+        k = np.array([0, 1, sp.count // 3, sp.count - 1])
+        assert np.array_equal(sp.pack(*sp.unpack(k)), k)
+
+
+_Q4_BUILDERS = {
+    "nilpotent_indices": lambda sp, path: sp.nilpotent_indices,
+    "invertible_indices": lambda sp, path: sp.invertible_indices,
+    "class_code_table": lambda sp, path: sp.class_code_table,
+    "orbit_union": lambda sp, path: orbit_union(sp),
+    "orbit_union_sweep": lambda sp, path: orbit_union(sp, "sweep"),
+    "lemma33": lambda sp, path: _lemma33(sp.ring, sp, 100, DEFAULT_SEED),
+    "conjugates_of": lambda sp, path: sp.conjugates_of(identity(sp.ring)),
+    "product_set": lambda sp, path: product_set(sp, 2),
+    "decompose_s2_lookup": lambda sp, path: decompose(
+        sp, parse_matrix(sp.ring, "[[9,0],[0,9]]"), 2),
+    "census_orbit_union": lambda sp, path: census_orbit_union(sp),
+    "union_summary": lambda sp, path: union_summary(sp),
+    "save_union_bitset": lambda sp, path: save_union_bitset(sp, path),
+}
+
+
+@pytest.mark.parametrize("name", _Q4_BUILDERS)
+@pytest.mark.parametrize("text", _PAST_CAP)
+def test_q4_builders_refuse_past_the_cap_before_building(text, name,
+                                                         tmp_path):
+    sp = MatrixSpace(ring_from_string(text))
+    path = tmp_path / "union.bits"
+    # 9I is off the union with det in J^2, so decompose reaches the s = 2
+    # lookup; checking that first also builds the ring's own tables
+    target = parse_matrix(sp.ring, "[[9,0],[0,9]]")
+    assert locate_in_orbit_union(sp, target) is None
+    assert target.det().valuation() >= 2
+    tracemalloc.start()
+    try:
+        # a CapExceededError, not the dense tables' ValueError on 3^7
+        with pytest.raises(CapExceededError,
+                           match=f"enumeration cap {2 ** 24}$"):
+            _Q4_BUILDERS[name](sp, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert not path.exists()
+    assert not sp._union_cache and not sp._product_chain
+
+
+def test_class_data_past_the_cap():
+    # packing, class codes, class sizes and pair products read at most
+    # Q^2-long tables, so they work on a space past the cap
+    sp = MatrixSpace(ring_from_string("zmod:3^5"))
+    assert int(sp.class_sizes.sum()) == sp.count
+    rng = np.random.default_rng(31)
+    A = tuple(rng.integers(0, sp.Q, size=200) for _ in range(4))
+    P = sp.matrix_from_packed(int(sp.pack(1, 5, 3, 7)))
+    assert P.is_invertible()
+    Pinv = P.inverse()
+    conj = [Pinv * sp.matrix_from_packed(int(k)) * P
+            for k in sp.pack(*A)]
+    codes = sp.class_code(A)
+    assert np.array_equal(codes, sp.class_code(sp.unpack(
+        [M.packed for M in conj])))
+    assert (codes < sp.class_count).all()
+    left, right = sp.pack(*A)[:20], sp.pack(*A)[20:50]
+    for start, packed in pair_products(sp, left, right):
+        want = sp.pack(*sp.matmul(sp.unpack(left[start:, None]),
+                                  sp.unpack(right[None, :])))
+        assert np.array_equal(packed, want[:len(packed)])
 
 
 def test_save_load_packed_text_and_binary(tmp_path, z9_space):

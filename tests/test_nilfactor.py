@@ -505,7 +505,7 @@ def test_search_hit_builds_no_gl2_data():
     A = parse_matrix(sp.ring, "[[5,10],[0,15]]")
     assert len(decompose(sp, A, 2).factors) == 2
     built = vars(sp)
-    assert "invertible_mask" not in built
+    assert "invertible_indices" not in built
 
 
 @pytest.mark.xfail(strict=True, raises=NotInOrbitUnionError,

@@ -161,7 +161,7 @@ def test_witness_and_decompose_build_no_space_data():
     assert locate_in_orbit_union(sp, A) is not None
     assert len(decompose(sp, A, 4).factors) == 4
     built = vars(sp)
-    assert "invertible_mask" not in built
+    assert "invertible_indices" not in built
     assert not sp._union_cache
 
 
