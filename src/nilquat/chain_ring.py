@@ -799,10 +799,15 @@ class Ring:
 
     def _require_indices(self, arrays):
         """ValueError unless every element index in ``arrays`` lies in
-        [0, size)."""
+        [0, size).  A plain int or numpy integer is compared as it is,
+        with no array made for it."""
         for a in arrays:
-            a = np.asarray(a)
-            if a.size and (a.min() < 0 or a.max() >= self.size):
+            if isinstance(a, (int, np.integer)):
+                bad = not 0 <= a < self.size
+            else:
+                a = np.asarray(a)
+                bad = a.size and (a.min() < 0 or a.max() >= self.size)
+            if bad:
                 raise ValueError(f"element index out of range "
                                  f"[0, {self.size})")
 

@@ -339,6 +339,19 @@ def classify_nilpotent_bulk(ring: Ring, entries) -> NilClasses:
 # the packed matrix space
 # ---------------------------------------------------------------------------
 
+# Entries per block of the blocked bulk passes: the sampled verify suites,
+# the valuation scan and ``conjugates_of``.  Their int64 temporaries are a
+# few such blocks, whatever the sample count or |GL2|.
+_BLOCK = 1 << 14
+
+
+def block_slices(total: int):
+    """Consecutive slices of range(total), each ``_BLOCK`` long but the
+    last: the block loop of the bulk passes."""
+    return (slice(start, min(start + _BLOCK, total))
+            for start in range(0, total, _BLOCK))
+
+
 def split_packed(packed, Q: int):
     """The four base-Q digits (x1, x2, x3, x4) of packed indices x1 + x2 Q
     + x3 Q^2 + x4 Q^3, as int64, by three floor divisions; numpy's %
@@ -402,6 +415,8 @@ class MatrixSpace:
         return split_packed(packed, self.Q)
 
     def pack(self, a11, a12, a21, a22):
+        """The packed index of each matrix, in int64 whatever the entries'
+        integer type."""
         Q = self.Q
         return ((np.asarray(a22, dtype=np.int64) * Q + a21) * Q + a12) * Q + a11
 
@@ -503,16 +518,21 @@ class MatrixSpace:
 
     def conjugates_of(self, A: Mat2) -> np.ndarray:
         """Packed P^-1 A P for every P in GL2, in ascending P order; P^-1
-        is the adjugate scaled by det^-1."""
+        is the adjugate scaled by det^-1.  GL2 is unpacked into the
+        kernel's type one block at a time, and each block's products are
+        packed into the int64 result."""
         gl = self.invertible_indices  # the cap before the ring's tables
         t = self.ring.pair_tables
-        P = t.narrow(self.unpack(gl))
-        Pinv, idet = t.inverse(P)
-        if (idet < 0).any():
-            raise AssertionError("invertible indices must have unit "
-                                 "determinants")
         a = t.narrow(tuple(x.idx for x in A.entries()))
-        return self.pack(*t.wide(t.matmul(Pinv, t.matmul(a, P))))
+        out = np.empty(len(gl), dtype=np.int64)
+        for block in block_slices(len(gl)):
+            P = t.narrow(self.unpack(gl[block]))
+            Pinv, idet = t.inverse(P)
+            if (idet < 0).any():
+                raise AssertionError("invertible indices must have unit "
+                                     "determinants")
+            out[block] = self.pack(*t.matmul(Pinv, t.matmul(a, P)))
+        return out
 
     # -- similarity classes ---------------------------------------------------
 
@@ -557,7 +577,7 @@ class MatrixSpace:
         a11 + Q a22 and a12 + Q a21, where an out-of-range entry would
         read another pair's code.
         """
-        entries = tuple(np.asarray(x, dtype=np.int64) for x in entries)
+        entries = tuple(entries)
         self.ring._require_indices(entries)
         return self._class_code(entries)
 

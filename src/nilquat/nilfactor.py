@@ -18,15 +18,16 @@ from time import perf_counter
 import numpy as np
 
 from .chain_ring import Ring, RingElem, format_element, format_ring_spec
-from .mat2 import (Mat2, MatrixSpace, companion_conjugator, format_matrix,
-                   identity, top_row, zero_matrix)
+from .mat2 import (Mat2, MatrixSpace, block_slices, companion_conjugator,
+                   format_matrix, identity, top_row, zero_matrix)
 from .orbits import locate_in_orbit_union, orbit_union
 
 # Any fixed constant works; this one is frozen so seeded runs reproduce.
 DEFAULT_SEED = 218184014
 
-# Keeps each block of pair_products around a few dozen MB.
-_BULK_BLOCK = 2_000_000
+# Pairs per block of pair_products: a block's int32 products and their
+# temporaries stay near a megabyte each.
+_BULK_BLOCK = 1 << 17
 
 
 class DecompositionError(ValueError):
@@ -157,19 +158,12 @@ def pair_products(space: MatrixSpace, left: np.ndarray, right: np.ndarray):
         table *= Q * Q
         table += add[mul[a11][:, None, :], mul[a12][:, :, None]]
         table = table.reshape(len(a11), Q * Q)
-        packed = table[:, cols[1]]
+        # take along axis 1 loops over the rows outside the columns, so a
+        # block of a few rows costs no more a pair than a tall one
+        packed = np.take(table, cols[1], axis=1)
         packed *= Q
-        packed += table[:, cols[0]]
+        packed += np.take(table, cols[0], axis=1)
         yield start, packed
-
-
-def _multiply_sets(space: MatrixSpace, left: np.ndarray,
-                   right: np.ndarray) -> np.ndarray:
-    """Sorted packed indices of {L * R : L in left, R in right}."""
-    mask = np.zeros(space.count, dtype=bool)
-    for _, packed in pair_products(space, left, right):
-        mask[packed] = True
-    return np.flatnonzero(mask)
 
 
 def _read_only(indices: np.ndarray) -> np.ndarray:
@@ -550,6 +544,11 @@ def valuation_obstruction_scan(space: MatrixSpace, samples: int,
     obstruction: if v(x21) >= n-1, v(x22) >= n-1 and v(x11) < v(x12) <= n-2
     then x22 must vanish exactly.
 
+    The factors of every sample are drawn in one call; the products are
+    then taken one block of samples at a time on the narrow kernel, and
+    each block packs only its violating products.  ``violations`` is
+    their sorted distinct packed indices.
+
     The hypothesis needs 2n - 3 >= 1 and a valuation gap below n - 1, so
     the scan is vacuous for n <= 2.
     """
@@ -565,13 +564,20 @@ def valuation_obstruction_scan(space: MatrixSpace, samples: int,
     rng = np.random.default_rng(seed)
     nil = space.nilpotent_indices
     picks = nil[rng.integers(0, len(nil), size=(samples, k))]
-    cur = space.unpack(picks[:, 0])
-    for t in range(1, k):
-        cur = space.matmul(cur, space.unpack(picks[:, t]))
+    t = ring.pair_tables
     val = ring.val_table
-    v11, v12, v21, v22 = (val[c] for c in cur)
-    hyp = (v21 >= n - 1) & (v22 >= n - 1) & (v11 < v12) & (v12 <= n - 2)
-    bad = hyp & (cur[3] != 0)
-    packed = space.pack(*cur)
-    return ScanReport(ring=name, samples=samples, matched=int(hyp.sum()),
-                      violations=[int(v) for v in np.unique(packed[bad])])
+    matched = 0
+    bad = []
+    for block in block_slices(samples):
+        rows = picks[block]
+        cur = t.narrow(space.unpack(rows[:, 0]))
+        for j in range(1, k):
+            cur = t.matmul(cur, t.narrow(space.unpack(rows[:, j])))
+        v11, v12, v21, v22 = (np.take(val, c) for c in cur)
+        hyp = (v21 >= n - 1) & (v22 >= n - 1) & (v11 < v12) & (v12 <= n - 2)
+        matched += int(np.count_nonzero(hyp))
+        hit = hyp & (cur[3] != 0)
+        bad.append(space.pack(*(c[hit] for c in cur)))
+    return ScanReport(ring=name, samples=samples, matched=matched,
+                      violations=[int(v)
+                                  for v in np.unique(np.concatenate(bad))])

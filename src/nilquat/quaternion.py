@@ -26,8 +26,9 @@ _linear_map_narrow on the ring's shared gather kernel,
 ``chain_ring.PairTables``.  The cores (matrix_entries_narrow,
 coeff_product_narrow) keep the kernel's type; the public bulk maps and
 coeff_product_bulk wrap them in ``Ring._bulk`` and return int64.
-packed_matrices_of_all is matrix_entries_narrow on four broadcast
-coordinate axes, packed in int64.
+packed_matrices_of_slice is matrix_entries_narrow on three broadcast
+coordinate axes and a fixed fourth coordinate, packed in int64, and
+packed_matrices_of_all joins the Q slices.
 """
 
 from __future__ import annotations
@@ -217,13 +218,20 @@ class QuaternionIso:
     def packed_matrices_of_all(self) -> np.ndarray:
         """Packed matrix image of every quaternion, indexed by the packed
         quaternion coordinate c1 + c2*Q + c3*Q^2 + c4*Q^3."""
+        return np.concatenate([self.packed_matrices_of_slice(c4)
+                               for c4 in range(self.ring.size)])
+
+    def packed_matrices_of_slice(self, c4: int) -> np.ndarray:
+        """Packed matrix image, as int64, of the Q^3 quaternions with last
+        coordinate c4, indexed by c1 + c2*Q + c3*Q^2."""
+        t = self.ring.pair_tables
         Q = self.ring.size
-        c = np.arange(Q, dtype=self.ring.pair_tables.dtype)
-        # axis 3 holds c1 and axis 0 holds c4, so the C-order ravel puts c1
+        c = np.arange(Q, dtype=t.dtype)
+        # axis 2 holds c1 and axis 0 holds c3, so the C-order ravel puts c1
         # fastest; each entry broadcasts only over the axes its row reads
-        axes = tuple(c.reshape([Q if d == 3 - k else 1 for d in range(4)])
-                     for k in range(4))
-        packed = np.zeros((Q,) * 4, dtype=np.int64)
+        axes = tuple(c.reshape([Q if d == 2 - k else 1 for d in range(3)])
+                     for k in range(3)) + (t.narrow(c4),)
+        packed = np.zeros((Q,) * 3, dtype=np.int64)
         for pos, entry in enumerate(self.matrix_entries_narrow(axes)):
             # widen before scaling: Q^pos times an entry overflows int16
             packed += entry.astype(np.int64) * Q ** pos

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_ring import TABLE_SIZE_LIMIT, Ring, format_ring_spec
-from .mat2 import (DEFAULT_ENUMERATION_CAP, Mat2, classify_nilpotent,
-                   classify_nilpotent_bulk, matrix_space, split_packed,
-                   top_row)
+from .mat2 import (DEFAULT_ENUMERATION_CAP, Mat2, block_slices,
+                   classify_nilpotent, classify_nilpotent_bulk, matrix_space,
+                   split_packed, top_row)
 from .nilfactor import (DEFAULT_SEED, DecompositionError, NotInOrbitUnionError,
                         census_orbit_union, census_set_product, decompose,
                         formula_count, nilpotent_count_check, pair_products,
@@ -142,31 +142,36 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
     S = ring.size
     count = S ** 4
     if count <= 1_000_000:
-        # Q^4 images of Q^4 quaternions: a bijection iff every matrix is hit
+        # Q^4 images of Q^4 quaternions: a bijection iff every matrix is
+        # hit; the images are scattered one c4 slice of Q^3 at a time
         hit = np.zeros(count, dtype=bool)
-        hit[iso.packed_matrices_of_all()] = True
+        for c4 in range(S):
+            hit[iso.packed_matrices_of_slice(c4)] = True
         checks += 1
         viol += not hit.all()
     rounds = min(2000, count)
     if S <= _PAIR_LIMIT:
         t = ring.pair_tables
-        m = min(samples, 100_000) if count ** 2 > 1_000_000 else None
-        if m is None:
-            e = np.arange(count, dtype=np.int64)
-            grid = np.stack(np.meshgrid(e, e, indexing="ij")).reshape(2, -1)
-            xs, ys = grid[0], grid[1]
-        else:
+        sampled = count ** 2 > 1_000_000
+        if sampled:
+            m = min(samples, 100_000)
             xs = rng.integers(0, count, size=m)
             ys = rng.integers(0, count, size=m)
-        # narrowed once; every map below stays in the kernel's type
-        x, y = t.narrow(split_packed(xs, S)), t.narrow(split_packed(ys, S))
+        else:
+            m = count * count
         phi = iso.matrix_entries_narrow
-        ax, by = phi(x), phi(y)
-        checks += len(xs) * 2
-        viol += _entry_mismatches(phi(coeff_product_narrow(t, x, y)),
-                                  t.matmul(ax, by))
-        viol += _entry_mismatches(phi(tuple(map(t.add, x, y))),
-                                  tuple(map(t.add, ax, by)))
+        checks += m * 2
+        for block in block_slices(m):
+            pair = ((xs[block], ys[block]) if sampled
+                    else _grid_block(block, count))
+            # narrowed once a block; every map below stays in the
+            # kernel's type
+            x, y = (t.narrow(split_packed(z, S)) for z in pair)
+            ax, by = phi(x), phi(y)
+            viol += _entry_mismatches(phi(coeff_product_narrow(t, x, y)),
+                                      t.matmul(ax, by))
+            viol += _entry_mismatches(phi(tuple(map(t.add, x, y))),
+                                      tuple(map(t.add, ax, by)))
         # round trips, one violation per sample that does not come back
         cs = rng.integers(0, S, size=(4, rounds))
         back = iso.coefficients_bulk(iso.matrix_entries_bulk(tuple(cs)))
@@ -198,6 +203,13 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
     return checks, viol
 
 
+def _grid_block(block: slice, count: int):
+    """(i // count, i % count) for the pairs i of one block: a block of
+    the row-major grid of every pair from range(count)."""
+    return np.divmod(np.arange(block.start, block.stop, dtype=np.int64),
+                     count)
+
+
 def _entry_mismatches(X, Y) -> int:
     """How many entries differ between two 4-tuples of index arrays."""
     return sum(int(np.count_nonzero(x != y)) for x, y in zip(X, Y))
@@ -226,20 +238,13 @@ def _axioms(ring, space, samples, seed):
 # the nilpotency equivalences
 # ---------------------------------------------------------------------------
 
-def _lemma33(ring, space, samples, seed):
-    space.require_enumerable()
+def _lemma33_criteria(ring, t, ent):
+    """(crit, disagreements) for the matrices ``ent``, a 4-tuple of entry
+    arrays in the kernel's type: crit is the nilpotency criterion (trace
+    and det in J), and each of the two independent routes, A^(2n) = 0 and
+    the residue shape, counts one disagreement per matrix where it differs
+    from crit."""
     n, q = ring.n, ring.q
-    rng = np.random.default_rng(seed)
-    if space.count <= _MATRIX_LIMIT:
-        e = np.arange(space.count, dtype=np.int64)
-        note = "exhaustive"
-    else:
-        drawn = np.zeros(space.count, dtype=bool)
-        drawn[rng.integers(0, space.count, size=min(samples, 100_000))] = True
-        e = np.flatnonzero(drawn)
-        note = f"sampled {len(e)}"
-    t = ring.pair_tables
-    ent = t.narrow(space.unpack(e))
     val = ring.val_table
     crit = ((np.take(val, t.trace(ent)) >= 1)
             & (np.take(val, t.det(ent)) >= 1))
@@ -264,12 +269,33 @@ def _lemma33(ring, space, samples, seed):
     shape4 = ((r11 != 0) & (r12 != 0) & (r22 == nt[r11])
               & (r21 == mt[mt[it[v], u], u]))
     shape = zero_sh | upper | lower | shape4
-    checks = 2 * len(e)
-    viol = int((crit != powmask).sum()) + int((crit != shape).sum())
+    return crit, (int(np.count_nonzero(crit != powmask))
+                  + int(np.count_nonzero(crit != shape)))
+
+
+def _lemma33(ring, space, samples, seed):
+    space.require_enumerable()
+    rng = np.random.default_rng(seed)
+    if space.count <= _MATRIX_LIMIT:
+        e = np.arange(space.count, dtype=np.int64)
+        note = "exhaustive"
+    else:
+        drawn = np.zeros(space.count, dtype=bool)
+        drawn[rng.integers(0, space.count, size=min(samples, 100_000))] = True
+        e = np.flatnonzero(drawn)
+        note = f"sampled {len(e)}"
+    t = ring.pair_tables
+    # the criteria one block of samples at a time, in the kernel's type
+    crit = np.empty(len(e), dtype=bool)
+    checks, viol = 2 * len(e), 0
+    for block in block_slices(len(e)):
+        crit[block], v = _lemma33_criteria(ring, t,
+                                           t.narrow(space.unpack(e[block])))
+        viol += v
     # classification must reproduce its input exactly, one check a sample
     pick = np.flatnonzero(crit)
     pick = pick[::max(1, len(pick) // 1500)]
-    A = tuple(x[pick] for x in ent)
+    A = t.narrow(space.unpack(e[pick]))
     cls = classify_nilpotent_bulk(ring, A)
     bad = np.zeros(len(pick), dtype=bool)
     for x, y in zip(cls.matrix(), A):
@@ -393,21 +419,36 @@ def _lemma35_bulk(ring, triples, pairs, alphas) -> int:
 
 
 def _lemma36(ring, space, samples, seed):
+    """A member of the orbit union times any matrix stays in the union:
+    every (member, matrix) pair when there are at most 10^6 of them, pair
+    i being (members[i // Q^4], i % Q^4), else up to 100,000 sampled
+    pairs.  The pairs are unpacked, multiplied on the narrow kernel and
+    looked up in the union mask one block at a time; only ``pack``
+    widens to int64."""
     mask = orbit_union(space)
     members = np.flatnonzero(mask)
-    if len(members) * space.count <= 1_000_000:
-        a = np.repeat(members, space.count)
-        b = np.tile(np.arange(space.count, dtype=np.int64), len(members))
-        note = "exhaustive"
-    else:
+    count = space.count
+    sampled = len(members) * count > 1_000_000
+    if sampled:
         rng = np.random.default_rng(seed)
         m = min(samples, 100_000)
         a = members[rng.integers(0, len(members), size=m)]
-        b = rng.integers(0, space.count, size=m)
-        note = f"sampled {len(a)}"
-    prod = space.matmul(space.unpack(a), space.unpack(b))
-    viol = int((~mask[space.pack(*prod)]).sum())
-    return _result("lemma36", ring, len(a), viol, note)
+        b = rng.integers(0, count, size=m)
+        note = f"sampled {m}"
+    else:
+        m = len(members) * count
+        note = "exhaustive"
+    t = ring.pair_tables
+    viol = 0
+    for block in block_slices(m):
+        if sampled:
+            x, y = a[block], b[block]
+        else:
+            i, y = _grid_block(block, count)
+            x = members[i]
+        prod = t.matmul(t.narrow(space.unpack(x)), t.narrow(space.unpack(y)))
+        viol += int(np.count_nonzero(~mask[space.pack(*prod)]))
+    return _result("lemma36", ring, m, viol, note)
 
 
 def _lemma37(ring, space, samples, seed):

@@ -139,6 +139,29 @@ def test_conjugates_of_matches_scalar_conjugation(z9_space):
         assert int(conj[i]) == (P.inverse() * A * P).packed
 
 
+def test_conjugates_of_runs_in_blocks_of_bounded_memory():
+    # |GL2| = 300,000 on zmod:5^2 (1.2 MB as int32): unpacking all of it
+    # into int64 at once peaked at 19.2 MB under tracemalloc, blocks of the
+    # kernel's type beside the 2.4 MB int64 result stay under 5 MB
+    sp = matrix_space(ring_from_string("zmod:5^2"))
+    gl = sp.invertible_indices
+    A = parse_matrix(sp.ring, "[[1,2],[3,4]]")
+    tracemalloc.start()
+    try:
+        conj = sp.conjugates_of(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    assert conj.dtype == np.int64 and len(conj) == len(gl)
+    # the first and last P of a block and of the whole set, and a sample
+    seams = [k * 2 ** 14 + d for k in range(1, 4) for d in (-1, 0)]
+    rng = np.random.default_rng(29)
+    for i in [0, len(gl) - 1, *seams, *rng.integers(0, len(gl), size=20)]:
+        P = sp.matrix_from_packed(int(gl[i]))
+        assert int(conj[i]) == (P.inverse() * A * P).packed
+
+
 def test_gl_packed_caches_only_the_invertible_set():
     sp = MatrixSpace(ring_from_string("zmod:3^2"))
     before = set(vars(sp))
@@ -461,11 +484,25 @@ def test_class_representatives_need_a_closed_set(z9_space):
     (-1, 0, 0, 0),                                  # wraps to the end
     (0, 0, 0, 9),
     (np.array([0, 1]), 0, np.array([2, 9]), 0),
+    (np.int64(9), 0, 0, 0),                         # numpy scalars
+    (0, np.int32(-1), 0, 0),
+    (0, 0, 2 ** 70, 0),                             # past int64 too
 ])
 def test_class_code_refuses_out_of_range_entries(z9_space, bad):
     with pytest.raises(ValueError, match="out of range"):
         z9_space.class_code(bad)
     assert int(z9_space.class_code((8, 0, 0, 0))) == 72
+
+
+def test_class_code_of_scalars_matches_the_array_route(z9_space):
+    # plain ints take the scalar range check, numpy scalars and 0-d arrays
+    # the array one; all three give the code of the length-1 arrays
+    rng = np.random.default_rng(41)
+    for entries in rng.integers(0, 9, size=(50, 4)):
+        want = z9_space.class_code(tuple(entries[:, None]))
+        for kind in (int, np.int16, np.asarray):
+            got = z9_space.class_code(tuple(kind(x) for x in entries))
+            assert np.shape(got) == () and got == want[0]
 
 
 def test_class_representatives_refuse_indices_past_the_space(z9_space):

@@ -11,8 +11,7 @@ from nilquat.mat2 import (Mat2, MatrixSpace, gl2_count, identity,
                           matrix_space, parse_matrix, top_row, zero_matrix)
 from nilquat.nilfactor import (DEFAULT_SEED, NilFactorization,
                                NotInOrbitUnionError, NotNilpotentError,
-                               TraceObstructionError, _multiply_sets,
-                               _two_factor_table,
+                               TraceObstructionError, _two_factor_table,
                                census_formula_only, census_orbit_union,
                                census_set_product, decompose, formula_count,
                                nilpotent_count_check, pair_products,
@@ -21,6 +20,16 @@ from nilquat.nilfactor import (DEFAULT_SEED, NilFactorization,
                                stable_product_count,
                                valuation_obstruction_scan)
 from nilquat.orbits import orbit_union
+
+
+def _multiply_sets(space, left, right):
+    """Sorted packed indices of {L * R : L in left, R in right}: the
+    brute-force product oracle, every pair multiplied with no class
+    reduction."""
+    mask = np.zeros(space.count, dtype=bool)
+    for _, packed in pair_products(space, left, right):
+        mask[packed] = True
+    return np.flatnonzero(mask)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ import pytest
 import nilquat
 
 from nilquat.chain_ring import ring_from_string
+from nilquat.orbits import orbit_union
 from nilquat.verify import SUITE_NAMES, run_suites
 
 
@@ -69,8 +70,18 @@ def test_iso_bijection_check_counts_a_missed_matrix(monkeypatch):
     from nilquat.quaternion import QuaternionIso
     r = ring_from_string("zmod:3^1")
     assert verify._iso_checks(r, np.random.default_rng(0), 100)[1] == 0
-    monkeypatch.setattr(QuaternionIso, "packed_matrices_of_all",
-                        lambda self: np.zeros(81, dtype=np.int64))
+    image = QuaternionIso.packed_matrices_of_slice
+
+    def one_missed(self, c4):
+        # the last slice maps its first quaternion onto its second's image,
+        # so exactly one matrix is never hit
+        packed = image(self, c4).copy()
+        if c4 == self.ring.size - 1:
+            packed[0] = packed[1]
+        return packed
+
+    monkeypatch.setattr(QuaternionIso, "packed_matrices_of_slice",
+                        one_missed)
     assert verify._iso_checks(r, np.random.default_rng(0), 100)[1] == 1
 
 
@@ -172,6 +183,9 @@ _GOLDEN_NARROW = {
     "zmod:3^3": [
         ("axioms", 286469, 0, "exhaustive laws"),
         ("lemma33", 183835, 0, "sampled 91072"),
+        ("lemma36", 100000, 0, "sampled 100000"),
+        ("lemma37", 100000, 0, "matched hypothesis 467 times"),
+        ("lemma311", 0, 0, "requires a field (n = 1)"),
     ],
     "zmod:3^5": [
         ("axioms", 421161, 0, "sampled 10000 triples"),
@@ -186,6 +200,56 @@ def test_narrow_suite_reports_match_the_golden_values(spec):
                          seed=7)
     assert [(r.suite, r.checks, r.violations, r.note)
             for r in results] == want
+
+
+_BLOCKED_SUITES = ("axioms", "lemma33", "lemma36", "lemma37", "lemma311")
+
+
+@pytest.mark.parametrize("spec", ["polyq:3^1^3", "polyq:5^2^1", "zmod:3^3"])
+def test_blocked_suites_match_the_golden_values_at_small_blocks(monkeypatch,
+                                                                spec):
+    # blocks of 1000 samples and of 1000 pairs put many block seams inside
+    # every sampled suite; the reports stay the golden ones
+    from nilquat import mat2, nilfactor
+    monkeypatch.setattr(mat2, "_BLOCK", 1000)
+    monkeypatch.setattr(nilfactor, "_BULK_BLOCK", 1000)
+    want = [w for w in _GOLDEN.get(spec, []) + _GOLDEN_NARROW.get(spec, [])
+            if w[0] in _BLOCKED_SUITES]
+    assert sorted(w[0] for w in want) == sorted(_BLOCKED_SUITES)
+    results = run_suites(ring_from_string(spec), [w[0] for w in want],
+                         seed=7)
+    assert [(r.suite, r.checks, r.violations, r.note)
+            for r in results] == want
+
+
+@pytest.mark.parametrize("spec, samples, note", [
+    ("polyq:3^1^1", 0, "exhaustive"), ("zmod:3^2", 3000, "sampled 3000")])
+def test_lemma36_counts_each_product_outside_a_broken_union(
+        monkeypatch, spec, samples, note):
+    # with every fifth member dropped from the union, each pair whose
+    # product lands outside it is one violation, across block seams
+    from nilquat import mat2, verify
+    from nilquat.mat2 import matrix_space
+    ring = ring_from_string(spec)
+    space = matrix_space(ring)
+    broken = orbit_union(space).copy()
+    broken[np.flatnonzero(broken)[::5]] = False
+    monkeypatch.setattr(verify, "orbit_union", lambda space: broken)
+    monkeypatch.setattr(mat2, "_BLOCK", 1000)
+    members = np.flatnonzero(broken)
+    if note == "exhaustive":
+        pairs = [(a, b) for a in members for b in range(space.count)]
+    else:
+        rng = np.random.default_rng(7)
+        a = members[rng.integers(0, len(members), size=samples)]
+        pairs = list(zip(a, rng.integers(0, space.count, size=samples)))
+    assert len(pairs) > 2000
+    want = sum(not broken[(space.matrix_from_packed(int(a))
+                           * space.matrix_from_packed(int(b))).packed]
+               for a, b in pairs)
+    r = verify._lemma36(ring, space, samples, 7)
+    assert (r.checks, r.violations, r.note) == (len(pairs), want, note)
+    assert want > 0
 
 
 @pytest.mark.parametrize("spec", ["zmod:3^2", "polyq:3^1^3"])
@@ -240,14 +304,12 @@ def test_lemma33_with_no_draws_classifies_nothing():
             (checks, 0, f"sampled {samples}")
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads the peak RSS from /proc/self/status")
-def test_axioms_and_lemma33_memory_rise_stays_narrow():
-    # in a fresh process, after the space, its nilpotents and the kernel
-    # tables exist, the two suites raise the peak RSS by 13 MB on narrow
-    # arrays; widening every intermediate to int64 took 35 MB.  The peak is
-    # VmHWM, the process's own: a child's ru_maxrss starts at its
-    # launcher's peak, which under pytest hides any rise below it
+def _suite_peak_rise_mb(spec, suites, setup):
+    """The rise of VmHWM, the process's own peak RSS, in MB while
+    ``suites`` run in a fresh process, after the space and what ``setup``
+    (an expression over ``ring`` and ``space``) reads are built.  A
+    child's ru_maxrss starts at its launcher's peak, which under pytest
+    hides any rise below it."""
     src = os.path.dirname(os.path.dirname(nilquat.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -255,23 +317,50 @@ def test_axioms_and_lemma33_memory_rise_stays_narrow():
     code = (
         "from nilquat.chain_ring import ring_from_string\n"
         "from nilquat.mat2 import matrix_space\n"
+        "from nilquat.orbits import orbit_union\n"
         "from nilquat.verify import run_suites\n"
         "def peak_kib():\n"
         "    with open('/proc/self/status') as fh:\n"
         "        return next(int(line.split()[1]) for line in fh\n"
         "                    if line.startswith('VmHWM:'))\n"
-        "ring = ring_from_string('polyq:3^1^3')\n"
+        f"ring = ring_from_string({spec!r})\n"
         "space = matrix_space(ring)\n"
-        "space.nilpotent_indices, ring.pair_tables\n"
+        f"{setup}\n"
         "before = peak_kib()\n"
-        "res = run_suites(ring, ('axioms', 'lemma33'), seed=7)\n"
+        f"res = run_suites(ring, {tuple(suites)!r}, seed=7)\n"
         "after = peak_kib()\n"
-        "assert all(r.passed for r in res)\n"
+        "assert all(r.passed and r.checks for r in res)\n"
         "print((after - before) / 1024)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert 0 < float(proc.stdout) < 25
+    return float(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_axioms_and_lemma33_memory_rise_stays_narrow():
+    # in a fresh process, after the space, its nilpotents and the kernel
+    # tables exist, the two suites raise the peak RSS by 8 MB in blocks of
+    # narrow arrays and by 13 MB on whole-sample ones; widening every
+    # intermediate to int64 took 35 MB
+    rise = _suite_peak_rise_mb("polyq:3^1^3", ("axioms", "lemma33"),
+                               "space.nilpotent_indices, ring.pair_tables")
+    assert 0 < rise < 25
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+@pytest.mark.parametrize("spec, suites, bound", [
+    ("polyq:3^1^3", ("lemma36", "lemma37"), 13),
+    ("polyq:5^2^1", ("lemma311",), 7)])
+def test_blocked_suites_memory_rise_stays_bounded(spec, suites, bound):
+    # with the union built, these suites raised the peak RSS by 18 MB and
+    # 11 MB while they held every draw, or every pair, as int64 at once;
+    # in fixed blocks about 8 and 4 MB
+    rise = _suite_peak_rise_mb(spec, suites, "space.nilpotent_indices, "
+                               "ring.pair_tables, orbit_union(space)")
+    assert 0 < rise < bound
 
 
 def test_negative_samples_are_rejected_before_any_suite(monkeypatch):
