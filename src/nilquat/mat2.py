@@ -374,12 +374,12 @@ class MatrixSpace:
     Nilpotency and invertibility compare residues of products,
     res(a11 a22) against res(a12 a21), broadcast from Q x Q tables.  The
     index sets, ``nilpotent_indices``, ``invertible_indices`` and the
-    product chain's S_s, are ascending packed indices in ``index_type``,
-    preallocated from per-slice counts and filled one a22 slice of Q^3
-    matrices at a time, so none of them makes a Q^4-long index array or
-    caches a mask.  The class code table is swept a22 slice by a22 slice
-    too, so its temporaries stay below Q^3 entries.  GL2 is the
-    invertible set; ``gl_packed`` caches nothing beyond
+    packed S_s of ``nilfactor.product_set``, are ascending packed indices
+    in ``index_type``, preallocated from per-slice counts and filled one
+    a22 slice of Q^3 matrices at a time, so none of them makes a Q^4-long
+    index array or caches a mask.  The class code table is swept a22
+    slice by a22 slice too, so its temporaries stay below Q^3 entries.
+    GL2 is the invertible set; ``gl_packed`` caches nothing beyond
     ``invertible_indices``.
     """
 
@@ -389,13 +389,9 @@ class MatrixSpace:
         self.count = ring.size ** 4
         self._cap = cap
         self._union_cache: dict[str, np.ndarray] = {}
-        # the first pair of nilpotents whose product lies in each class,
-        # built and read by nilfactor's two-factor lookup
-        self._two_factor_table: tuple | None = None
-        # the product chain S_1 = Nil, S_2, ... as read-only sorted packed
-        # indices, filled on demand by nilfactor.product_set and closed at
-        # its first repeat, after which every later S_s is the last set
-        self._product_chain: list[np.ndarray] = []
+        # the product chain S_1 = Nil, S_2, ... as nilfactor's class-level
+        # steps, extended on demand and closed at its first repeated set
+        self._product_chain: list = []
         self._product_chain_closed = False
 
     def require_enumerable(self) -> None:

@@ -1,9 +1,9 @@
 """Products of nilpotent 2x2 matrices: censuses, counting formula,
 certified decompositions, sharpness witnesses.
 
-The census routes are independent by construction: ``product_set`` builds
-the exact set of s-fold products bottom-up over the packed encoding, one
-GL2 conjugacy class at a time, while ``rank1_union_count`` and
+The census routes are independent by construction: the product chain
+builds the exact sets of s-fold products bottom-up, as GL2 conjugacy
+classes with one witness pair each, while ``rank1_union_count`` and
 ``formula_count`` evaluate closed-form counts and ``orbit_union``
 measures the conjugation-orbit union.  Agreement between them is what the
 verification suites assert; nothing here short-circuits one route through
@@ -172,42 +172,68 @@ def _read_only(indices: np.ndarray) -> np.ndarray:
     return view
 
 
-def product_set(space: MatrixSpace, s: int, threads: int = 1) -> np.ndarray:
-    """Sorted packed indices, in ``space.index_type``, of every product of
-    exactly s nilpotents.
+@dataclass
+class _ChainStep:
+    """S_s as classes: ``classes`` marks their codes, ``size`` is |S_s|,
+    ``packed`` is S_s once requested, and ``factors`` holds one packed
+    member of each class, the next step's left factors.  For s >= 2 they
+    are left[i] Nil[j] in code order, i |Nil| + j being ``first``[code]."""
 
-    S_1 is the nilpotent set and S_s = S_{s-1} * Nil.  Both factors are
-    closed under conjugation, and A N = P^-1 (r * P N P^-1) P when
-    A = P^-1 r P, so S_s is the conjugation closure of reps(S_{s-1}) * Nil:
-    only ``MatrixSpace.class_representatives`` are multiplied, and each
-    product marks its class code.  The sets are not monotone in s, but
-    S_s = S_{s-1} forces every later set, so the chain stops there.
+    classes: np.ndarray
+    size: int
+    factors: np.ndarray
+    packed: np.ndarray | None = None
+    first: np.ndarray | None = None
 
-    The chain is cached on the space and extended only as far as s or its
-    fixed point, so each step is multiplied once per space; the returned
-    array is that cached set, read-only.  ``threads`` is accepted for
-    compatibility and has no effect.
-    """
+
+def _chain_step(space: MatrixSpace, s: int) -> _ChainStep:
+    """S_s from the product chain cached on ``space``, extended as far as s
+    or its fixed point.  S_s = S_{s-1} * Nil is closed under conjugation,
+    so it is the closure of L * Nil, L one member per class of S_{s-1}.  A
+    step records each class's first pair (-1 if none) in one pass of
+    ``pair_products`` by ``np.minimum.at``.  Equal classes twice in a row
+    force every later set, so the chain stops there."""
     if s < 1:
         raise ValueError("s must be at least 1")
     chain = space._product_chain
+    nil = space.nilpotent_indices
+    codes = space.class_code_table
     if not chain:
-        chain.append(_read_only(space.nilpotent_indices))
+        reps = space.class_representatives(nil)
+        classes = np.bincount(codes[reps], minlength=space.class_count) > 0
+        chain.append(_ChainStep(classes, len(nil), reps, _read_only(nil)))
     while len(chain) < s and not space._product_chain_closed:
-        cur = chain[-1]
-        codes = space.class_code_table
-        hit = np.zeros(space.class_count, dtype=bool)
-        for _, packed in pair_products(space, space.class_representatives(cur),
-                                       chain[0]):
-            hit[codes[packed]] = True
-        marked = hit[codes].reshape(space.Q, -1)
-        nxt = space._fill_slices([np.count_nonzero(m) for m in marked],
-                                 marked)
-        if np.array_equal(nxt, cur):
+        left = chain[-1].factors
+        pairs = len(left) * len(nil)
+        first = np.full(space.class_count, pairs, dtype=np.int64)
+        columns = np.arange(len(nil), dtype=np.int64)
+        for start, packed in pair_products(space, left, nil):
+            for i, row in enumerate(packed, start):
+                np.minimum.at(first, codes[row], columns + i * len(nil))
+        classes = first < pairs
+        if np.array_equal(classes, chain[-1].classes):
             space._product_chain_closed = True
-        else:
-            chain.append(_read_only(nxt))
+            break
+        first[~classes] = -1
+        i, j = np.divmod(first[classes], len(nil))
+        factors = space.pack(*space.matmul(space.unpack(left[i]),
+                                           space.unpack(nil[j])))
+        chain.append(_ChainStep(classes, int(space.class_sizes[classes].sum()),
+                                factors, first=first))
     return chain[min(s, len(chain)) - 1]
+
+
+def product_set(space: MatrixSpace, s: int, threads: int = 1) -> np.ndarray:
+    """Sorted packed indices, in ``space.index_type``, of every product of
+    exactly s nilpotents: filled from S_s's classes in the cached product
+    chain on the first request, one a22 slice at a time, and cached with
+    them, so it is returned read-only.  ``threads`` has no effect."""
+    step = _chain_step(space, s)
+    if step.packed is None:
+        marked = step.classes[space.class_code_table].reshape(space.Q, -1)
+        step.packed = _read_only(space._fill_slices(
+            [np.count_nonzero(m) for m in marked], marked))
+    return step.packed
 
 
 @dataclass
@@ -248,12 +274,12 @@ def census_set_product(space: MatrixSpace, s: int,
     """Count s-fold nilpotent products exactly and compare with the
     closed-form count (absent when s < 2n - 1).
 
-    The count reads the product chain cached on ``space``, so
-    ``elapsed_ms`` is the cost of this call: the chain steps it had to
-    add, and a lookup once the chain reaches s or its fixed point.
+    The count is the class-size sum kept with S_s in the product chain
+    cached on ``space``, so ``elapsed_ms`` is the cost of this call: the
+    chain steps it had to add, or a lookup; no packed set is built.
     """
     t0 = perf_counter()
-    brute = len(product_set(space, s, threads))
+    brute = _chain_step(space, s).size
     return _census_report(space.ring, s, brute, "set-product",
                           (perf_counter() - t0) * 1000.0)
 
@@ -356,40 +382,14 @@ def _top_row_factors(ring: Ring, a: RingElem, b: RingElem,
     return [E, F] * ((s - len(chain)) // 2) + chain
 
 
-def _two_factor_table(space: MatrixSpace):
-    """(first, reps): reps are Nil's class representatives, and first maps
-    each class code to the index i * |Nil| + j of the first pair
-    (reps[i], Nil[j]) whose product lies in the class, or -1.  Built once
-    per space in one pass of ``pair_products``, with no sort.  Each row
-    of a block, one representative against all of Nil, is scattered into
-    ``first`` by ``np.minimum.at``, its pair indices one shared
-    ``arange(|Nil|)`` plus the row's offset, so beside the block itself
-    no transient is longer than |Nil|."""
-    table = space._two_factor_table
-    if table is None:
-        nil = space.nilpotent_indices
-        reps = space.class_representatives(nil)
-        codes = space.class_code_table
-        pairs = len(reps) * len(nil)
-        first = np.full(space.class_count, pairs, dtype=np.int64)
-        columns = np.arange(len(nil), dtype=np.int64)
-        for start, packed in pair_products(space, reps, nil):
-            for i, row in enumerate(packed, start):
-                np.minimum.at(first, codes[row], columns + i * len(nil))
-        first[first == pairs] = -1
-        table = (first, reps)
-        space._two_factor_table = table
-    return table
-
-
 def _decompose_two(space: MatrixSpace, A: Mat2) -> NilFactorization:
     """A as N1 N2, decided exactly, in this order: the zero matrix; the
     trace obstruction (a nonzero residue of trace zero); closed-form
     factors for orbit-union members; the determinant obstruction (det A
-    outside J^2); then the lookup of A's class among the products of two
-    nilpotents, whose failure is an exhaustive refusal: if A = N1 N2 and
-    N1 = P^-1 n P, then P A P^-1 = n (P N2 P^-1), so S_2 is a union of
-    classes, each reached by a pair (n, N) with n a representative.
+    outside J^2); then the lookup of A's class in the first-pair record of
+    the chain's S_2 step, whose failure is an exhaustive refusal: if
+    A = N1 N2 and N1 = P^-1 n P, then P A P^-1 = n (P N2 P^-1), so S_2 is
+    a union of classes, each reached by a pair (n, N), n in reps(Nil).
     """
     ring = space.ring
     E = top_row(ring.zero, ring.one)
@@ -420,7 +420,8 @@ def _decompose_two(space: MatrixSpace, A: Mat2) -> NilFactorization:
         raise TraceObstructionError(
             f"determinant obstruction: det = {format_element(det)} is not "
             f"in J^2, so no two nilpotent factors exist")
-    first, reps = _two_factor_table(space)
+    # S_2 holds the non-nilpotent E12 E21, so the chain never closes at S_1
+    first, reps = _chain_step(space, 2).first, _chain_step(space, 1).factors
     # A's entries are element indices, so the range check is skipped
     code = space._class_code(tuple(x.idx for x in A.entries()))
     pair = int(first[int(code)])
@@ -443,11 +444,11 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
 
     s = 1 needs A itself nilpotent.  s = 2 is decided exactly by
     closed-form factors, the trace and determinant obstructions and an
-    exact lookup of A's conjugacy class (see ``_decompose_two``).  s >= 3
-    goes through the orbit union witness and the constructive factor
-    chains.  Only that lookup reads the space's Q^4 data, and raises
-    CapExceededError past the space's cap; every other route uses
-    ``space.ring`` alone.
+    exact lookup of A's class in the product chain's S_2 step (see
+    ``_decompose_two``).  s >= 3 goes through the orbit union witness and
+    the constructive factor chains.  Only that lookup reads the space's
+    Q^4 data, and raises CapExceededError past the space's cap; every
+    other route uses ``space.ring`` alone.
     """
     ring = space.ring
     if s < 1:

@@ -600,5 +600,7 @@ def run_suites(ring: Ring, names=("all",), *,
         else:
             raise ValueError(
                 f"unknown suite {name!r}; valid: {', '.join(SUITE_NAMES)}, all")
+    if not expanded:
+        raise ValueError("no suites given")
     space = matrix_space(ring, cap)
     return [_RUNNERS[name](ring, space, samples, seed) for name in expanded]

@@ -199,6 +199,14 @@ def test_verify_unknown_suite_exit_1(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("suites", (",", ""))
+def test_verify_empty_suite_list_exit_1(capsys, suites):
+    # a run that checks nothing must not report success
+    code, out, err = run_cli(capsys, "verify", "--ring", "zmod:3^2", "--suite",
+                             suites)
+    assert (code, out, err) == (1, "", "error: no suites given\n")
+
+
 def test_table_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "--rings",
                            "polyq:3^1^1,zmod:3^2", "--s", "3")

@@ -11,7 +11,7 @@ from nilquat.mat2 import (Mat2, MatrixSpace, gl2_count, identity,
                           matrix_space, parse_matrix, top_row, zero_matrix)
 from nilquat.nilfactor import (DEFAULT_SEED, NilFactorization,
                                NotInOrbitUnionError, NotNilpotentError,
-                               TraceObstructionError, _two_factor_table,
+                               TraceObstructionError, _chain_step,
                                census_formula_only, census_orbit_union,
                                census_set_product, decompose, formula_count,
                                nilpotent_count_check, pair_products,
@@ -452,7 +452,7 @@ def test_decompose_two_lookup_decides_chain_s2_zmod27():
     s2[product_set(sp, 2)] = True
     targets = _search_targets(sp)
     assert len(targets) == 52320
-    first, _ = _two_factor_table(sp)
+    first = _chain_step(sp, 2).first
     assert np.array_equal(first[sp.class_code_table[targets]] >= 0,
                           s2[targets])
     picks = np.random.default_rng(500).choice(targets, 500, replace=False)
@@ -476,8 +476,11 @@ def _two_factor_oracle(sp, reps):
 
 @pytest.mark.parametrize("text", ("zmod:5^2", "zmod:3^3"))
 def test_two_factor_table_matches_unique_oracle(text):
+    # the s = 2 lookup reads the record of the chain's S_2 step, whose left
+    # factors are S_1's class representatives
     sp = MatrixSpace(ring_from_string(text))
-    first, reps = _two_factor_table(sp)
+    first = _chain_step(sp, 2).first
+    reps = _chain_step(sp, 1).factors
     assert np.array_equal(reps,
                           sp.class_representatives(sp.nilpotent_indices))
     assert np.array_equal(first, _two_factor_oracle(sp, reps))
@@ -504,9 +507,10 @@ def test_product_chain_sets_are_in_index_type(text, wide, monkeypatch):
     reports = [census_set_product(sp, s) for s in range(1, len(counts) + 2)]
     assert [r.brute_count for r in reports] == counts + counts[-1:]
     assert len(sp._product_chain) == len(counts)
-    for got in sp._product_chain:
+    for s, count in enumerate(counts, 1):
+        got = product_set(sp, s)
         assert got.dtype == sp.index_type == (np.int64 if wide else np.int32)
-        assert (np.diff(got) > 0).all()
+        assert len(got) == count and (np.diff(got) > 0).all()
 
 
 def test_search_hit_builds_no_gl2_data():
@@ -601,6 +605,37 @@ def test_product_chain_is_cached_and_read_only(monkeypatch):
         with pytest.raises(ValueError):
             product_set(sp, s)[0] = 0
     assert sp.nilpotent_indices.flags.writeable
+
+
+def test_decompose_two_and_census_share_the_chain_step(monkeypatch):
+    # the s = 2 lookup and the census read one S_2 step: neither
+    # multiplies reps(Nil) x Nil again after the other
+    ring = ring_from_string("zmod:5^2")
+    A = parse_matrix(ring, "[[5,10],[0,15]]")  # a lookup hit off the union
+    calls = _count_kernel_calls(monkeypatch)
+    sp = MatrixSpace(ring)
+    assert census_set_product(sp, 2).brute_count == 15425
+    del calls[:]
+    assert len(decompose(sp, A, 2).factors) == 2 and calls == []
+    sp = MatrixSpace(ring)
+    assert len(decompose(sp, A, 2).factors) == 2
+    del calls[:]
+    assert census_set_product(sp, 2).brute_count == 15425 and calls == []
+
+
+def test_census_chain_steps_stay_below_the_q4_size():
+    import tracemalloc
+    sp = MatrixSpace(ring_from_string("polyq:7^2^1"))
+    sp.nilpotent_indices, sp.class_code_table, sp.class_sizes
+    tracemalloc.start()
+    try:
+        counts = [census_set_product(sp, s).brute_count for s in (2, 3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [117601, 120001]
+    # a Q^4 bool alone is 5.8 MB here, the packed S_2 0.5 MB
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_product_chain_stops_at_fixed_point(monkeypatch):

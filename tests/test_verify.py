@@ -48,6 +48,12 @@ def test_unknown_suite_rejected():
         run_suites(ring_from_string("polyq:3^1^1"), ("nonsense",))
 
 
+@pytest.mark.parametrize("names", ((), []))
+def test_empty_suite_list_rejected(names):
+    with pytest.raises(ValueError, match="no suites given"):
+        run_suites(ring_from_string("polyq:3^1^1"), names)
+
+
 def test_suite_result_to_dict():
     r = run_suites(ring_from_string("polyq:3^1^1"), ("lemma311",))[0]
     d = r.to_dict()
