@@ -37,6 +37,9 @@ _CENSUS_FIELDS = ("ring", "q", "n", "s", "brute_count", "formula_count",
                   "match", "method")
 _TABLE_FIELDS = _CENSUS_FIELDS + ("error",)
 _THREADS_HELP = "accepted for compatibility; has no effect"
+# decompose holds and prints s factors, and table a row per s, so memory
+# and output grow with s; past this both refuse before building anything
+_S_LIMIT = 10_000
 
 
 def _cell(value) -> str:
@@ -108,6 +111,8 @@ _DECOMPOSE_KINDS = (
 def _cmd_decompose(args) -> int:
     if args.s < 1:
         raise ValueError("s must be >= 1")
+    if args.s > _S_LIMIT:
+        raise ValueError(f"s must be at most {_S_LIMIT}")
     ring = ring_from_string(args.ring)
     target = parse_matrix(ring, args.matrix)
     try:
@@ -169,8 +174,13 @@ def _parse_s_values(text: str) -> list[int]:
         lo, hi = int(lo_text), int(hi_text)
         if lo > hi:
             raise ValueError(f"empty s range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    else:
+        lo = hi = int(text)
+    if hi > _S_LIMIT:
+        raise ValueError(f"s must be at most {_S_LIMIT}")
+    if hi - lo >= _S_LIMIT:
+        raise ValueError(f"s range {text!r} holds more than {_S_LIMIT} values")
+    return list(range(lo, hi + 1))
 
 
 def _cmd_table(args) -> int:

@@ -588,12 +588,14 @@ class MatrixSpace:
 
     @cached_property
     def class_code_table(self) -> np.ndarray:
-        """``class_code`` of every packed index as int32, built one a22
-        slice of Q^3 matrices at a time, with a21, a12 and a11 along the
-        slice's three axes in that order."""
+        """``class_code`` of every packed index in the narrowest signed
+        type that holds ``class_count`` (int8 or int16 on every ring under
+        the default cap), built one a22 slice of Q^3 matrices at a time,
+        with a21, a12 and a11 along the slice's three axes in that order."""
         self.require_enumerable()
         x = np.arange(self.Q)
-        out = np.empty((self.Q,) * 4, dtype=np.int32)
+        out = np.empty((self.Q,) * 4,
+                       dtype=np.min_scalar_type(-self.class_count))
         for a22 in range(self.Q):
             out[a22] = self._class_code((x, x[:, None], x[:, None, None],
                                          a22))

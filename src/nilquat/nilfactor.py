@@ -12,7 +12,7 @@ another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -177,13 +177,18 @@ class _ChainStep:
     """S_s as classes: ``classes`` marks their codes, ``size`` is |S_s|,
     ``packed`` is S_s once requested, and ``factors`` holds one packed
     member of each class, the next step's left factors.  For s >= 2 they
-    are left[i] Nil[j] in code order, i |Nil| + j being ``first``[code]."""
+    are left[i] Nil[j] in code order, i |Nil| + j being ``first``[code].
+    ``witnesses`` maps a code to its pair as matrices (n, N) and the
+    companion conjugator of n N; S_2's step fills it as ``decompose``
+    looks classes up, and no other step reads it."""
 
     classes: np.ndarray
     size: int
     factors: np.ndarray
     packed: np.ndarray | None = None
     first: np.ndarray | None = None
+    witnesses: dict[int, tuple[Mat2, Mat2, Mat2]] = field(
+        default_factory=dict)
 
 
 def _chain_step(space: MatrixSpace, s: int) -> _ChainStep:
@@ -386,10 +391,13 @@ def _decompose_two(space: MatrixSpace, A: Mat2) -> NilFactorization:
     """A as N1 N2, decided exactly, in this order: the zero matrix; the
     trace obstruction (a nonzero residue of trace zero); closed-form
     factors for orbit-union members; the determinant obstruction (det A
-    outside J^2); then the lookup of A's class in the first-pair record of
-    the chain's S_2 step, whose failure is an exhaustive refusal: if
-    A = N1 N2 and N1 = P^-1 n P, then P A P^-1 = n (P N2 P^-1), so S_2 is
-    a union of classes, each reached by a pair (n, N), n in reps(Nil).
+    outside J^2); then the lookup of A's class, read from the code table,
+    in the first-pair record of the chain's S_2 step, whose failure is an
+    exhaustive refusal: if A = N1 N2 and N1 = P^-1 n P, then
+    P A P^-1 = n (P N2 P^-1), so S_2 is a union of classes, each reached
+    by a pair (n, N), n in reps(Nil).  The pair's matrices and the
+    companion conjugator of n N depend on the class alone, so the step
+    keeps them from the class's first hit on; refusals keep nothing.
     """
     ring = space.ring
     E = top_row(ring.zero, ring.one)
@@ -421,20 +429,24 @@ def _decompose_two(space: MatrixSpace, A: Mat2) -> NilFactorization:
             f"determinant obstruction: det = {format_element(det)} is not "
             f"in J^2, so no two nilpotent factors exist")
     # S_2 holds the non-nilpotent E12 E21, so the chain never closes at S_1
-    first, reps = _chain_step(space, 2).first, _chain_step(space, 1).factors
-    # A's entries are element indices, so the range check is skipped
-    code = space._class_code(tuple(x.idx for x in A.entries()))
-    pair = int(first[int(code)])
-    if pair < 0:
-        raise TraceObstructionError(
-            "no product of two nilpotent matrices equals this matrix "
-            "(exhaustive search)")
-    nil = space.nilpotent_indices
-    n = space.matrix_from_packed(int(reps[pair // len(nil)]))
-    N = space.matrix_from_packed(int(nil[pair % len(nil)]))
+    step = _chain_step(space, 2)
+    code = int(space.class_code_table[A.packed])
+    witness = step.witnesses.get(code)
+    if witness is None:
+        pair = int(step.first[code])
+        if pair < 0:
+            raise TraceObstructionError(
+                "no product of two nilpotent matrices equals this matrix "
+                "(exhaustive search)")
+        nil = space.nilpotent_indices
+        reps = _chain_step(space, 1).factors
+        n = space.matrix_from_packed(int(reps[pair // len(nil)]))
+        N = space.matrix_from_packed(int(nil[pair % len(nil)]))
+        witness = step.witnesses[code] = (n, N, companion_conjugator(n * N))
+    n, N, conj = witness
     # n N shares A's class, so both reach one companion form, and
     # P = P_(nN) P_A^-1 gives P A P^-1 = n N
-    P = companion_conjugator(n * N) * companion_conjugator(A).inverse()
+    P = conj * companion_conjugator(A).inverse()
     Pinv = P.inverse()
     return NilFactorization.certified(A, [Pinv * n * P, Pinv * N * P], P)
 

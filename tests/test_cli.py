@@ -95,6 +95,35 @@ def test_invalid_inputs_exit_1(capsys):
         assert err.startswith("usage: nilquat")
 
 
+def test_s_past_the_limit_exits_1_before_the_ring_is_built(capsys,
+                                                           monkeypatch):
+    # decompose holds s factors and table a row per s, so a huge s is
+    # refused up front rather than allocated
+    from nilquat import cli
+
+    def no_ring(text):
+        raise AssertionError("ring built")
+
+    big = 10 ** 12
+    for argv in (("decompose", "--ring", "zmod:3^2", "--matrix",
+                  "[[1,1],[0,0]]", "--s", str(big)),
+                 ("table", "--rings", "zmod:3^2", "--s", str(big)),
+                 ("table", "--rings", "zmod:3^2", "--s", f"1..{big}"),
+                 ("table", "--rings", "zmod:3^2", f"--s=-{big}..1")):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "ring_from_string", no_ring)
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: s "), err
+    limit = cli._S_LIMIT
+    code, out, _ = run_cli(capsys, "table", "--rings", "polyq:3^1^1", "--s",
+                           f"{limit - 1}..{limit}")
+    assert code == 0 and len(out.splitlines()) == 3
+    code, out, _ = run_cli(capsys, "decompose", "--ring", "zmod:3^2",
+                           "--matrix", "[[1,1],[0,0]]", "--s", str(limit))
+    assert code == 0 and len(json.loads(out)["factors"]) == limit
+
+
 def test_help_exits_0(capsys):
     code, out, err = run_cli(capsys, "census", "--help")
     assert code == 0

@@ -459,6 +459,79 @@ def test_decompose_two_lookup_decides_chain_s2_zmod27():
     assert 0 < _check_decompose_two(sp, s2, picks) < len(picks)
 
 
+def test_decompose_two_keeps_each_class_witness(monkeypatch):
+    # a second target of a class already looked up reads the class's
+    # witness matrices and companion conjugator from S_2's step, and its
+    # class from the code table
+    from nilquat import nilfactor
+    sp = MatrixSpace(ring_from_string("zmod:5^2"))
+    r = sp.ring
+    A = parse_matrix(r, "[[5,10],[0,15]]")
+    U = parse_matrix(r, "[[1,1],[0,1]]")
+    B = U.inverse() * A * U
+    assert B != A and not orbit_union(sp)[B.packed]
+    assert sp.class_code_table[A.packed] == sp.class_code_table[B.packed]
+    decompose(sp, A, 2)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(nilfactor, "companion_conjugator",
+                        counted("companion_conjugator",
+                                nilfactor.companion_conjugator))
+    for name in ("matrix_from_packed", "_class_code"):
+        monkeypatch.setattr(MatrixSpace, name,
+                            counted(name, getattr(MatrixSpace, name)))
+    fact = decompose(sp, B, 2)
+    assert _reproduct(fact.factors) == B
+    assert calls == ["companion_conjugator"]
+
+
+def _cold_decompose_two(sp, A):
+    """decompose(sp, A, 2) with S_2's witness record emptied first, so the
+    answer is rebuilt from the first-pair record as on a fresh space."""
+    _chain_step(sp, 2).witnesses.clear()
+    return decompose(sp, A, 2)
+
+
+@pytest.mark.parametrize("text", ("zmod:5^2", "zmod:3^3"))
+def test_decompose_two_warm_record_gives_the_cold_answer(text):
+    ring = ring_from_string(text)
+    warm, cold = MatrixSpace(ring), MatrixSpace(ring)
+    targets = _search_targets(warm)
+    if text == "zmod:3^3":
+        targets = np.random.default_rng(2100).choice(targets, 200,
+                                                     replace=False)
+    hits = 0
+    for k in targets:
+        A = warm.matrix_from_packed(int(k))
+        try:
+            got = decompose(warm, A, 2)
+        except TraceObstructionError:
+            with pytest.raises(TraceObstructionError):
+                _cold_decompose_two(cold, A)
+            continue
+        want = _cold_decompose_two(cold, A)
+        assert (got.factors, got.conjugator) == (want.factors,
+                                                 want.conjugator), k
+        hits += 1
+    # the targets repeat classes, so most hits read a kept record
+    assert 0 < len(_chain_step(warm, 2).witnesses) < hits
+
+
+def test_decompose_two_refusal_keeps_no_record():
+    sp = MatrixSpace(ring_from_string("zmod:5^2"))
+    A = parse_matrix(sp.ring, "[[5,10],[5,20]]")
+    for _ in range(3):
+        with pytest.raises(TraceObstructionError, match="exhaustive search"):
+            decompose(sp, A, 2)
+    assert _chain_step(sp, 2).witnesses == {}
+
+
 def _two_factor_oracle(sp, reps):
     """For each class code, the first pair index i |Nil| + j whose
     product reps[i] Nil[j] has that code, by np.unique over each row of

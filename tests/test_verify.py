@@ -258,6 +258,29 @@ def test_lemma36_counts_each_product_outside_a_broken_union(
     assert want > 0
 
 
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_cor310_counts_a_broken_union_once(monkeypatch, change):
+    # S_(2n-1) against a union with one member dropped or one non-member
+    # added: the set check is one violation; the sampled decompositions
+    # add one more for each draw of the added non-member
+    from nilquat import verify
+    from nilquat.mat2 import matrix_space
+    ring = ring_from_string("zmod:3^2")
+    space = matrix_space(ring)
+    union = orbit_union(space)
+    assert verify._cor310(ring, space, 0, 7).violations == 0
+    broken = union.copy()
+    side = np.flatnonzero(union if change == "drop" else ~union)
+    broken[side[len(side) // 2]] = change == "add"
+    monkeypatch.setattr(verify, "orbit_union", lambda space: broken)
+    members = np.flatnonzero(broken)
+    drawn = members[np.random.default_rng(7).integers(0, len(members),
+                                                      size=25)]
+    sampled = sum(not union[k] for k in drawn)
+    r = verify._cor310(ring, space, 0, 7)
+    assert (r.checks, r.violations) == (26, 1 + sampled)
+
+
 @pytest.mark.parametrize("spec", ["zmod:3^2", "polyq:3^1^3"])
 def test_lemma33_classification_counts_each_broken_sample(monkeypatch, spec):
     import dataclasses
