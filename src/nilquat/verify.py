@@ -16,9 +16,9 @@ from .mat2 import (DEFAULT_ENUMERATION_CAP, Mat2, block_slices,
                    classify_nilpotent, classify_nilpotent_bulk, matrix_space,
                    split_packed, top_row)
 from .nilfactor import (DEFAULT_SEED, DecompositionError, NotInOrbitUnionError,
-                        census_orbit_union, census_set_product, decompose,
-                        formula_count, nilpotent_count_check, pair_products,
-                        product_set, rank1_union_count, sharpness_example,
+                        _chain_step, census_orbit_union, census_set_product,
+                        decompose, formula_count, nilpotent_count_check,
+                        pair_products, rank1_union_count, sharpness_example,
                         stable_product_count, valuation_obstruction_scan)
 from .orbits import conjugate, orbit_union, shear, unit_diag
 from .quaternion import Quaternion, build_iso, coeff_product_narrow
@@ -474,29 +474,28 @@ def _lemma311(ring, space, samples, seed):
 
 
 def _thm38(ring, space, samples, seed):
+    """S_s lies in the union for s = 2n - 1 .. 2n + 2: both are closed
+    under conjugation, so one witness per class of S_s decides the class.
+    Past the stable s0, S_s keeps S_s0's classes; as the chain stops only
+    at two equal steps in a row, that shows it closed by s0."""
     n = ring.n
+    s0 = stable_product_count(n)
     mask = orbit_union(space)
-    checks = viol = 0
-    stable = None
-    for s in range(2 * n - 1, 2 * n + 3):
-        cur = product_set(space, s)
-        checks += 1
-        viol += int((~mask[cur]).any())
-        if s >= stable_product_count(n):
-            if stable is None:
-                stable = cur
-            else:
-                checks += 1
-                viol += not np.array_equal(stable, cur)
-    return _result("thm38", ring, checks, viol)
+    steps = {s: _chain_step(space, s) for s in range(2 * n - 1, 2 * n + 3)}
+    later = [step for s, step in steps.items() if s > s0]
+    viol = sum(not mask[step.factors].all() for step in steps.values())
+    viol += sum(not np.array_equal(step.classes, steps[s0].classes)
+                for step in later)
+    return _result("thm38", ring, len(steps) + len(later), viol)
 
 
 def _cor310(ring, space, samples, seed):
+    """S_s0 is the union: its class witnesses lie in it, as in thm38, and
+    the sizes agree.  25 sampled members decompose into s0 nilpotents."""
     s0 = stable_product_count(ring.n)
-    got = product_set(space, s0)
+    step = _chain_step(space, s0)
     mask = orbit_union(space)
-    # S_s0 holds distinct indices, so this is set equality with the union
-    same = len(got) == np.count_nonzero(mask) and mask[got].all()
+    same = step.size == np.count_nonzero(mask) and mask[step.factors].all()
     checks, viol = 1, int(not same)
     rng = np.random.default_rng(seed)
     members = np.flatnonzero(mask)

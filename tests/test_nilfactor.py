@@ -325,8 +325,15 @@ def test_class_reduced_chain_matches_brute_chain(text):
 
 
 def test_product_set_n3_equals_union():
-    sp = matrix_space(ring_from_string("zmod:3^3"))
-    assert len(product_set(sp, 5)) == int(orbit_union(sp).sum()) == 24225
+    # the packed S_s against the rank-1 union mask, member for member, at
+    # the stable point and one past it: the suites compare class witnesses
+    # only, so this is where the two routes meet bit for bit
+    for spec in ("zmod:3^3", "polyq:3^1^3"):
+        sp = matrix_space(ring_from_string(spec))
+        union = np.flatnonzero(orbit_union(sp))
+        assert len(union) == 24225
+        for s in (5, 6):
+            assert np.array_equal(product_set(sp, s), union), (spec, s)
 
 
 def test_certified_rejects_bad_factorizations(gf3):

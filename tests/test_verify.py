@@ -281,6 +281,98 @@ def test_cor310_counts_a_broken_union_once(monkeypatch, change):
     assert (r.checks, r.violations) == (26, 1 + sampled)
 
 
+@pytest.mark.parametrize("spec", ["zmod:3^2", "zmod:3^3"])
+def test_thm38_counts_a_union_missing_one_class_once_per_s(monkeypatch,
+                                                          spec):
+    # every member of one class of S_(2n-1) dropped from the union: its
+    # witness is outside, once for each of the four s, and the stable
+    # classes still agree
+    from nilquat import verify
+    from nilquat.mat2 import matrix_space
+    from nilquat.nilfactor import _chain_step
+    ring = ring_from_string(spec)
+    space = matrix_space(ring)
+    good = verify._thm38(ring, space, 0, 7)
+    assert (good.checks, good.violations) == (7, 0)
+    codes = space.class_code_table
+    step = _chain_step(space, 2 * ring.n - 1)
+    code = codes[step.factors[len(step.factors) // 2]]
+    broken = orbit_union(space) & (codes != code)
+    monkeypatch.setattr(verify, "orbit_union", lambda space: broken)
+    r = verify._thm38(ring, space, 0, 7)
+    assert (r.checks, r.violations) == (7, 4)
+
+
+@pytest.mark.parametrize("spec", ["zmod:3^2", "zmod:3^3"])
+def test_thm38_counts_each_step_past_the_stable_point_that_moves(
+        monkeypatch, spec):
+    # a chain whose steps past s0 gain one class: each of the three
+    # comparisons with S_s0's classes fails, and every witness still lies
+    # in the union
+    import dataclasses
+
+    from nilquat import verify
+    from nilquat.mat2 import matrix_space
+    from nilquat.nilfactor import stable_product_count
+    ring = ring_from_string(spec)
+    space = matrix_space(ring)
+    s0 = stable_product_count(ring.n)
+    real = verify._chain_step
+
+    def drifting(space, s):
+        step = real(space, s)
+        if s <= s0:
+            return step
+        classes = step.classes.copy()
+        classes[np.flatnonzero(~classes)[0]] = True
+        return dataclasses.replace(step, classes=classes)
+
+    monkeypatch.setattr(verify, "_chain_step", drifting)
+    r = verify._thm38(ring, space, 0, 7)
+    assert (r.checks, r.violations) == (7, 3)
+
+
+@pytest.mark.parametrize("spec", ["zmod:3^3", "polyq:7^2^1"])
+def test_chain_suites_fill_no_packed_product_set(monkeypatch, spec):
+    # the chain suites read class records and witnesses; only
+    # product_set fills a step's packed S_s, and S_1's is Nil itself; a
+    # new space, so no other test's product_set has filled one
+    from nilquat import verify
+    from nilquat.mat2 import MatrixSpace
+    ring = ring_from_string(spec)
+    space = MatrixSpace(ring)
+    monkeypatch.setattr(verify, "matrix_space", lambda ring, cap: space)
+    results = run_suites(ring, ("thm38", "thm312", "cor310"))
+    assert all(r.passed and r.checks for r in results)
+    chain = space._product_chain
+    assert len(chain) >= 2 * ring.n - 1
+    assert [s for s, step in enumerate(chain, 1) if step.packed is not None] \
+        == [1]
+
+
+def test_thm38_peak_stays_below_a_mebibyte():
+    # with the chain and the union built, thm38 reads one witness per
+    # class: a few KiB, where filling the packed S_s for four s through a
+    # Q^4 bool took 6.87 MiB on this ring
+    import tracemalloc
+
+    from nilquat import verify
+    from nilquat.mat2 import MatrixSpace
+    from nilquat.nilfactor import _chain_step
+    ring = ring_from_string("polyq:7^2^1")
+    space = MatrixSpace(ring)
+    _chain_step(space, 2 * ring.n + 2)
+    orbit_union(space)
+    tracemalloc.start()
+    try:
+        r = verify._thm38(ring, space, 0, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.passed and r.checks == 5
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("spec", ["zmod:3^2", "polyq:3^1^3"])
 def test_lemma33_classification_counts_each_broken_sample(monkeypatch, spec):
     import dataclasses
