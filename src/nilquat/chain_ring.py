@@ -384,7 +384,9 @@ class PairTables:
     arrays, scalars or 4-tuples of them (broadcasting) and return arrays
     of that type; narrow them first with ``narrow`` so the pair index is
     computed in it too, and ``wide`` a result to int64 before it leaves
-    the kernel's caller.  ``Ring._bulk`` does both.
+    the kernel's caller.  ``Ring._bulk`` does both.  Every gather is the
+    table's own ``take``: ``np.take`` is a Python wrapper around it that
+    costs a large share of a gather on arrays of a few thousand entries.
     """
 
     def __init__(self, ring: "Ring"):
@@ -411,20 +413,20 @@ class PairTables:
         return x.astype(np.int64)
 
     def add(self, a, b):
-        return np.take(self.add_flat, a * self.Q + b)
+        return self.add_flat.take(a * self.Q + b)
 
     def mul(self, a, b):
-        return np.take(self.mul_flat, a * self.Q + b)
+        return self.mul_flat.take(a * self.Q + b)
 
     def neg(self, a):
-        return np.take(self.neg_table, a)
+        return self.neg_table.take(a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul_by(self, c: int, a):
         """c * a for one constant element c: a gather from row c of mul."""
-        return np.take(self.mul_flat[c * self.Q:(c + 1) * self.Q], a)
+        return self.mul_flat[c * self.Q:(c + 1) * self.Q].take(a)
 
     def matmul(self, A, B):
         """The product of 2x2 matrices given as 4-tuples (a11, a12, a21,
@@ -448,7 +450,7 @@ class PairTables:
         the adjugate scaled by inv[det A].  Where inv[det A] is -1, det A is
         not a unit and that matrix's entries of A^-1 mean nothing; callers
         refuse those first."""
-        idet = np.take(self.inv_table, self.det(A))
+        idet = self.inv_table.take(self.det(A))
         a11, a12, a21, a22 = A
         return (self.mul(idet, a22), self.mul(idet, self.neg(a12)),
                 self.mul(idet, self.neg(a21)), self.mul(idet, a11)), idet

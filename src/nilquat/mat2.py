@@ -23,7 +23,9 @@ and one over index arrays, classify_nilpotent_bulk.  GL2 is the
 invertible set, det a unit.  Both tests read only residues, so each is a
 comparison broadcast from a Q x Q table of residues of products; the
 index sets are filled from it, and the class code table swept, one a22
-slice of Q^3 matrices at a time.
+slice of Q^3 matrices at a time.  Only the conjugation orbits of the
+"sweep" reference route read GL2, so it is built on each request and
+never held by the space.
 GL2 conjugacy classes have a closed-form dense code,
 ``MatrixSpace.class_code``, and ``companion_conjugator`` takes a matrix
 to its class's companion form.
@@ -379,8 +381,8 @@ class MatrixSpace:
     a22 slice of Q^3 matrices at a time, so none of them makes a Q^4-long
     index array or caches a mask.  The class code table is swept a22
     slice by a22 slice too, so its temporaries stay below Q^3 entries.
-    GL2 is the invertible set; ``gl_packed`` caches nothing beyond
-    ``invertible_indices``.
+    GL2 is the invertible set; neither ``invertible_indices`` nor its
+    alias ``gl_packed`` caches anything, so no space holds GL2.
     """
 
     def __init__(self, ring: Ring, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -420,7 +422,7 @@ class MatrixSpace:
     def index_type(self):
         """The narrowest integer type holding every packed index: int32
         up to 2^31 packed matrices, so under the default cap, else int64.
-        The cached index sets and the blocks of pair products use it."""
+        The index sets and the blocks of pair products use it."""
         return np.int32 if self.count <= 2 ** 31 else np.int64
 
     def matrix_from_packed(self, idx: int) -> Mat2:
@@ -470,8 +472,11 @@ class MatrixSpace:
         self.require_enumerable()
         return self._residue_indices(*self._nilpotent_residues(), equal=True)
 
-    @cached_property
+    @property
     def invertible_indices(self) -> np.ndarray:
+        """GL2 as ascending packed indices, built on each read and not
+        cached: only the orbit sweep needs it, and on polyq:7^2^1 it is
+        21.5 MiB of int32.  A caller that needs it twice keeps it."""
         self.require_enumerable()
         res = self._det_residues()
         return self._residue_indices(res, res, equal=False)
@@ -509,15 +514,21 @@ class MatrixSpace:
 
     @property
     def gl_packed(self) -> np.ndarray:
-        """GL2 as ascending packed indices: the invertible set."""
+        """GL2 as ascending packed indices: the invertible set, built on
+        each read like it."""
         return self.invertible_indices
 
     def conjugates_of(self, A: Mat2) -> np.ndarray:
         """Packed P^-1 A P for every P in GL2, in ascending P order; P^-1
-        is the adjugate scaled by det^-1.  GL2 is unpacked into the
-        kernel's type one block at a time, and each block's products are
-        packed into the int64 result."""
-        gl = self.invertible_indices  # the cap before the ring's tables
+        is the adjugate scaled by det^-1.  GL2 is built for this call."""
+        # reading GL2 checks the cap before the ring's tables are built
+        return self._conjugates_by(self.invertible_indices, A)
+
+    def _conjugates_by(self, gl: np.ndarray, A: Mat2) -> np.ndarray:
+        """``conjugates_of`` over the given GL2 set, so that a caller
+        conjugating many matrices builds GL2 once.  GL2 is unpacked into
+        the kernel's type one block at a time, and each block's products
+        are packed into the int64 result."""
         t = self.ring.pair_tables
         a = t.narrow(tuple(x.idx for x in A.entries()))
         out = np.empty(len(gl), dtype=np.int64)

@@ -9,9 +9,10 @@ since P^-1 ((a, b), (0, 0)) P = (P^-1 e1) ((a, b) P).  ``orbit_union``
 has two methods.  ``"rank1"``, the default, marks the union through that
 parametrisation, with u over the canonical projective-line
 representatives (1, c) and (j, 1), j in J(R).  ``"sweep"`` marks every
-conjugate of every top-row matrix, each ``orbit_of`` a sorted array of
-packed indices; it is kept as the reference route, and the test suites
-check the two against each other.  ``locate_in_orbit_union`` factors one
+conjugate of every top-row matrix by one GL2 set built for the sweep,
+the orbits that ``orbit_of`` gives one at a time as sorted packed
+indices; it is kept as the reference route, and the test suites check
+the two against each other.  ``locate_in_orbit_union`` factors one
 matrix as u * w^T in closed form.
 """
 
@@ -55,11 +56,15 @@ def orbit_of(space: MatrixSpace, A: Mat2) -> np.ndarray:
 
 
 def _union_by_sweep(space: MatrixSpace) -> np.ndarray:
+    """Mark every conjugate of every top-row matrix, all by one GL2 set
+    built here, since the space does not keep it.  A conjugate met twice
+    is marked twice, so no orbit is sorted."""
     mask = np.zeros(space.count, dtype=bool)
+    gl = space.gl_packed
     elements = space.ring.enumerate_ring()
     for a in elements:
         for b in elements:
-            mask[orbit_of(space, top_row(a, b))] = True
+            mask[space._conjugates_by(gl, top_row(a, b))] = True
     return mask
 
 

@@ -163,12 +163,16 @@ def test_conjugates_of_runs_in_blocks_of_bounded_memory():
         assert int(conj[i]) == (P.inverse() * A * P).packed
 
 
-def test_gl_packed_caches_only_the_invertible_set():
+def test_gl_packed_caches_nothing():
+    # GL2 is built on each read, so two reads are equal but not one object
     sp = MatrixSpace(ring_from_string("zmod:3^2"))
-    before = set(vars(sp))
+    before = dict(vars(sp))
     gl = sp.gl_packed
-    assert set(vars(sp)) - before == {"invertible_indices"}
-    assert gl is sp.invertible_indices
+    assert vars(sp) == before
+    again = sp.invertible_indices
+    assert vars(sp) == before
+    assert again is not gl and again.dtype == gl.dtype
+    assert np.array_equal(again, gl)
 
 
 _NARROW_RINGS = ("zmod:3^2", "polyq:3^2^1", "zmod:5^2", "zmod:3^3",
@@ -190,7 +194,9 @@ def test_index_sets_are_ascending_in_index_type(text, wide, monkeypatch):
             ("invertible", (res, res), np.not_equal)):
         before = set(vars(sp))
         got = getattr(sp, f"{name}_indices")
-        assert set(vars(sp)) - before == {f"{name}_indices"}
+        # the nilpotent set is cached, GL2 is built on each read
+        cached = {"nilpotent_indices"} if name == "nilpotent" else set()
+        assert set(vars(sp)) - before == cached
         assert got.dtype == sp.index_type == want
         # the slice-by-slice fill against one broadcast Q^4 comparison
         marked = compare(diag[:, None, None, :], off[None, :, :, None])
@@ -226,6 +232,26 @@ def test_index_set_build_memory_rise_stays_narrow():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert 0 < float(proc.stdout) < 40
+
+
+def test_space_keeps_no_gl2_set():
+    # on polyq:7^2^1 GL2 is 21.5 MiB of int32; the space keeps only the
+    # nilpotent set (0.45 MiB) and the union mask (5.5 MiB), where holding
+    # GL2 kept about 27.5 MiB
+    sp = MatrixSpace(ring_from_string("polyq:7^2^1"))
+    ring = sp.ring
+    ring.add_table, ring.mul_table, ring.neg_table, ring.val_table
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sp.nilpotent_indices
+        assert len(sp.invertible_indices) == gl2_count(ring.q, ring.n)
+        orbit_union(sp)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * 2 ** 20
+    assert "invertible_indices" not in vars(sp)
 
 
 def test_is_nilpotent_matches_power_criterion(z9_space):
@@ -590,7 +616,8 @@ def test_invariant_checks_survive_optimize_flag():
         "r = Ring(parse_ring_spec('zmod:3^1'))\n"
         "probe(ValueError, lambda: GFq(17, 2).mul_table)\n"
         "sp = MatrixSpace(r)\n"
-        "sp.invertible_indices = np.array([0])\n"
+        "MatrixSpace.invertible_indices = property(\n"
+        "    lambda self: np.array([0]))\n"
         "probe(AssertionError, lambda: sp.conjugates_of(identity(r)))\n"
         "class NoRoots:\n"
         "    q = 3\n"

@@ -593,12 +593,21 @@ def test_product_chain_sets_are_in_index_type(text, wide, monkeypatch):
         assert len(got) == count and (np.diff(got) > 0).all()
 
 
-def test_search_hit_builds_no_gl2_data():
+def test_search_hit_builds_no_gl2_data(monkeypatch):
+    # GL2 is never cached, so watch its build, the unequal residue fill
+    fills, fill = [], MatrixSpace._residue_indices
+
+    def spy(space, diag, off, equal):
+        fills.append(equal)
+        return fill(space, diag, off, equal)
+
+    monkeypatch.setattr(MatrixSpace, "_residue_indices", spy)
     sp = MatrixSpace(ring_from_string("zmod:5^2"))
     A = parse_matrix(sp.ring, "[[5,10],[0,15]]")
     assert len(decompose(sp, A, 2).factors) == 2
-    built = vars(sp)
-    assert "invertible_indices" not in built
+    assert False not in fills
+    sp.gl_packed
+    assert fills[-1] is False
 
 
 @pytest.mark.xfail(strict=True, raises=NotInOrbitUnionError,

@@ -155,14 +155,23 @@ def test_closed_form_witness_matches_rank1_sampled(text):
         _check_witness(sp, k, mask[k])
 
 
-def test_witness_and_decompose_build_no_space_data():
+def test_witness_and_decompose_build_no_space_data(monkeypatch):
+    # GL2 is never cached, so watch its build, the unequal residue fill
+    fills, fill = [], MatrixSpace._residue_indices
+
+    def spy(space, diag, off, equal):
+        fills.append(equal)
+        return fill(space, diag, off, equal)
+
+    monkeypatch.setattr(MatrixSpace, "_residue_indices", spy)
     sp = MatrixSpace(ring_from_string("zmod:3^3"))
     A = parse_matrix(sp.ring, "[[2,6],[5,15]]")
     assert locate_in_orbit_union(sp, A) is not None
     assert len(decompose(sp, A, 4).factors) == 4
-    built = vars(sp)
-    assert "invertible_indices" not in built
+    assert False not in fills
     assert not sp._union_cache
+    sp.invertible_indices
+    assert fills[-1] is False
 
 
 def test_union_bitset_save_load(tmp_path, z9_space):
