@@ -455,6 +455,13 @@ class PairTables:
         return (self.mul(idet, a22), self.mul(idet, self.neg(a12)),
                 self.mul(idet, self.neg(a21)), self.mul(idet, a11)), idet
 
+    def conjugate(self, A, P):
+        """(P^-1 A P, inv[det P]) for 2x2 matrices as 4-tuples of index
+        arrays, P^-1 as in ``inverse``; where inv[det P] is -1 the
+        conjugate means nothing, and callers refuse it."""
+        inverse, idet = self.inverse(P)
+        return self.matmul(self.matmul(inverse, A), P), idet
+
 
 # ---------------------------------------------------------------------------
 # the ring handle

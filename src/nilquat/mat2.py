@@ -382,7 +382,9 @@ class MatrixSpace:
     index array or caches a mask.  The class code table is swept a22
     slice by a22 slice too, so its temporaries stay below Q^3 entries.
     GL2 is the invertible set; neither ``invertible_indices`` nor its
-    alias ``gl_packed`` caches anything, so no space holds GL2.
+    alias ``gl_packed`` caches anything, so no space holds GL2.  A space
+    does hold ``nilfactor``'s product chain, S_0 = {I} up to its closing
+    step, as class records built on request.
     """
 
     def __init__(self, ring: Ring, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -391,10 +393,10 @@ class MatrixSpace:
         self.count = ring.size ** 4
         self._cap = cap
         self._union_cache: dict[str, np.ndarray] = {}
-        # the product chain S_1 = Nil, S_2, ... as nilfactor's class-level
-        # steps, extended on demand and closed at its first repeated set
+        # the product chain S_0 = {I}, S_1 = Nil, S_2, ... as nilfactor's
+        # class-level steps, extended on demand up to the closing step, the
+        # first whose classes repeat the step before
         self._product_chain: list = []
-        self._product_chain_closed = False
 
     def require_enumerable(self) -> None:
         """Raise CapExceededError when the Q^4 packed matrices exceed the
@@ -533,12 +535,11 @@ class MatrixSpace:
         a = t.narrow(tuple(x.idx for x in A.entries()))
         out = np.empty(len(gl), dtype=np.int64)
         for block in block_slices(len(gl)):
-            P = t.narrow(self.unpack(gl[block]))
-            Pinv, idet = t.inverse(P)
+            conj, idet = t.conjugate(a, t.narrow(self.unpack(gl[block])))
             if (idet < 0).any():
                 raise AssertionError("invertible indices must have unit "
                                      "determinants")
-            out[block] = self.pack(*t.matmul(Pinv, t.matmul(a, P)))
+            out[block] = self.pack(*conj)
         return out
 
     # -- similarity classes ---------------------------------------------------
@@ -632,21 +633,6 @@ class MatrixSpace:
             sizes[offsets[j]:offsets[j + 1]] = (
                 gl2_count(q, n) // (q ** (2 * n + 2 * j - 2) * u))
         return sizes
-
-    def class_representatives(self, indices: np.ndarray) -> np.ndarray:
-        """The smallest member of each GL2 conjugacy class in ``indices``,
-        sorted.  ``indices`` must be sorted packed indices of a set closed
-        under conjugation, such as the nilpotents, so each code met occurs
-        ``class_sizes`` times; nothing of size Q^4 is allocated."""
-        indices = np.asarray(indices, dtype=np.int64)
-        codes = self.class_code(self.unpack(indices))
-        counts = np.bincount(codes, minlength=self.class_count)
-        sizes = np.where(counts > 0, self.class_sizes, 0)
-        if (np.diff(indices) <= 0).any() or (counts != sizes).any():
-            raise ValueError("indices must be sorted and closed under "
-                             "conjugation")
-        _, first = np.unique(codes, return_index=True)
-        return indices[np.sort(first)]
 
 
 def companion_conjugator(A: Mat2) -> Mat2:

@@ -176,38 +176,52 @@ def _read_only(indices: np.ndarray) -> np.ndarray:
 class _ChainStep:
     """S_s as classes: ``classes`` marks their codes, ``size`` is |S_s|,
     ``packed`` is S_s once requested, and ``factors`` holds one packed
-    member of each class, the next step's left factors.  For s >= 2 they
-    are left[i] Nil[j] in code order, i |Nil| + j being ``first``[code].
-    ``witnesses`` maps a code to its pair as matrices (n, N) and the
-    companion conjugator of n N; S_2's step fills it as ``decompose``
-    looks classes up, and no other step reads it."""
+    member of each class, sorted: the next step's left factors.  S_0 is
+    {I}; each later member is left[i] Nil[j], i |Nil| + j being
+    ``first``[code], so following ``first`` down to S_0 factors it into
+    s nilpotents.  ``closing`` marks the step whose classes repeat the
+    step before, the chain's last.  ``witnesses`` maps a code to its pair
+    as matrices (n, N) and the companion conjugator of n N; S_2's step
+    fills it as ``decompose`` looks classes up, and no other step reads
+    it."""
 
     classes: np.ndarray
     size: int
     factors: np.ndarray
     packed: np.ndarray | None = None
     first: np.ndarray | None = None
+    closing: bool = False
     witnesses: dict[int, tuple[Mat2, Mat2, Mat2]] = field(
         default_factory=dict)
 
 
 def _chain_step(space: MatrixSpace, s: int) -> _ChainStep:
     """S_s from the product chain cached on ``space``, extended as far as s
-    or its fixed point.  S_s = S_{s-1} * Nil is closed under conjugation,
-    so it is the closure of L * Nil, L one member per class of S_{s-1}.  A
-    step records each class's first pair (-1 if none) in one pass of
-    ``pair_products`` by ``np.minimum.at``.  Equal classes twice in a row
-    force every later set, so the chain stops there."""
+    or its closing step.  The chain starts at S_0 = {I}, and S_s = S_{s-1}
+    * Nil is closed under conjugation, so it is the closure of L * Nil, L
+    one member per class of S_{s-1}.  A step records each class's first
+    pair (-1 if none) in one pass of ``pair_products`` by
+    ``np.minimum.at``.  Equal classes twice in a row force every later
+    set, so the step that repeats its predecessor's classes closes the
+    chain and answers every s past it.  Building S_1 raises ValueError
+    unless Nil meets each of its classes in full, as a set closed under
+    conjugation does."""
     if s < 1:
         raise ValueError("s must be at least 1")
     chain = space._product_chain
     nil = space.nilpotent_indices
     codes = space.class_code_table
     if not chain:
-        reps = space.class_representatives(nil)
-        classes = np.bincount(codes[reps], minlength=space.class_count) > 0
-        chain.append(_ChainStep(classes, len(nil), reps, _read_only(nil)))
-    while len(chain) < s and not space._product_chain_closed:
+        # S_1 = Nil: each class it meets must lie in it whole
+        counts = np.bincount(codes[nil], minlength=space.class_count)
+        if (counts != np.where(counts > 0, space.class_sizes, 0)).any():
+            raise ValueError("the nilpotent indices must be closed under "
+                             "conjugation")
+        one = np.array([identity(space.ring).packed], dtype=np.int64)
+        classes = np.zeros(space.class_count, dtype=bool)
+        classes[codes[one]] = True
+        chain.append(_ChainStep(classes, 1, one))
+    while len(chain) <= s and not chain[-1].closing:
         left = chain[-1].factors
         pairs = len(left) * len(nil)
         first = np.full(space.class_count, pairs, dtype=np.int64)
@@ -216,24 +230,25 @@ def _chain_step(space: MatrixSpace, s: int) -> _ChainStep:
             for i, row in enumerate(packed, start):
                 np.minimum.at(first, codes[row], columns + i * len(nil))
         classes = first < pairs
-        if np.array_equal(classes, chain[-1].classes):
-            space._product_chain_closed = True
-            break
         first[~classes] = -1
         i, j = np.divmod(first[classes], len(nil))
-        factors = space.pack(*space.matmul(space.unpack(left[i]),
-                                           space.unpack(nil[j])))
-        chain.append(_ChainStep(classes, int(space.class_sizes[classes].sum()),
-                                factors, first=first))
-    return chain[min(s, len(chain)) - 1]
+        factors = np.sort(space.pack(*space.matmul(space.unpack(left[i]),
+                                                   space.unpack(nil[j]))))
+        chain.append(_ChainStep(
+            classes, int(space.class_sizes[classes].sum()), factors,
+            first=first, closing=np.array_equal(classes, chain[-1].classes)))
+    return chain[min(s, len(chain) - 1)]
 
 
 def product_set(space: MatrixSpace, s: int, threads: int = 1) -> np.ndarray:
     """Sorted packed indices, in ``space.index_type``, of every product of
     exactly s nilpotents: filled from S_s's classes in the cached product
     chain on the first request, one a22 slice at a time, and cached with
-    them, so it is returned read-only.  ``threads`` has no effect."""
+    them, so it is returned read-only.  The closing step repeats the set
+    before it and shares that step's array.  ``threads`` has no effect."""
     step = _chain_step(space, s)
+    if step.closing:
+        step = space._product_chain[-2]
     if step.packed is None:
         marked = step.classes[space.class_code_table].reshape(space.Q, -1)
         step.packed = _read_only(space._fill_slices(
@@ -360,14 +375,24 @@ def _parity_filler(ring: Ring) -> Mat2:
 
 def _top_row_factors(ring: Ring, a: RingElem, b: RingElem,
                      s: int) -> list[Mat2]:
-    """s nilpotent factors multiplying to ((a, b), (0, 0)), for s >= 3.
+    """s >= 2 nilpotent factors multiplying to ((a, b), (0, 0)).
 
-    Case split on which of a, b is a unit; each case has one odd-length and
-    one even-length base chain, padded in front by (E F) pairs that act as
+    s = 2 is E times a nilpotent with bottom row (a, b), which exists
+    unless a is in J and b a unit: ValueError there, as two factors cannot
+    reach a nonzero residue of trace zero.  For s >= 3 the cases split on
+    which of a, b is a unit; each case has one odd-length and one
+    even-length base chain, padded in front by (E F) pairs that act as
     the idempotent e11 on the chain's product.
     """
     z, one = ring.zero, ring.one
     E = top_row(z, one)
+    if s == 2:
+        if a.is_unit():
+            return [E, Mat2(-b, -(a.inverse() * (b * b)), a, b)]
+        if b.is_unit():
+            raise ValueError("two factors cannot reach a nonzero residue of "
+                             "trace zero")
+        return [E, Mat2(z, z, a, b)]
     F = Mat2(z, z, one, z)
     G = _parity_filler(ring)
     if not a.is_unit():
@@ -387,80 +412,26 @@ def _top_row_factors(ring: Ring, a: RingElem, b: RingElem,
     return [E, F] * ((s - len(chain)) // 2) + chain
 
 
-def _decompose_two(space: MatrixSpace, A: Mat2) -> NilFactorization:
-    """A as N1 N2, decided exactly, in this order: the zero matrix; the
-    trace obstruction (a nonzero residue of trace zero); closed-form
-    factors for orbit-union members; the determinant obstruction (det A
-    outside J^2); then the lookup of A's class, read from the code table,
-    in the first-pair record of the chain's S_2 step, whose failure is an
-    exhaustive refusal: if A = N1 N2 and N1 = P^-1 n P, then
-    P A P^-1 = n (P N2 P^-1), so S_2 is a union of classes, each reached
-    by a pair (n, N), n in reps(Nil).  The pair's matrices and the
-    companion conjugator of n N depend on the class alone, so the step
-    keeps them from the class's first hit on; refusals keep nothing.
-    """
-    ring = space.ring
-    E = top_row(ring.zero, ring.one)
-    if A == zero_matrix(ring):
-        return NilFactorization.certified(A, [E, E], identity(ring))
-    f = ring.residue_field
-    res = [ring.residue(e) for e in A.entries()]
-    if any(res) and f.add(res[0], res[3]) == 0:
-        # the residue would be a nonzero trace-zero product of two nilpotent
-        # residues, which cannot exist over a field
-        raise TraceObstructionError(
-            "trace obstruction: no two nilpotent factors exist")
-    cert = locate_in_orbit_union(space, A)
-    if cert is not None:
-        a, b, P = cert.a, cert.b, cert.conjugator
-        if a.is_unit():
-            second = Mat2(-b, -(a.inverse() * (b * b)), a, b)
-        else:
-            # a trace in J forces the certificate's b into J as well, so
-            # ((0,0),(a,b)) is nilpotent and E * it recovers the top row
-            second = Mat2(ring.zero, ring.zero, a, b)
-        Pinv = P.inverse()
-        return NilFactorization.certified(
-            A, [Pinv * E * P, Pinv * second * P], P)
-    det = A.det()
-    if det.valuation() < min(2, ring.n):
-        # det is multiplicative and every nilpotent has det in J
-        raise TraceObstructionError(
-            f"determinant obstruction: det = {format_element(det)} is not "
-            f"in J^2, so no two nilpotent factors exist")
-    # S_2 holds the non-nilpotent E12 E21, so the chain never closes at S_1
-    step = _chain_step(space, 2)
-    code = int(space.class_code_table[A.packed])
-    witness = step.witnesses.get(code)
-    if witness is None:
-        pair = int(step.first[code])
-        if pair < 0:
-            raise TraceObstructionError(
-                "no product of two nilpotent matrices equals this matrix "
-                "(exhaustive search)")
-        nil = space.nilpotent_indices
-        reps = _chain_step(space, 1).factors
-        n = space.matrix_from_packed(int(reps[pair // len(nil)]))
-        N = space.matrix_from_packed(int(nil[pair % len(nil)]))
-        witness = step.witnesses[code] = (n, N, companion_conjugator(n * N))
-    n, N, conj = witness
-    # n N shares A's class, so both reach one companion form, and
-    # P = P_(nN) P_A^-1 gives P A P^-1 = n N
-    P = conj * companion_conjugator(A).inverse()
-    Pinv = P.inverse()
-    return NilFactorization.certified(A, [Pinv * n * P, Pinv * N * P], P)
-
-
 def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
     """Express A as an ordered product of exactly s nilpotent factors.
 
-    s = 1 needs A itself nilpotent.  s = 2 is decided exactly by
-    closed-form factors, the trace and determinant obstructions and an
-    exact lookup of A's class in the product chain's S_2 step (see
-    ``_decompose_two``).  s >= 3 goes through the orbit union witness and
-    the constructive factor chains.  Only that lookup reads the space's
-    Q^4 data, and raises CapExceededError past the space's cap; every
-    other route uses ``space.ring`` alone.
+    s = 1 needs A itself nilpotent.  Every s >= 2 takes members of the
+    top-row orbit union through the constructive factor chains of
+    ``_top_row_factors``, and refuses the rest for s >= 3.  s = 2 is
+    decided exactly, in this order: the zero matrix; the trace obstruction
+    (a nonzero residue of trace zero); orbit-union members; the
+    determinant obstruction (det A outside J^2); then the lookup of A's
+    class in the first-pair record of the chain's S_2 step, whose failure
+    is an exhaustive refusal: if A = N1 N2 and N1 = P^-1 n P, then
+    P A P^-1 = n (P N2 P^-1), so S_2 is a union of classes, each reached
+    by a pair (n, N), n one of S_1's factors.  The pair's matrices and the
+    companion conjugator of n N depend on the class alone, so the step
+    keeps them from the class's first hit on; refusals keep nothing.
+
+    Each route yields factors of P A P^-1 for a conjugator P, and every
+    answer is their conjugates P^-1 N P, certified.  Only the lookup reads
+    the space's Q^4 data, and raises CapExceededError past the space's
+    cap; every other route uses ``space.ring`` alone.
     """
     ring = space.ring
     if s < 1:
@@ -468,18 +439,52 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
     if s == 1:
         if not A.is_nilpotent():
             raise NotNilpotentError("target is not nilpotent")
-        return NilFactorization.certified(A, [A], identity(ring))
-    if s == 2:
-        return _decompose_two(space, A)
-    cert = locate_in_orbit_union(space, A)
-    if cert is None:
-        raise NotInOrbitUnionError(
-            "not in orbit union: no conjugate of a top-row matrix matches")
-    factors = _top_row_factors(ring, cert.a, cert.b, s)
-    P = cert.conjugator
+        factors, P = [A], identity(ring)
+    elif s == 2 and A == zero_matrix(ring):
+        E = top_row(ring.zero, ring.one)
+        factors, P = [E, E], identity(ring)
+    else:
+        if (s == 2 and any(e.is_unit() for e in A.entries())
+                and not A.trace().is_unit()):
+            # the residue would be a nonzero trace-zero product of two
+            # nilpotent residues, which cannot exist over a field
+            raise TraceObstructionError(
+                "trace obstruction: no two nilpotent factors exist")
+        cert = locate_in_orbit_union(space, A)
+        if cert is not None:
+            factors, P = (_top_row_factors(ring, cert.a, cert.b, s),
+                          cert.conjugator)
+        elif s > 2:
+            raise NotInOrbitUnionError(
+                "not in orbit union: no conjugate of a top-row matrix "
+                "matches")
+        else:
+            det = A.det()
+            if det.valuation() < min(2, ring.n):
+                # det is multiplicative and every nilpotent has det in J
+                raise TraceObstructionError(
+                    f"determinant obstruction: det = {format_element(det)} "
+                    f"is not in J^2, so no two nilpotent factors exist")
+            step = _chain_step(space, 2)
+            code = int(space.class_code_table[A.packed])
+            if code not in step.witnesses:
+                pair = int(step.first[code])
+                if pair < 0:
+                    raise TraceObstructionError(
+                        "no product of two nilpotent matrices equals this "
+                        "matrix (exhaustive search)")
+                nil = space.nilpotent_indices
+                left = _chain_step(space, 1).factors[pair // len(nil)]
+                n = space.matrix_from_packed(int(left))
+                N = space.matrix_from_packed(int(nil[pair % len(nil)]))
+                step.witnesses[code] = (n, N, companion_conjugator(n * N))
+            n, N, conj = step.witnesses[code]
+            factors = [n, N]
+            # n N shares A's class, so both reach one companion form, and
+            # P = P_(nN) P_A^-1 gives P A P^-1 = n N
+            P = conj * companion_conjugator(A).inverse()
     Pinv = P.inverse()
-    return NilFactorization.certified(
-        A, [Pinv * N * P for N in factors], P)
+    return NilFactorization.certified(A, [Pinv * N * P for N in factors], P)
 
 
 # ---------------------------------------------------------------------------

@@ -383,15 +383,6 @@ def _lemma35_scalar(ring, triples, pairs, alphas) -> int:
     return viol
 
 
-def _conjugate_bulk(t, A, P):
-    """P^-1 A P on the kernel's narrow arrays, with P^-1 the adjugate
-    scaled by inv[det P], as ``orbits.conjugate`` computes it."""
-    inverse, idet = t.inverse(P)
-    if (idet < 0).any():
-        raise ValueError("conjugator is not invertible")
-    return t.matmul(t.matmul(inverse, A), P)
-
-
 def _mismatches(X, Y) -> int:
     """How many matrices differ between two 4-tuples of index arrays."""
     bad = np.zeros((), dtype=bool)
@@ -404,15 +395,17 @@ def _lemma35_bulk(ring, triples, pairs, alphas) -> int:
     t = ring.pair_tables
     zero, one = t.narrow(ring.zero.idx), t.narrow(ring.one.idx)
     a, b, s = t.narrow(triples)
-    viol = _mismatches(_conjugate_bulk(t, (a, b, zero, zero),
-                                       (one, s, zero, one)),
-                       (a, t.add(b, t.mul(a, s)), zero, zero))
     u, v = t.narrow(pairs)
     inv_u, inv_v = np.take(t.inv_table, u), np.take(t.inv_table, v)
     w = t.mul(inv_v, t.mul(u, u))
-    viol += _mismatches(_conjugate_bulk(t, (u, t.neg(v), w, t.neg(u)),
-                                        (one, t.mul(v, inv_u), zero, one)),
-                        (zero, zero, w, zero))
+    # P^-1 A P as ``orbits.conjugate`` computes it, for shears and pairs
+    sheared, idet = t.conjugate((a, b, zero, zero), (one, s, zero, one))
+    split, idet_u = t.conjugate((u, t.neg(v), w, t.neg(u)),
+                                (one, t.mul(v, inv_u), zero, one))
+    if (idet < 0).any() or (idet_u < 0).any():
+        raise ValueError("conjugator is not invertible")
+    viol = _mismatches(sheared, (a, t.add(b, t.mul(a, s)), zero, zero))
+    viol += _mismatches(split, (zero, zero, w, zero))
     det = t.det((one, zero, zero, t.narrow(alphas)))
     viol += int((np.take(t.inv_table, det) < 0).sum())
     return viol

@@ -14,8 +14,8 @@ from nilquat.mat2 import (CapExceededError, Mat2, MatrixSpace, NilTag,
                           format_matrix, gl2_count, identity, load_packed,
                           matrix_space, parse_matrix, save_packed, top_row,
                           zero_matrix)
-from nilquat.nilfactor import (DEFAULT_SEED, census_orbit_union, decompose,
-                               pair_products, product_set)
+from nilquat.nilfactor import (DEFAULT_SEED, _chain_step, census_orbit_union,
+                               decompose, pair_products, product_set)
 from nilquat.orbits import (locate_in_orbit_union, orbit_of, orbit_union,
                             save_union_bitset, union_summary)
 from nilquat.verify import _lemma33
@@ -489,21 +489,26 @@ def test_class_labels_are_orbit_minima(text):
 
 @pytest.mark.parametrize("text", ("zmod:5^1", "zmod:3^2", "polyq:3^1^2"))
 def test_class_representatives_of_nil_are_label_minima(text):
+    # S_1 = I Nil, so its factors, the chain's representatives of the Nil
+    # classes, are each class's first member in packed order
     sp = matrix_space(ring_from_string(text))
     nil = sp.nilpotent_indices
-    reps = sp.class_representatives(nil)
+    reps = _chain_step(sp, 1).factors
     codes = sp.class_code_table
     # one representative per class met on Nil, each its orbit's minimum
     assert np.array_equal(np.sort(codes[reps]), np.unique(codes[nil]))
+    assert (np.diff(reps) > 0).all()
     for k in reps:
         assert orbit_of(sp, sp.matrix_from_packed(int(k)))[0] == k
 
 
-def test_class_representatives_need_a_closed_set(z9_space):
-    nil = z9_space.nilpotent_indices
-    for bad in (nil[:-1], nil[::-1]):
-        with pytest.raises(ValueError, match="closed under conjugation"):
-            z9_space.class_representatives(bad)
+def test_class_representatives_need_a_closed_set(monkeypatch):
+    # building S_1 refuses a Nil that misses one member of a class
+    sp = MatrixSpace(ring_from_string("zmod:3^2"))
+    monkeypatch.setattr(sp, "nilpotent_indices", sp.nilpotent_indices[:-1])
+    with pytest.raises(ValueError, match="closed under conjugation"):
+        _chain_step(sp, 1)
+    assert not sp._product_chain
 
 
 @pytest.mark.parametrize("bad", [
@@ -530,11 +535,6 @@ def test_class_code_of_scalars_matches_the_array_route(z9_space):
         for kind in (int, np.int16, np.asarray):
             got = z9_space.class_code(tuple(kind(x) for x in entries))
             assert np.shape(got) == () and got == want[0]
-
-
-def test_class_representatives_refuse_indices_past_the_space(z9_space):
-    with pytest.raises(ValueError, match="out of range"):
-        z9_space.class_representatives(np.array([z9_space.count]))
 
 
 def test_save_packed_bytes_do_not_depend_on_index_type(z9_space, tmp_path):

@@ -12,6 +12,7 @@ from nilquat.mat2 import (Mat2, MatrixSpace, gl2_count, identity,
 from nilquat.nilfactor import (DEFAULT_SEED, NilFactorization,
                                NotInOrbitUnionError, NotNilpotentError,
                                TraceObstructionError, _chain_step,
+                               _top_row_factors,
                                census_formula_only, census_orbit_union,
                                census_set_product, decompose, formula_count,
                                nilpotent_count_check, pair_products,
@@ -368,6 +369,10 @@ def test_certified_checks_survive_optimize_flag():
         "probe(ValueError,\n"
         "      lambda: NilFactorization.certified(zero_matrix(r), [I], I))\n"
         "probe(ValueError, lambda: nf._top_row_factors(r, r.one, r.one, 1))\n"
+        "# building S_1 from a Nil that misses one member of a class\n"
+        "short = MatrixSpace(ring_from_string('zmod:3^2'))\n"
+        "short.nilpotent_indices = short.nilpotent_indices[:-1]\n"
+        "probe(ValueError, lambda: nf._chain_step(short, 1))\n"
         "sp = matrix_space(ring_from_string('zmod:3^2'))\n"
         "# a witness that fails its own check, a union claim for the\n"
         "# sharpness target, and quaternion relations that fail\n"
@@ -381,7 +386,7 @@ def test_certified_checks_survive_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["refused"] * 5
+    assert proc.stdout.split() == ["refused"] * 6
 
 
 @pytest.mark.parametrize("text", ("zmod:3^2", "polyq:3^1^2"))
@@ -557,13 +562,14 @@ def _two_factor_oracle(sp, reps):
 @pytest.mark.parametrize("text", ("zmod:5^2", "zmod:3^3"))
 def test_two_factor_table_matches_unique_oracle(text):
     # the s = 2 lookup reads the record of the chain's S_2 step, whose left
-    # factors are S_1's class representatives
+    # factors are S_1's: the smallest member of each Nil class
     sp = MatrixSpace(ring_from_string(text))
     first = _chain_step(sp, 2).first
-    reps = _chain_step(sp, 1).factors
-    assert np.array_equal(reps,
-                          sp.class_representatives(sp.nilpotent_indices))
-    assert np.array_equal(first, _two_factor_oracle(sp, reps))
+    nil = sp.nilpotent_indices
+    _, lowest = np.unique(sp.class_code_table[nil], return_index=True)
+    minima = np.sort(nil[lowest])
+    assert np.array_equal(_chain_step(sp, 1).factors, minima)
+    assert np.array_equal(first, _two_factor_oracle(sp, minima))
 
 
 _CHAIN_COUNTS = {
@@ -586,7 +592,8 @@ def test_product_chain_sets_are_in_index_type(text, wide, monkeypatch):
     counts = _CHAIN_COUNTS[text]
     reports = [census_set_product(sp, s) for s in range(1, len(counts) + 2)]
     assert [r.brute_count for r in reports] == counts + counts[-1:]
-    assert len(sp._product_chain) == len(counts)
+    # S_0 = {I}, S_1 .. S_k and the closing step, which repeats S_k
+    assert len(sp._product_chain) == len(counts) + 2
     for s, count in enumerate(counts, 1):
         got = product_set(sp, s)
         assert got.dtype == sp.index_type == (np.int64 if wide else np.int32)
@@ -731,10 +738,58 @@ def test_product_chain_stops_at_fixed_point(monkeypatch):
     sp = MatrixSpace(ring_from_string("zmod:3^2"))
     calls = _count_kernel_calls(monkeypatch)
     got = product_set(sp, 50)
-    # S_2 and S_3 are new, and the step to S_4 finds the repeat
-    assert len(calls) == 3
+    # S_1, S_2 and S_3 are new, and the step to S_4 finds the repeat
+    assert len(calls) == 4
     assert len(got) == 897
-    assert np.array_equal(product_set(sp, 4), got) and len(calls) == 3
+    assert np.array_equal(product_set(sp, 4), got) and len(calls) == 4
+    # the closing step S_4 shares S_3's packed set
+    assert product_set(sp, 3) is got
+
+
+@pytest.mark.parametrize("text", ("zmod:3^2", "polyq:3^2^1", "zmod:3^3"))
+def test_chain_records_form_a_witness_tree_down_to_s0(text):
+    # following first[c] = i |Nil| + j down the chain, to the class of left
+    # factor i one step lower each time, factors the witness of class c at
+    # every step up to the closing one into s nilpotents, ending at I
+    sp = MatrixSpace(ring_from_string(text))
+    nil = sp.nilpotent_indices
+    codes = sp.class_code_table
+    chain = sp._product_chain
+    assert _chain_step(sp, 50) is chain[-1]
+    assert [step.closing for step in chain] == [False] * (len(chain) - 1) \
+        + [True]
+    assert chain[0].size == 1 and chain[0].first is None
+    I = identity(sp.ring)
+    for s, step in enumerate(chain[1:], 1):
+        witness = dict(zip(codes[step.factors].tolist(), step.factors))
+        assert len(witness) == len(step.factors) == step.classes.sum()
+        for c in np.flatnonzero(step.classes):
+            factors, code = [], c
+            for k in range(s, 0, -1):
+                i, j = divmod(int(chain[k].first[code]), len(nil))
+                factors.append(sp.matrix_from_packed(int(nil[j])))
+                code = codes[chain[k - 1].factors[i]]
+            assert chain[0].factors[i] == I.packed
+            assert all(N.is_nilpotent() for N in factors)
+            assert _reproduct(factors[::-1]).packed == witness[c], (s, c)
+
+
+@pytest.mark.parametrize("text", ("zmod:3^2", "polyq:3^2^1"))
+def test_top_row_factors_reach_every_top_row_at_s2(text):
+    # two factors reach ((a, b), (0, 0)) unless a is in J and b a unit, a
+    # nonzero residue of trace zero, which decompose refuses earlier
+    ring = ring_from_string(text)
+    elems = [ring.from_index(k) for k in range(ring.size)]
+    for a in elems:
+        for b in elems:
+            if not a.is_unit() and b.is_unit():
+                with pytest.raises(ValueError, match="trace zero"):
+                    _top_row_factors(ring, a, b, 2)
+                continue
+            factors = _top_row_factors(ring, a, b, 2)
+            assert len(factors) == 2
+            assert all(N.is_nilpotent() for N in factors)
+            assert factors[0] * factors[1] == top_row(a, b)
 
 
 @pytest.mark.parametrize("text", _CHAIN_RINGS)
