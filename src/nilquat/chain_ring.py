@@ -16,11 +16,12 @@ Scalar arithmetic has two routes.  On a ring of at most
 ``TABLE_SIZE_LIMIT`` elements every element is interned, one ``RingElem``
 per index, and ``add``, ``neg``, ``sub``, ``mul`` and ``inverse`` are one
 lookup in the ring's dense tables, held as Python lists of the interned
-elements.  The tables themselves are built in numpy straight from the
-digit encoding: zmod by outer sums and products mod q^n, polyq by a
-truncated convolution of digit arrays through the residue field's tables.
-Larger rings, which have no dense tables, compute on digits one operation
-at a time; that digit route is also the tests' oracle for the tables.
+elements.  One builder, ``_pair_table``, makes them for both families and
+for GF(q): the base-p^a digits of an index are its coordinates over Z/p^a
+(zmod: one, mod p^n; polyq: n r, mod p), which multiply by fixed structure
+constants.  Larger rings, which have no dense tables, compute on digits
+one operation at a time; that digit route is also the tests' oracle for
+the tables.
 
 Bulk arithmetic over index arrays runs through one gather kernel,
 ``PairTables``: add and mul raveled to length Q^2 in int16 (int32 once
@@ -64,6 +65,59 @@ def _digits_of(value: int, base: int, count: int) -> tuple[int, ...]:
         out.append(value % base)
         value //= base
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the table builder: coordinates over Z/b and structure constants
+# ---------------------------------------------------------------------------
+
+def _coordinate_array(base: int, width: int) -> np.ndarray:
+    """Row x: the ``width`` base-``base`` digits of x, lowest first, for
+    every x in [0, base^width), in uint32."""
+    x = np.arange(base ** width, dtype=np.uint32)
+    return x[:, None] // base ** np.arange(width, dtype=np.uint32) % base
+
+
+def _negation_table(base: int, width: int) -> np.ndarray:
+    """-x for every x in [0, base^width), coordinate by coordinate."""
+    return ((base - _coordinate_array(base, width)) % base
+            @ base ** np.arange(width, dtype=np.int64))
+
+
+def _pair_table(base: int, constants: np.ndarray,
+                multiply: bool) -> np.ndarray:
+    """x + y, or x * y if ``multiply``, for every pair of elements whose
+    coordinates over Z/base are the base-``base`` digits of their index:
+    a sum coordinate by coordinate, and coordinate k of a product
+    sum_(i,j) C[i, j, k] x_i y_j, C being ``constants``, both mod base.
+
+    Each coordinate is one Q x Q pass, added in by Horner's rule.  A
+    product's pass is the broadcast sum of two small tables, x's high and
+    its low coordinates against every y: x's index runs over every (high,
+    low) pair in order.  The arithmetic is uint32, so width * base^2 must
+    stay below 2^32.
+    """
+    width = len(constants)
+    size, h = base ** width, width // 2
+    x = _coordinate_array(base, width)
+    low, high = x[:base ** h, :h], x[::base ** h, h:]
+    out = np.zeros((size, size), dtype=np.int64)
+    part = np.empty((size, size), dtype=np.min_scalar_type(2 * base))
+    for k in reversed(range(width)):
+        if multiply:
+            # row y, column i: sum_j C[i, j, k] y_j
+            y = x @ constants[:, :, k].T.astype(np.uint32) % base
+            np.add((np.einsum("ai,yi->ay", high, y[:, h:]) % base)[:, None],
+                   (np.einsum("ai,yi->ay", low, y[:, :h]) % base)[None],
+                   out=part.reshape(len(high), len(low), size))
+        else:
+            np.add.outer(x[:, k], x[:, k], out=part)
+        # part < 2 base, so part mod base is the smaller of part and
+        # part - base, which wraps round (part is unsigned) where part < base
+        np.minimum(part, part - base, out=part)
+        out *= base
+        out += part
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,59 +251,31 @@ class GFq:
         return self.pow(x, self.q - 2)
 
     # -- vectorised tables ------------------------------------------------
-    # Built in numpy from the coefficient encoding, never from the scalar
+    # Built by the table builder from the modulus, never from the scalar
     # operations above, so those stay an independent check on them.
 
-    def _coefficients(self) -> np.ndarray:
-        """Row x: the base-p coefficient vector of the element x."""
-        x = np.arange(self.q, dtype=np.int64)
-        return (x[:, None] // self.p ** np.arange(self.r)) % self.p
-
-    def _encode_columns(self, columns) -> np.ndarray:
-        """Encode per-coefficient arrays, given lowest degree first."""
-        out = 0
-        for col in reversed(columns):
-            out = out * self.p + col
-        return out
-
     @cached_property
-    def _add_grid(self) -> np.ndarray:
-        """x + y for all x, y in GF(q); unguarded, for the ring tables."""
-        c = self._coefficients()
-        return self._encode_columns(
-            [np.add.outer(c[:, i], c[:, i]) % self.p for i in range(self.r)])
-
-    @cached_property
-    def _mul_grid(self) -> np.ndarray:
-        """x * y for all x, y in GF(q); unguarded, for the ring tables.
-
-        x y = sum_i x_i (t^i y), and the coefficient vectors of t^i y come
-        from r - 1 multiplications of every y by t, each a shift reduced
-        by t^r = -(m_0 + ... + m_(r-1) t^(r-1)).
-        """
-        p, r = self.p, self.r
-        c = self._coefficients()
-        shifts = [c]
-        for _ in range(r - 1):
-            prev = shifts[-1]
-            up = np.roll(prev, 1, axis=1)
-            up[:, 0] = 0
-            shifts.append((up - np.multiply.outer(prev[:, -1],
-                                                  self.modulus[:r])) % p)
-        return self._encode_columns(
-            [(c @ np.stack([t[:, k] for t in shifts])) % p
-             for k in range(r)])
+    def _constants(self) -> np.ndarray:
+        """C[u, v, w], the coefficient of t^w in t^u t^v: row k of
+        ``powers`` is t^k, a shift of t^(k-1) reduced by the modulus."""
+        p, r, low = self.p, self.r, np.array(self.modulus[:-1])
+        powers = np.zeros((2 * r - 1, r), dtype=np.int32)
+        powers[0, 0] = 1
+        for k in range(1, 2 * r - 1):
+            powers[k, 1:] = powers[k - 1, :-1]
+            powers[k] = (powers[k] - powers[k - 1, -1] * low) % p
+        return powers[np.arange(r)[:, None] + np.arange(r)]
 
     # Dense tables for vectorised residue work; only sensible for small q.
-    @property
+    @cached_property
     def mul_table(self) -> np.ndarray:
         if self.q > _GF_TABLE_LIMIT:
             raise ValueError("dense GF tables are only for small fields")
-        return self._mul_grid
+        return _pair_table(self.p, self._constants, multiply=True)
 
     @cached_property
     def neg_table(self) -> np.ndarray:
-        return self._encode_columns(list((-self._coefficients() % self.p).T))
+        return _negation_table(self.p, self.r)
 
     @cached_property
     def inv_table(self) -> np.ndarray:
@@ -497,6 +523,8 @@ class Ring:
         self.q = p ** r
         self.size = self.q ** n
         self.residue_field = GFq(p, r)
+        # R is free over Z/p^a on the coordinates pi^i t^u, i < e, u < r
+        self.e, self.a = (1, n) if spec.family == ZMOD else (n, 1)
         self._key = (p, r, n, spec.family)
         self._dense = self.size <= TABLE_SIZE_LIMIT
 
@@ -538,9 +566,7 @@ class Ring:
 
     def from_int(self, k: int) -> RingElem:
         """Image of the rational integer k under Z -> R."""
-        if self.spec.family == ZMOD:
-            return self.from_index(k % self.size)
-        return self.lift(k % self.p)
+        return self.from_index(k % self.p ** self.a)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -738,58 +764,32 @@ class Ring:
                 f"{TABLE_SIZE_LIMIT}")
 
     @cached_property
-    def _digit_array(self) -> np.ndarray:
-        """The digits of every index: one row per element, column k the
-        coefficient of pi^k."""
-        idx = np.arange(self.size, dtype=np.int64)
-        return (idx[:, None] // self.q ** np.arange(self.n)) % self.q
-
-    def _pairwise(self, table: np.ndarray, i: int, j: int) -> np.ndarray:
-        """table[a_i, b_j] for every pair (a, b) of elements, a_i being
-        digit i of a."""
-        d = self._digit_array
-        return table[d[:, i]][:, d[:, j]]
+    def _constants(self) -> np.ndarray:
+        """C[c, c', c''] for coordinate c = i r + u standing for pi^i t^u:
+        pi^i pi^j = pi^(i+j), with nothing from pi^e on, times the residue
+        field's t^u t^v."""
+        i, w = np.arange(self.e), self.e * self.r
+        pi = (np.add.outer(i, i)[:, :, None] == i).astype(np.int32)
+        t = self.residue_field._constants
+        return np.einsum("ijk,uvw->iujvkw", pi, t).reshape(w, w, w)
 
     @cached_property
     def add_table(self) -> np.ndarray:
         self._require_dense()
-        if self.spec.family == ZMOD:
-            i = np.arange(self.size, dtype=np.int64)
-            return np.add.outer(i, i) % self.size
-        add = self.residue_field._add_grid
-        out = np.zeros((self.size, self.size), dtype=np.int64)
-        for k in reversed(range(self.n)):
-            out = out * self.q + self._pairwise(add, k, k)
-        return out
+        return _pair_table(self.p ** self.a, self._constants, multiply=False)
 
     @cached_property
     def mul_table(self) -> np.ndarray:
         self._require_dense()
-        if self.spec.family == ZMOD:
-            i = np.arange(self.size, dtype=np.int64)
-            return np.multiply.outer(i, i) % self.size
-        f = self.residue_field
-        add, mul = f._add_grid, f._mul_grid
-        out = np.zeros((self.size, self.size), dtype=np.int64)
-        # digit m of a b is the GF(q) sum of a_k b_(m-k) over k <= m; digits
-        # past n - 1 are truncated away by t^n = 0
-        for m in reversed(range(self.n)):
-            acc = self._pairwise(mul, 0, m)
-            for k in range(1, m + 1):
-                acc = add[acc, self._pairwise(mul, k, m - k)]
-            out = out * self.q + acc
-        return out
+        return _pair_table(self.p ** self.a, self._constants, multiply=True)
 
     @cached_property
     def neg_table(self) -> np.ndarray:
-        if self.spec.family == ZMOD:
-            return -np.arange(self.size, dtype=np.int64) % self.size
-        neg = self.residue_field.neg_table[self._digit_array]
-        return neg @ self.q ** np.arange(self.n)
+        return _negation_table(self.p ** self.a, self.e * self.r)
 
     @cached_property
     def val_table(self) -> np.ndarray:
-        nonzero = self._digit_array != 0
+        nonzero = _coordinate_array(self.q, self.n) != 0
         return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), self.n)
 
     @cached_property

@@ -225,10 +225,9 @@ def _chain_step(space: MatrixSpace, s: int) -> _ChainStep:
         left = chain[-1].factors
         pairs = len(left) * len(nil)
         first = np.full(space.class_count, pairs, dtype=np.int64)
-        columns = np.arange(len(nil), dtype=np.int64)
         for start, packed in pair_products(space, left, nil):
-            for i, row in enumerate(packed, start):
-                np.minimum.at(first, codes[row], columns + i * len(nil))
+            np.minimum.at(first, codes[packed.ravel()],
+                          start * len(nil) + np.arange(packed.size))
         classes = first < pairs
         first[~classes] = -1
         i, j = np.divmod(first[classes], len(nil))
@@ -428,10 +427,11 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
     companion conjugator of n N depend on the class alone, so the step
     keeps them from the class's first hit on; refusals keep nothing.
 
-    Each route yields factors of P A P^-1 for a conjugator P, and every
-    answer is their conjugates P^-1 N P, certified.  Only the lookup reads
-    the space's Q^4 data, and raises CapExceededError past the space's
-    cap; every other route uses ``space.ring`` alone.
+    s = 1 and the zero matrix answer as they stand, conjugator I; every
+    other route yields factors of P A P^-1 for a conjugator P and answers
+    with their conjugates P^-1 N P.  Every answer is certified.  Only the
+    lookup reads the space's Q^4 data, and raises CapExceededError past
+    the space's cap; every other route uses ``space.ring`` alone.
     """
     ring = space.ring
     if s < 1:
@@ -439,50 +439,48 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
     if s == 1:
         if not A.is_nilpotent():
             raise NotNilpotentError("target is not nilpotent")
-        factors, P = [A], identity(ring)
-    elif s == 2 and A == zero_matrix(ring):
+        return NilFactorization.certified(A, [A], identity(ring))
+    if s == 2 and A == zero_matrix(ring):
         E = top_row(ring.zero, ring.one)
-        factors, P = [E, E], identity(ring)
+        return NilFactorization.certified(A, [E, E], identity(ring))
+    if (s == 2 and any(e.is_unit() for e in A.entries())
+            and not A.trace().is_unit()):
+        # the residue would be a nonzero trace-zero product of two
+        # nilpotent residues, which cannot exist over a field
+        raise TraceObstructionError(
+            "trace obstruction: no two nilpotent factors exist")
+    cert = locate_in_orbit_union(space, A)
+    if cert is not None:
+        factors, P = (_top_row_factors(ring, cert.a, cert.b, s),
+                      cert.conjugator)
+    elif s > 2:
+        raise NotInOrbitUnionError(
+            "not in orbit union: no conjugate of a top-row matrix matches")
     else:
-        if (s == 2 and any(e.is_unit() for e in A.entries())
-                and not A.trace().is_unit()):
-            # the residue would be a nonzero trace-zero product of two
-            # nilpotent residues, which cannot exist over a field
+        det = A.det()
+        if det.valuation() < min(2, ring.n):
+            # det is multiplicative and every nilpotent has det in J
             raise TraceObstructionError(
-                "trace obstruction: no two nilpotent factors exist")
-        cert = locate_in_orbit_union(space, A)
-        if cert is not None:
-            factors, P = (_top_row_factors(ring, cert.a, cert.b, s),
-                          cert.conjugator)
-        elif s > 2:
-            raise NotInOrbitUnionError(
-                "not in orbit union: no conjugate of a top-row matrix "
-                "matches")
-        else:
-            det = A.det()
-            if det.valuation() < min(2, ring.n):
-                # det is multiplicative and every nilpotent has det in J
+                f"determinant obstruction: det = {format_element(det)} "
+                f"is not in J^2, so no two nilpotent factors exist")
+        step = _chain_step(space, 2)
+        code = int(space.class_code_table[A.packed])
+        if code not in step.witnesses:
+            pair = int(step.first[code])
+            if pair < 0:
                 raise TraceObstructionError(
-                    f"determinant obstruction: det = {format_element(det)} "
-                    f"is not in J^2, so no two nilpotent factors exist")
-            step = _chain_step(space, 2)
-            code = int(space.class_code_table[A.packed])
-            if code not in step.witnesses:
-                pair = int(step.first[code])
-                if pair < 0:
-                    raise TraceObstructionError(
-                        "no product of two nilpotent matrices equals this "
-                        "matrix (exhaustive search)")
-                nil = space.nilpotent_indices
-                left = _chain_step(space, 1).factors[pair // len(nil)]
-                n = space.matrix_from_packed(int(left))
-                N = space.matrix_from_packed(int(nil[pair % len(nil)]))
-                step.witnesses[code] = (n, N, companion_conjugator(n * N))
-            n, N, conj = step.witnesses[code]
-            factors = [n, N]
-            # n N shares A's class, so both reach one companion form, and
-            # P = P_(nN) P_A^-1 gives P A P^-1 = n N
-            P = conj * companion_conjugator(A).inverse()
+                    "no product of two nilpotent matrices equals this "
+                    "matrix (exhaustive search)")
+            nil = space.nilpotent_indices
+            left = _chain_step(space, 1).factors[pair // len(nil)]
+            n = space.matrix_from_packed(int(left))
+            N = space.matrix_from_packed(int(nil[pair % len(nil)]))
+            step.witnesses[code] = (n, N, companion_conjugator(n * N))
+        n, N, conj = step.witnesses[code]
+        factors = [n, N]
+        # n N shares A's class, so both reach one companion form, and
+        # P = P_(nN) P_A^-1 gives P A P^-1 = n N
+        P = conj * companion_conjugator(A).inverse()
     Pinv = P.inverse()
     return NilFactorization.certified(A, [Pinv * N * P for N in factors], P)
 

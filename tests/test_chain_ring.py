@@ -173,6 +173,17 @@ def test_repr_uses_digit_tuples():
     assert repr(r.from_int(5)) == "(2,1)"
 
 
+@pytest.mark.parametrize("text", ("zmod:3^3", "polyq:3^2^2"))
+def test_from_int_is_the_k_fold_sum_of_one(text):
+    r = ring_from_string(text)
+    total = r.zero
+    for k in range(31):
+        # the digit route, so the sums do not read the dense tables
+        assert r.from_int(k) == total
+        assert r.from_int(-k) == r._digit_neg(total)
+        total = r._digit_add(total, r.one)
+
+
 # -- the dense tables against the digit route -------------------------------
 
 def _check_against_digit_route(r: Ring, pairs) -> None:
@@ -193,15 +204,21 @@ def _check_against_digit_route(r: Ring, pairs) -> None:
             assert inv[i] == -1
 
 
+# polyq:3^2^2 is the one case with both r >= 2 and n >= 2, where the pi and
+# t structure constants mix
 @pytest.mark.parametrize("text", ("zmod:3^2", "polyq:3^2^1", "zmod:5^2",
-                                  "polyq:3^1^3", "polyq:7^2^1"))
+                                  "polyq:3^1^3", "polyq:7^2^1",
+                                  "polyq:3^2^2"))
 def test_tables_equal_digit_route_on_every_pair(text):
     r = Ring(parse_ring_spec(text))
     _check_against_digit_route(
         r, [(i, j) for i in range(r.size) for j in range(r.size)])
 
 
-@pytest.mark.parametrize("text", ("zmod:3^6", "polyq:3^2^3", "zmod:5^4"))
+# GF(17^2) has no dense tables of its own, yet polyq:17^2^1's tables are
+# built from its structure constants
+@pytest.mark.parametrize("text", ("zmod:3^6", "polyq:3^2^3", "zmod:5^4",
+                                  "polyq:17^2^1"))
 def test_tables_equal_digit_route_on_sampled_pairs(text):
     r = Ring(parse_ring_spec(text))
     rng = np.random.default_rng(11)

@@ -225,6 +225,23 @@ def test_decompose_single_factor(gf3):
         decompose(gf3, identity(r), 1)
 
 
+def test_identity_conjugator_routes_invert_nothing(monkeypatch):
+    # s = 1 and the zero matrix answer with the identity as conjugator,
+    # so there is no conjugation to undo and nothing to invert
+    sp = matrix_space(ring_from_string("zmod:5^2"))
+    r = sp.ring
+
+    def refuse(self):
+        raise AssertionError("Mat2.inverse called")
+
+    monkeypatch.setattr(Mat2, "inverse", refuse)
+    A, Z = top_row(r.zero, r.one), zero_matrix(r)
+    for target, s, factors in ((A, 1, (A,)), (Z, 2, (A, A))):
+        fact = decompose(sp, target, s)
+        assert fact.factors == factors
+        assert fact.conjugator == identity(r)
+
+
 @pytest.mark.parametrize("s", (3, 4, 5, 6))
 def test_decompose_every_union_member_gf3(gf3, s):
     members = np.flatnonzero(orbit_union(gf3))
