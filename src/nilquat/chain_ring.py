@@ -598,12 +598,12 @@ class Ring:
 
     @cached_property
     def _dot(self):
-        """The function (a, b, c, d) -> a*b + c*d, the fused step of the
-        2x2 matrix arithmetic, with no ownership check: ``Mat2`` checks
-        its operands' ring once per matrix.  On a dense ring it is one
-        add-table step on the two product indices, on a larger one the
-        digit route.  The branch is taken once per ring, here, since a
-        matrix product makes four of these calls."""
+        """The function (a, b, c, d) -> a*b + c*d, the fused step of a 2x2
+        determinant and of a product entry on the digit route, with no
+        ownership check: ``Mat2`` checks its operands' ring once per
+        matrix.  On a dense ring it is one add-table step on the two
+        product indices, on a larger one the digit route.  The branch is
+        taken once per ring, here, not once per call."""
         if self._dense:
             add, mul = self._add_rows, self._mul_rows
 
@@ -615,6 +615,33 @@ class Ring:
             def dot(a, b, c, d):
                 return digit_add(digit_mul(a, b), digit_mul(c, d))
         return dot
+
+    @cached_property
+    def _matmul(self):
+        """The function (a11, a12, a21, a22, b11, b12, b21, b22) -> the
+        four entries of the 2x2 product A B, with no ownership check, as
+        for ``_dot``.  On a dense ring it reads each left entry's mul row
+        once and makes four add-table steps; on a larger one it is four
+        ``_dot`` calls on the digit route.  ``Mat2`` makes one call of it
+        per product."""
+        if self._dense:
+            add, mul = self._add_rows, self._mul_rows
+
+            def matmul(a11, a12, a21, a22, b11, b12, b21, b22):
+                m11, m12 = mul[a11.idx], mul[a12.idx]
+                m21, m22 = mul[a21.idx], mul[a22.idx]
+                i11, i12, i21, i22 = b11.idx, b12.idx, b21.idx, b22.idx
+                return (add[m11[i11].idx][m12[i21].idx],
+                        add[m11[i12].idx][m12[i22].idx],
+                        add[m21[i11].idx][m22[i21].idx],
+                        add[m21[i12].idx][m22[i22].idx])
+        else:
+            dot = self._dot
+
+            def matmul(a11, a12, a21, a22, b11, b12, b21, b22):
+                return (dot(a11, b11, a12, b21), dot(a11, b12, a12, b22),
+                        dot(a21, b11, a22, b21), dot(a21, b12, a22, b22))
+        return matmul
 
     def pow(self, a: RingElem, k: int) -> RingElem:
         if k < 0:

@@ -1,12 +1,13 @@
 """2x2 matrices over a chain ring: arithmetic, invertibility, nilpotency.
 
 A scalar matrix, ``Mat2``, is a value object over one ring's elements.
-Each entry of its arithmetic is one call into the ring: a product entry
-and a determinant are each one call of the fused primitive ``Ring._dot``
-(a*b + c*d), and sums, negation and the inverse's scaling one
-``Ring.add``/``neg``/``mul`` each.  On a ring with dense tables each such
-call is one table step on the interned elements; the choice between the
-tables and the digit route stays in ``Ring``.  The counting work runs over
+Its arithmetic is one call into the ring per product and per entry of
+everything else: a product is one call of the fused 2x2 primitive
+``Ring._matmul``, a determinant one call of ``Ring._dot`` (a*b + c*d),
+and sums, negation and the inverse's scaling one ``Ring.add``/``neg``/
+``mul`` each.  On a ring with dense tables these are table steps on the
+interned elements; the choice between the tables and the digit route
+stays in ``Ring``.  The counting work runs over
 a packed integer encoding instead: a matrix is the integer
 
     idx(a11) + idx(a12)*Q + idx(a21)*Q^2 + idx(a22)*Q^3,   Q = q^n,
@@ -62,7 +63,7 @@ class Mat2:
                  a22: RingElem):
         ring = a11.ring
         for e in (a12, a21, a22):
-            if not ring.same_ring(e.ring):
+            if e.ring is not ring and not ring.same_ring(e.ring):
                 raise ValueError("matrix entries from different rings")
         self.ring = ring
         self.a11 = a11
@@ -83,28 +84,34 @@ class Mat2:
     def __add__(self, other: "Mat2") -> "Mat2":
         ring = self._ring_with(other)
         add = ring.add
-        return _mat(ring, add(self.a11, other.a11), add(self.a12, other.a12),
-                    add(self.a21, other.a21), add(self.a22, other.a22))
+        return _mat(ring, (add(self.a11, other.a11),
+                           add(self.a12, other.a12),
+                           add(self.a21, other.a21),
+                           add(self.a22, other.a22)))
 
     def __sub__(self, other: "Mat2") -> "Mat2":
         ring = self._ring_with(other)
         sub = ring.sub
-        return _mat(ring, sub(self.a11, other.a11), sub(self.a12, other.a12),
-                    sub(self.a21, other.a21), sub(self.a22, other.a22))
+        return _mat(ring, (sub(self.a11, other.a11),
+                           sub(self.a12, other.a12),
+                           sub(self.a21, other.a21),
+                           sub(self.a22, other.a22)))
 
     def __neg__(self) -> "Mat2":
         ring = self.ring
         neg = ring.neg
-        return _mat(ring, neg(self.a11), neg(self.a12), neg(self.a21),
-                    neg(self.a22))
+        return _mat(ring, (neg(self.a11), neg(self.a12), neg(self.a21),
+                           neg(self.a22)))
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        ring = self._ring_with(other)
-        dot = ring._dot
-        a11, a12, a21, a22 = self.a11, self.a12, self.a21, self.a22
-        b11, b12, b21, b22 = other.a11, other.a12, other.a21, other.a22
-        return _mat(ring, dot(a11, b11, a12, b21), dot(a11, b12, a12, b22),
-                    dot(a21, b11, a22, b21), dot(a21, b12, a22, b22))
+        ring = self.ring
+        if other.ring is not ring:
+            # the product is the hot path: one identity test, and the
+            # parameter comparison only for two handles of a ring
+            self._ring_with(other)
+        return _mat(ring, ring._matmul(self.a11, self.a12, self.a21,
+                                       self.a22, other.a11, other.a12,
+                                       other.a21, other.a22))
 
     def __pow__(self, k: int) -> "Mat2":
         if k < 0:
@@ -115,7 +122,9 @@ class Mat2:
         return out
 
     def __eq__(self, other):
-        return (isinstance(other, Mat2) and self.ring.same_ring(other.ring)
+        return (isinstance(other, Mat2)
+                and (self.ring is other.ring
+                     or self.ring.same_ring(other.ring))
                 and self.a11.idx == other.a11.idx
                 and self.a12.idx == other.a12.idx
                 and self.a21.idx == other.a21.idx
@@ -152,24 +161,20 @@ class Mat2:
             raise ValueError("matrix is not invertible")
         di = ring.inverse(d)
         ndi, mul = ring.neg(di), ring.mul
-        return _mat(ring, mul(di, self.a22), mul(ndi, self.a12),
-                    mul(ndi, self.a21), mul(di, self.a11))
+        return _mat(ring, (mul(di, self.a22), mul(ndi, self.a12),
+                           mul(ndi, self.a21), mul(di, self.a11)))
 
     def is_nilpotent(self) -> bool:
         """Chain-ring criterion: both trace and determinant lie in J(R)."""
         return not self.trace().is_unit() and not self.det().is_unit()
 
 
-def _mat(ring: Ring, a11: RingElem, a12: RingElem, a21: RingElem,
-         a22: RingElem) -> Mat2:
-    """A Mat2 over ``ring`` from entries its arithmetic computed, without
-    the constructor's per-entry ring check."""
+def _mat(ring: Ring, entries: tuple) -> Mat2:
+    """A Mat2 over ``ring`` from the entries (a11, a12, a21, a22) its
+    arithmetic computed, without the constructor's per-entry ring check."""
     m = object.__new__(Mat2)
     m.ring = ring
-    m.a11 = a11
-    m.a12 = a12
-    m.a21 = a21
-    m.a22 = a22
+    m.a11, m.a12, m.a21, m.a22 = entries
     return m
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .chain_ring import Ring, RingElem, format_element, format_ring_spec
 from .mat2 import (Mat2, MatrixSpace, block_slices, companion_conjugator,
                    format_matrix, identity, top_row, zero_matrix)
-from .orbits import locate_in_orbit_union, orbit_union
+from .orbits import _orbit_witness, locate_in_orbit_union, orbit_union
 
 # Any fixed constant works; this one is frozen so seeded runs reproduce.
 DEFAULT_SEED = 218184014
@@ -181,9 +181,9 @@ class _ChainStep:
     ``first``[code], so following ``first`` down to S_0 factors it into
     s nilpotents.  ``closing`` marks the step whose classes repeat the
     step before, the chain's last.  ``witnesses`` maps a code to its pair
-    as matrices (n, N) and the companion conjugator of n N; S_2's step
-    fills it as ``decompose`` looks classes up, and no other step reads
-    it."""
+    as matrices (n, N), the companion conjugator of n N and its inverse;
+    S_2's step fills it as ``decompose`` looks classes up, and no other
+    step reads it."""
 
     classes: np.ndarray
     size: int
@@ -191,7 +191,7 @@ class _ChainStep:
     packed: np.ndarray | None = None
     first: np.ndarray | None = None
     closing: bool = False
-    witnesses: dict[int, tuple[Mat2, Mat2, Mat2]] = field(
+    witnesses: dict[int, tuple[Mat2, Mat2, Mat2, Mat2]] = field(
         default_factory=dict)
 
 
@@ -380,8 +380,9 @@ def _top_row_factors(ring: Ring, a: RingElem, b: RingElem,
     unless a is in J and b a unit: ValueError there, as two factors cannot
     reach a nonzero residue of trace zero.  For s >= 3 the cases split on
     which of a, b is a unit; each case has one odd-length and one
-    even-length base chain, padded in front by (E F) pairs that act as
-    the idempotent e11 on the chain's product.
+    even-length base chain, of which only the one of s's parity is built,
+    padded in front by (E F) pairs that act as the idempotent e11 on the
+    chain's product.  Repeated factors are one object each.
     """
     z, one = ring.zero, ring.one
     E = top_row(z, one)
@@ -393,19 +394,18 @@ def _top_row_factors(ring: Ring, a: RingElem, b: RingElem,
                              "trace zero")
         return [E, Mat2(z, z, a, b)]
     F = Mat2(z, z, one, z)
-    G = _parity_filler(ring)
+    odd = s % 2 == 1
     if not a.is_unit():
-        odd = [top_row(a, b)]
-        even = [E, G, F, top_row(a, b)]
+        chain = ([top_row(a, b)] if odd
+                 else [E, _parity_filler(ring), F, top_row(a, b)])
     elif not b.is_unit():
         last = Mat2(z, z, a, b)
-        odd = [E, G, last]
-        even = [E, F, G, last]
+        chain = ([E, _parity_filler(ring), last] if odd
+                 else [E, F, _parity_filler(ring), last])
     else:
         K = Mat2(one, a.inverse() * b, -(b.inverse() * a), -one)
-        odd = [E, Mat2(z, z, a, z), K]
-        even = [E, Mat2(z, z, -b, z), E, K]
-    chain = odd if (s - len(odd)) % 2 == 0 else even
+        chain = ([E, Mat2(z, z, a, z), K] if odd
+                 else [E, Mat2(z, z, -b, z), E, K])
     if s < len(chain):
         raise ValueError(f"this top row needs at least {len(chain)} factors")
     return [E, F] * ((s - len(chain)) // 2) + chain
@@ -424,14 +424,18 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
     is an exhaustive refusal: if A = N1 N2 and N1 = P^-1 n P, then
     P A P^-1 = n (P N2 P^-1), so S_2 is a union of classes, each reached
     by a pair (n, N), n one of S_1's factors.  The pair's matrices and the
-    companion conjugator of n N depend on the class alone, so the step
-    keeps them from the class's first hit on; refusals keep nothing.
+    companion conjugator of n N, with its inverse, depend on the class
+    alone, so the step keeps them from the class's first hit on; refusals
+    keep nothing.
 
     s = 1 and the zero matrix answer as they stand, conjugator I; every
     other route yields factors of P A P^-1 for a conjugator P and answers
-    with their conjugates P^-1 N P.  Every answer is certified.  Only the
-    lookup reads the space's Q^4 data, and raises CapExceededError past
-    the space's cap; every other route uses ``space.ring`` alone.
+    with their conjugates P^-1 N P, one per distinct factor.  Each route
+    hands over P^-1 with P: the union route's orbit witness writes it in
+    closed form, and the lookup inverts only A's companion conjugator.
+    Every answer is certified.  Only the lookup reads the space's Q^4
+    data, and raises CapExceededError past the space's cap; every other
+    route uses ``space.ring`` alone.
     """
     ring = space.ring
     if s < 1:
@@ -449,10 +453,10 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
         # nilpotent residues, which cannot exist over a field
         raise TraceObstructionError(
             "trace obstruction: no two nilpotent factors exist")
-    cert = locate_in_orbit_union(space, A)
-    if cert is not None:
-        factors, P = (_top_row_factors(ring, cert.a, cert.b, s),
-                      cert.conjugator)
+    witness = _orbit_witness(A)
+    if witness is not None:
+        a, b, P, Pinv = witness
+        factors = _top_row_factors(ring, a, b, s)
     elif s > 2:
         raise NotInOrbitUnionError(
             "not in orbit union: no conjugate of a top-row matrix matches")
@@ -475,14 +479,20 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
             left = _chain_step(space, 1).factors[pair // len(nil)]
             n = space.matrix_from_packed(int(left))
             N = space.matrix_from_packed(int(nil[pair % len(nil)]))
-            step.witnesses[code] = (n, N, companion_conjugator(n * N))
-        n, N, conj = step.witnesses[code]
+            conj = companion_conjugator(n * N)
+            step.witnesses[code] = (n, N, conj, conj.inverse())
+        n, N, conj, conj_inv = step.witnesses[code]
         factors = [n, N]
         # n N shares A's class, so both reach one companion form, and
         # P = P_(nN) P_A^-1 gives P A P^-1 = n N
-        P = conj * companion_conjugator(A).inverse()
-    Pinv = P.inverse()
-    return NilFactorization.certified(A, [Pinv * N * P for N in factors], P)
+        conj_A = companion_conjugator(A)
+        P, Pinv = conj * conj_A.inverse(), conj_A * conj_inv
+    # a factor repeated in the list is one object, conjugated once
+    back = {}
+    for N in factors:
+        if id(N) not in back:
+            back[id(N)] = Pinv * N * P
+    return NilFactorization.certified(A, [back[id(N)] for N in factors], P)
 
 
 # ---------------------------------------------------------------------------
@@ -508,23 +518,34 @@ class SharpnessCertificate:
 def sharpness_example(space: MatrixSpace) -> SharpnessCertificate:
     """The canonical escape example, checked end to end.
 
-    Needs n >= 2 and n - 1 a unit in R; otherwise the construction is
-    inapplicable and a ValueError says so.
+    The target x^(n-1) (I + E12) is the product of n - 1 pairs N1_k N2_k
+    with N1_k = ((x, 1), (d_k^-1 x, 0)) and N2_k = ((0, d_k), (x, 0)) for
+    units d_k summing to 1, since each pair multiplies to x ((1, d_k),
+    (0, 1)).  Where n - 1 is a unit every d_k is (n - 1)^-1, the paper's
+    factors; otherwise the units are 1 followed by (1, -1) pairs, or 2, -1
+    and then (1, -1) pairs, by the parity of n - 1.  Needs n >= 2; a field
+    raises ValueError.
     """
     ring = space.ring
     n = ring.n
     if n < 2:
         raise ValueError("example inapplicable: needs n >= 2")
-    nm1 = ring.from_int(n - 1)
-    if not nm1.is_unit():
-        raise ValueError("example inapplicable: n - 1 is not a unit")
-    x = ring.uniformizer
-    N1 = Mat2(x, ring.one, nm1 * x, ring.zero)
-    N2 = Mat2(ring.zero, nm1.inverse(), x, ring.zero)
-    xp = x ** (n - 1)
-    target = Mat2(xp, xp, ring.zero, xp)
-    fact = NilFactorization.certified(target, [N1, N2] * (n - 1),
-                                      identity(ring))
+    m = n - 1
+    nm1 = ring.from_int(m)
+    if nm1.is_unit():
+        units = [nm1.inverse()] * m
+    else:
+        head = [1] if m % 2 else [2, -1]
+        units = [ring.from_int(d)
+                 for d in head + [1, -1] * ((m - len(head)) // 2)]
+    x, zero, one = ring.uniformizer, ring.zero, ring.one
+    factors = []
+    for d in units:
+        factors += [Mat2(x, one, d.inverse() * x, zero),
+                    Mat2(zero, d, x, zero)]
+    xp = x ** m
+    target = Mat2(xp, xp, zero, xp)
+    fact = NilFactorization.certified(target, factors, identity(ring))
     if locate_in_orbit_union(space, target) is not None:
         raise AssertionError("sharpness target must avoid every top-row "
                              "orbit")

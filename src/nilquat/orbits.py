@@ -124,12 +124,25 @@ def locate_in_orbit_union(space: MatrixSpace, A: Mat2) -> OrbitCertificate | Non
     so A is in the union exactly when A = u w^T with u unimodular.  The
     first column holding an entry of least valuation k is pi^k u for a
     unimodular u, so w has pi^k there; the row where u has a unit forces
-    w's other entry, and one entry of A is left to check.  P is the
-    inverse of ((u1, 0), (u2, 1)) when u1 is a unit, else of
-    ((u1, 1), (u2, 0)), so a = tr A and b = w2, or w1.  This takes O(1)
-    ring operations and leaves ``space`` unused.  The zero matrix gets
-    (0, 0, I).
+    w's other entry, and one entry of A is left to check.  P^-1 is then
+    written down in closed form: ((u1, 0), (u2, 1)) when u1 is a unit,
+    else ((u1, 1), (u2, 0)), and P is its adjugate over its determinant
+    u1 or -u2; so a = tr A and b = w2, or w1.  Two explicit checks, which
+    hold under ``python -O`` too, certify the witness: P P^-1 = I and
+    P^-1 ((a, b), (0, 0)) P = A; a failure raises AssertionError.  This
+    takes O(1) ring operations and leaves ``space`` unused.  The zero
+    matrix gets (0, 0, I).
     """
+    witness = _orbit_witness(A)
+    if witness is None:
+        return None
+    a, b, P, _ = witness
+    return OrbitCertificate(a=a, b=b, conjugator=P)
+
+
+def _orbit_witness(A: Mat2) -> tuple[RingElem, RingElem, Mat2, Mat2] | None:
+    """(a, b, P, P^-1) for ``locate_in_orbit_union``'s witness, checked
+    as its docstring says, or None off the union."""
     ring = A.ring
     zero, one = ring.zero, ring.one
     val = ring.valuation
@@ -137,7 +150,8 @@ def locate_in_orbit_union(space: MatrixSpace, A: Mat2) -> OrbitCertificate | Non
     vals = [min(val(x), val(y)) for x, y in cols]
     k = min(vals)
     if k == ring.n:
-        return OrbitCertificate(a=zero, b=zero, conjugator=identity(ring))
+        eye = identity(ring)
+        return zero, zero, eye, eye
     j = vals.index(k)
     step = ring.q ** k
     u = [ring.from_index(x.idx // step) for x in cols[j]]
@@ -151,12 +165,16 @@ def locate_in_orbit_union(space: MatrixSpace, A: Mat2) -> OrbitCertificate | Non
     w[j] = ring.from_index(step)
     if i == 0:
         P = Mat2(inv, zero, -(u[1] * inv), one)
+        Pinv = Mat2(u[0], zero, u[1], one)
     else:
         P = Mat2(zero, inv, one, -(u[0] * inv))
-    cert = OrbitCertificate(a=A.trace(), b=w[1 - i], conjugator=P)
-    if conjugate(top_row(cert.a, cert.b), P) != A:
+        Pinv = Mat2(u[0], one, u[1], zero)
+    a, b = A.trace(), w[1 - i]
+    if P * Pinv != identity(ring):
+        raise AssertionError("orbit witness P^-1 is not the inverse of P")
+    if Pinv * top_row(a, b) * P != A:
         raise AssertionError("orbit witness does not conjugate to the target")
-    return cert
+    return a, b, P, Pinv
 
 
 def union_summary(space: MatrixSpace) -> dict:

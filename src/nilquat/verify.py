@@ -506,9 +506,6 @@ def _example39(ring, space, samples, seed):
     n = ring.n
     if n < 2:
         return _result("example39", ring, 0, 0, "inapplicable: needs n >= 2")
-    if not ring.from_int(n - 1).is_unit():
-        return _result("example39", ring, 0, 0,
-                       "inapplicable: n - 1 is not a unit")
     cert = sharpness_example(space)
     checks = viol = 0
     checks += 1

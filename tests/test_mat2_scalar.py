@@ -1,9 +1,10 @@
-"""Scalar ``Mat2`` arithmetic, which runs on ``Ring._dot`` and the ring's
-interned rows, against two independent routes: the bulk gather kernel
-(``MatrixSpace.matmul``/``det_indices``/``trace_indices`` and
-``PairTables``) and the digit route (``Ring._digit_add``/``_digit_mul``/
-``_digit_neg``); past the table limit, against integer and polynomial
-arithmetic on the element indices; and the refusal to mix rings."""
+"""Scalar ``Mat2`` arithmetic, which runs on ``Ring._matmul``,
+``Ring._dot`` and the ring's interned rows, against two independent
+routes: the bulk gather kernel (``MatrixSpace.matmul``/``det_indices``/
+``trace_indices`` and ``PairTables``) and the digit route
+(``Ring._digit_add``/``_digit_mul``/``_digit_neg``); past the table
+limit, against integer and polynomial arithmetic on the element indices;
+and the refusal to mix rings."""
 
 import operator
 
@@ -58,6 +59,18 @@ def test_product_matches_bulk_and_digit_routes(sample):
     scalar = [_idx((M * N).entries()) for M, N in zip(A, B)]
     assert scalar == [tuple(col) for col in bulk.T.tolist()]
     assert scalar == [_idx(_digit_matmul(ring, M, N)) for M, N in zip(A, B)]
+
+
+@pytest.mark.parametrize("spec", ["zmod:3^2", "zmod:3^7"])
+def test_fused_matmul_matches_the_digit_route(spec):
+    """Ring._matmul on its own, on a dense ring and on one past
+    TABLE_SIZE_LIMIT: each of its four entries is a digit-route sum of
+    two digit-route products."""
+    ring = ring_from_string(spec)
+    x = np.random.default_rng(26).integers(0, ring.size, size=(8, 200))
+    for M, N in zip(_matrices(ring, x[:4]), _matrices(ring, x[4:])):
+        got = ring._matmul(*M.entries(), *N.entries())
+        assert _idx(got) == _idx(_digit_matmul(ring, M, N))
 
 
 def test_det_and_trace_match_bulk_and_digit_routes(sample):
@@ -151,7 +164,8 @@ def _index_dot(ring, a, b, c, d):
 
 @pytest.mark.parametrize("spec", ["zmod:3^7", "polyq:3^1^7"])
 def test_products_past_the_table_limit(spec):
-    """2187 elements, past TABLE_SIZE_LIMIT: the digit branch of _dot."""
+    """2187 elements, past TABLE_SIZE_LIMIT: the digit branches of
+    _matmul and _dot."""
     ring = ring_from_string(spec)
     assert not ring._dense
     x = np.random.default_rng(7).integers(0, ring.size, size=(8, 40))

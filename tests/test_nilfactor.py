@@ -7,8 +7,9 @@ import pytest
 
 import nilquat
 from nilquat.chain_ring import ring_from_string
-from nilquat.mat2 import (Mat2, MatrixSpace, gl2_count, identity,
-                          matrix_space, parse_matrix, top_row, zero_matrix)
+from nilquat.mat2 import (Mat2, MatrixSpace, companion_conjugator,
+                          gl2_count, identity, matrix_space, parse_matrix,
+                          top_row, zero_matrix)
 from nilquat.nilfactor import (DEFAULT_SEED, NilFactorization,
                                NotInOrbitUnionError, NotNilpotentError,
                                TraceObstructionError, _chain_step,
@@ -242,6 +243,46 @@ def test_identity_conjugator_routes_invert_nothing(monkeypatch):
         assert fact.conjugator == identity(r)
 
 
+def test_union_and_warm_lookup_routes_invert_only_the_target_conjugator(
+        monkeypatch):
+    # the union route takes P^-1 from its orbit witness, and S_2's class
+    # record keeps conj^-1 beside conj, so the union route inverts nothing
+    # and a warm lookup inverts only companion_conjugator(A)
+    sp = MatrixSpace(ring_from_string("zmod:5^2"))
+    r = sp.ring
+    A = parse_matrix(r, "[[5,10],[0,15]]")
+    U = parse_matrix(r, "[[1,1],[0,1]]")
+    B = U.inverse() * A * U
+    decompose(sp, A, 2)
+    inverse = Mat2.inverse
+
+    def refuse(self):
+        raise AssertionError("Mat2.inverse called")
+
+    monkeypatch.setattr(Mat2, "inverse", refuse)
+    members = np.flatnonzero(orbit_union(sp))
+    for k in np.random.default_rng(2600).choice(members, 60, replace=False):
+        T = sp.matrix_from_packed(int(k))
+        for s in range(2, 7):
+            try:
+                fact = decompose(sp, T, s)
+            except TraceObstructionError:
+                assert s == 2
+                continue
+            assert len(fact.factors) == s
+            assert _reproduct(fact.factors) == T
+    inverted = []
+
+    def spy(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Mat2, "inverse", spy)
+    fact = decompose(sp, B, 2)
+    assert _reproduct(fact.factors) == B
+    assert inverted == [companion_conjugator(B)]
+
+
 @pytest.mark.parametrize("s", (3, 4, 5, 6))
 def test_decompose_every_union_member_gf3(gf3, s):
     members = np.flatnonzero(orbit_union(gf3))
@@ -284,21 +325,28 @@ def test_factorization_to_dict(gf3):
 # the boundary example and the valuation scan
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("text", ("zmod:3^2", "polyq:3^1^2"))
+@pytest.mark.parametrize("text", ("zmod:3^2", "polyq:3^1^2", "zmod:3^4",
+                                  "polyq:3^1^4"))
 def test_sharpness_example(text):
+    # n - 1 is a unit at n = 2 and not at n = 4 over F_3
     sp = matrix_space(ring_from_string(text))
     r = sp.ring
+    n = r.n
     cert = sharpness_example(sp)
-    assert len(cert.factorization.factors) == 2  # 2n - 2
+    assert len(cert.factorization.factors) == 2 * n - 2
     assert cert.in_orbit_union is False
+    xp = r.uniformizer ** (n - 1)
+    target = cert.factorization.target
+    assert target == Mat2(xp, xp, r.zero, xp)
+    assert _reproduct(cert.factorization.factors) == target
+    with pytest.raises(NotInOrbitUnionError, match="not in orbit union"):
+        decompose(sp, target, 2 * n - 1)
+    if n > 2:
+        return
     f1, f2 = cert.factorization.factors
     assert f1 == parse_matrix(r, "[[(0,1),(1,0)],[(0,1),(0,0)]]")
     assert f2 == parse_matrix(r, "[[(0,0),(1,0)],[(0,1),(0,0)]]")
-    target = cert.factorization.target
     assert target == parse_matrix(r, "[[(0,1),(0,1)],[(0,0),(0,1)]]")
-    assert f1 * f2 == target
-    with pytest.raises(NotInOrbitUnionError, match="not in orbit union"):
-        decompose(sp, target, 3)
     # yet two factors do suffice for this very matrix
     fact = decompose(sp, target, 2)
     assert _reproduct(fact.factors) == target
@@ -393,7 +441,7 @@ def test_certified_checks_survive_optimize_flag():
         "sp = matrix_space(ring_from_string('zmod:3^2'))\n"
         "# a witness that fails its own check, a union claim for the\n"
         "# sharpness target, and quaternion relations that fail\n"
-        "orb.conjugate = lambda A, P: zero_matrix(A.ring)\n"
+        "orb.top_row = lambda a, b: zero_matrix(a.ring)\n"
         "probe(AssertionError, lambda: locate_in_orbit_union(\n"
         "    sp, top_row(sp.ring.one, sp.ring.zero)))\n"
         "nf.locate_in_orbit_union = lambda space, A: object()\n"
@@ -793,20 +841,23 @@ def test_chain_records_form_a_witness_tree_down_to_s0(text):
 
 @pytest.mark.parametrize("text", ("zmod:3^2", "polyq:3^2^1"))
 def test_top_row_factors_reach_every_top_row_at_s2(text):
-    # two factors reach ((a, b), (0, 0)) unless a is in J and b a unit, a
-    # nonzero residue of trace zero, which decompose refuses earlier
+    # s factors reach ((a, b), (0, 0)) for every s >= 3; two do unless a
+    # is in J and b a unit, a nonzero residue of trace zero, which
+    # decompose refuses earlier.  s = 3..7 meets both parities of every
+    # base chain, with and without (E F) padding
     ring = ring_from_string(text)
     elems = [ring.from_index(k) for k in range(ring.size)]
-    for a in elems:
-        for b in elems:
-            if not a.is_unit() and b.is_unit():
-                with pytest.raises(ValueError, match="trace zero"):
-                    _top_row_factors(ring, a, b, 2)
-                continue
-            factors = _top_row_factors(ring, a, b, 2)
-            assert len(factors) == 2
-            assert all(N.is_nilpotent() for N in factors)
-            assert factors[0] * factors[1] == top_row(a, b)
+    for s in range(2, 8):
+        for a in elems:
+            for b in elems:
+                if s == 2 and not a.is_unit() and b.is_unit():
+                    with pytest.raises(ValueError, match="trace zero"):
+                        _top_row_factors(ring, a, b, s)
+                    continue
+                factors = _top_row_factors(ring, a, b, s)
+                assert len(factors) == s
+                assert all(N.is_nilpotent() for N in factors)
+                assert _reproduct(factors) == top_row(a, b), (s, a, b)
 
 
 @pytest.mark.parametrize("text", _CHAIN_RINGS)

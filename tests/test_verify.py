@@ -43,6 +43,13 @@ def test_vacuous_suites_report_notes():
     assert "inapplicable" in example_field.note
 
 
+def test_example39_checks_where_n_minus_1_is_not_a_unit():
+    # p | n - 1 on zmod:3^4: the factors take units d_k summing to 1 in
+    # place of (n - 1)^-1, and the suite checks what it checks at n = 2
+    example, = run_suites(ring_from_string("zmod:3^4"), ("example39",))
+    assert (example.checks, example.violations, example.note) == (3, 0, "")
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(ring_from_string("polyq:3^1^1"), ("nonsense",))
