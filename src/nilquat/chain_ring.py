@@ -1,10 +1,13 @@
 """Exact arithmetic in finite chain rings (commutative local principal rings).
 
-Two constructible families cover every admissible (q, n) pair this engine
-needs:
+Two families are implemented, ``zmod`` for r = 1 and ``polyq`` for every r:
 
 * ``zmod``:  the integers modulo p^n for an odd prime p,
 * ``polyq``: the truncated polynomial ring GF(p^r)[t]/(t^n).
+
+They are not every chain ring of a given (q, n): the Galois rings
+GR(p^a, r) with a, r >= 2, and the ramified rings with ramification index
+1 < e < n, have the same q and n, and neither family builds them.
 
 Elements are canonical little-endian digit vectors over the residue field
 GF(q), q = p^r.  The digit encoding gives constant-time valuation and a
@@ -25,9 +28,14 @@ the tables.
 
 Bulk arithmetic over index arrays runs through one gather kernel,
 ``PairTables``: add and mul raveled to length Q^2 in int16 (int32 once
-Q^2 passes 2^15), so a pair (a, b) is one 1-D take at a*Q + b.  Callers
-that hand int64 results out get them from ``Ring._bulk``, the one
-narrow -> kernel -> int64 adapter.
+Q^2 passes 2^15), so a pair (a, b) is one 1-D take at a*Q + b.  The
+kernel has one constant rule: 0 * x = 0, 1 * x = x, 0 + x = x, -0 = 0
+and 1^-1 = 1 hold exactly in every ring, so it makes no gather where an
+operand is the constant 0 or 1.  Those constants are two interned 0-d
+arrays, which ``narrow`` hands out for a scalar 0 or 1 and the kernel
+recognises by identity, an O(1) test.  Callers that hand int64 results
+out get them from ``Ring._bulk``, the one narrow -> kernel -> int64
+adapter, which broadcasts each result to its arguments' shape.
 """
 
 from __future__ import annotations
@@ -413,6 +421,14 @@ class PairTables:
     the kernel's caller.  ``Ring._bulk`` does both.  Every gather is the
     table's own ``take``: ``np.take`` is a Python wrapper around it that
     costs a large share of a gather on arrays of a few thousand entries.
+
+    The constant rule: ``narrow`` turns a scalar 0 or 1 into ``zero`` or
+    ``one``, two interned read-only 0-d arrays, and ``add``, ``mul``,
+    ``mul_by`` and ``neg`` answer without a gather when an operand is one
+    of them (tested by identity): 0 * x = 0, 1 * x = x, 0 + x = x and
+    -0 = 0, and ``inverse`` takes 1^-1 = 1.  A result may therefore be an
+    operand itself or a 0-d constant, of a smaller shape than the other
+    operand; callers broadcast it and never write into a result.
     """
 
     def __init__(self, ring: "Ring"):
@@ -424,34 +440,69 @@ class PairTables:
         self.mul_flat = ring.mul_table.astype(dtype).ravel()
         self.neg_table = ring.neg_table.astype(dtype)
         self.inv_table = ring.inv_table.astype(dtype)
+        self.zero, self.one = np.array(0, dtype), np.array(1, dtype)
+        self.zero.flags.writeable = self.one.flags.writeable = False
 
     def narrow(self, x):
-        """x, or each array of a 4-tuple x, in the kernel's type."""
+        """x, or each array of a 4-tuple x, in the kernel's type.  A plain
+        Python or numpy integer 0 or 1 becomes the interned ``zero`` or
+        ``one``, which the kernels recognise by identity."""
         if isinstance(x, tuple):
-            return tuple(np.asarray(t, dtype=self.dtype) for t in x)
+            return tuple(map(self._narrow, x))
+        return self._narrow(x)
+
+    def _narrow(self, x):
+        if isinstance(x, (int, np.integer)):
+            if x == 0:
+                return self.zero
+            if x == 1:
+                return self.one
         return np.asarray(x, dtype=self.dtype)
 
     @staticmethod
-    def wide(x):
-        """A kernel's result, or each array of a tuple of them, as int64."""
+    def wide(x, shape=None):
+        """A kernel's result, or each array of a tuple of them, as a new
+        int64 array, broadcast to ``shape`` if one is given."""
         if isinstance(x, tuple):
-            return tuple(t.astype(np.int64) for t in x)
+            return tuple(PairTables.wide(t, shape) for t in x)
+        if shape is not None and x.shape != shape:
+            x = np.broadcast_to(x, shape)
         return x.astype(np.int64)
 
     def add(self, a, b):
+        if a is self.zero:
+            return b
+        if b is self.zero:
+            return a
         return self.add_flat.take(a * self.Q + b)
 
     def mul(self, a, b):
+        zero = self.zero
+        if a is zero or b is zero:
+            return zero
+        if a is self.one:
+            return b
+        if b is self.one:
+            return a
         return self.mul_flat.take(a * self.Q + b)
 
     def neg(self, a):
+        if a is self.zero:
+            return a
         return self.neg_table.take(a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul_by(self, c: int, a):
-        """c * a for one constant element c: a gather from row c of mul."""
+        """c * a for one constant element index c: a gather from row c of
+        mul, or none where c or a is 0 or 1."""
+        if c == 0 or a is self.zero:
+            return self.zero
+        if c == 1:
+            return a
+        if a is self.one:
+            return self.narrow(c)
         return self.mul_flat[c * self.Q:(c + 1) * self.Q].take(a)
 
     def matmul(self, A, B):
@@ -476,7 +527,8 @@ class PairTables:
         the adjugate scaled by inv[det A].  Where inv[det A] is -1, det A is
         not a unit and that matrix's entries of A^-1 mean nothing; callers
         refuse those first."""
-        idet = self.inv_table.take(self.det(A))
+        det = self.det(A)
+        idet = det if det is self.one else self.inv_table.take(det)
         a11, a12, a21, a22 = A
         return (self.mul(idet, a22), self.mul(idet, self.neg(a12)),
                 self.mul(idet, self.neg(a21)), self.mul(idet, a11)), idet
@@ -852,13 +904,17 @@ class Ring:
         kernel's type and the result widened to int64: the one adapter
         for callers that hand bulk results out.  Arguments are index
         arrays, scalars or 4-tuples (a11, a12, a21, a22) of them, and
-        broadcast.  Every index must lie in [0, size), else ValueError:
+        broadcast.  Each result is a new int64 array of the arguments'
+        broadcast shape, also where the kernel answered with a 0-d
+        constant.  Every index must lie in [0, size), else ValueError:
         the kernels gather at a*Q + b with no bounds of their own, so an
         out-of-range b would read the next row and a negative one wrap."""
-        for x in args:
-            self._require_indices(x if isinstance(x, tuple) else (x,))
+        arrays = [a for x in args
+                  for a in (x if isinstance(x, tuple) else (x,))]
+        self._require_indices(arrays)
         t = self.pair_tables
-        return t.wide(kernel(t, *map(t.narrow, args)))
+        shape = np.broadcast(*arrays).shape
+        return t.wide(kernel(t, *map(t.narrow, args)), shape)
 
     # the tables as nested Python lists of interned elements, which the
     # scalar operations index

@@ -314,8 +314,8 @@ def classify_nilpotent_bulk(ring: Ring, entries) -> NilClasses:
     """``classify_nilpotent`` over a 4-tuple of equal-length entry index
     arrays (a11, a12, a21, a22), with the same refusals: ValueError if
     any matrix is not nilpotent, AssertionError on an impossible residue
-    or a perturbation outside M2(J).  In both ring families res(x) is
-    idx mod q and lift(r) is the index r."""
+    or a perturbation outside M2(J).  The digit encoding makes res(x)
+    idx mod q and lift(r) the index r."""
     t = ring.pair_tables
     A = t.narrow(tuple(entries))
     val = ring.val_table
@@ -584,8 +584,8 @@ class MatrixSpace:
         is not scalar, so B is cyclic and its class is fixed by tr B and
         det B mod pi^(n-j) (Avni-Onn-Prasad-Vaserstein, Comm. Algebra 37,
         2009).  The code packs (j, d0, tr B, det B); a scalar has j = n and
-        code offset_n + idx(a11).  In both ring families, division by pi^j
-        is idx // q^j and reduction mod pi^m is idx mod q^m.  Every entry
+        code offset_n + idx(a11).  The digit encoding makes division by
+        pi^j idx // q^j and reduction mod pi^m idx mod q^m.  Every entry
         must lie in [0, Q), else ValueError: the tables are read at
         a11 + Q a22 and a12 + Q a21, where an out-of-range entry would
         read another pair's code.

@@ -258,15 +258,11 @@ def _linear_map_bulk(ring: Ring, rows, vec):
 
 def _linear_map_narrow(t: PairTables, rows, vec):
     """_linear_map_bulk on arrays in the kernel's type, returning it.  Each
-    product with a constant c is a gather from row c of mul; a constant 0
-    term is skipped and a constant 1 passes its array through, both exact.
-    No row of an invertible map is all zero."""
-    out = []
-    for row in rows:
-        terms = [v if c.idx == 1 else t.mul_by(c.idx, v)
-                 for c, v in zip(row, vec) if c.idx != 0]
-        out.append(reduce(t.add, terms))
-    return tuple(out)
+    product with a constant c is ``t.mul_by``, a gather from row c of mul;
+    by the kernel's constant rule a 0 term costs no gather and adds
+    nothing, and a 1 term passes its array through."""
+    return tuple(reduce(t.add, [t.mul_by(c.idx, v) for c, v in zip(row, vec)])
+                 for row in rows)
 
 
 def build_iso(ring: Ring, pair=None) -> QuaternionIso:

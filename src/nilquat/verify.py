@@ -8,6 +8,7 @@ and how many failed.  The suite tokens are part of the CLI contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -275,11 +276,11 @@ def _lemma33_criteria(ring, t, ent):
 
 def _lemma33(ring, space, samples, seed):
     space.require_enumerable()
-    rng = np.random.default_rng(seed)
     if space.count <= _MATRIX_LIMIT:
         e = np.arange(space.count, dtype=np.int64)
         note = "exhaustive"
     else:
+        rng = np.random.default_rng(seed)
         drawn = np.zeros(space.count, dtype=bool)
         drawn[rng.integers(0, space.count, size=min(samples, 100_000))] = True
         e = np.flatnonzero(drawn)
@@ -342,8 +343,10 @@ def _lemma35(ring, space, samples, seed):
     the shear v u^-1 conjugates ((u, -v), (w, -u)), w = v^-1 u^2, to
     ((0, 0), (w, 0)) for units u, v; and diag(1, alpha) is invertible for
     a unit alpha.  Inputs are element indices, drawn alike on both routes:
-    bulk on rings with dense tables, ``Mat2`` arithmetic past them."""
-    rng = np.random.default_rng(seed)
+    bulk on rings with dense tables, ``Mat2`` arithmetic past them.  The
+    seeded generator is built at the first draw, so the exhaustive route
+    never imports ``numpy.random``."""
+    rng = cache(lambda: np.random.default_rng(seed))
     S = ring.size
     els = np.arange(S, dtype=np.int64)
     if S ** 3 <= 729:
@@ -351,14 +354,14 @@ def _lemma35(ring, space, samples, seed):
                                                        indexing="ij"))
         note = "exhaustive"
     else:
-        triples = tuple(rng.integers(0, S, size=(2000, 3)).T)
+        triples = tuple(rng().integers(0, S, size=(2000, 3)).T)
         note = "sampled 2000 triples"
     units = els[els % ring.q != 0]
     if len(units) ** 2 <= 400:
         pairs = tuple(x.ravel() for x in np.meshgrid(units, units,
                                                      indexing="ij"))
     else:
-        pairs = tuple(units[rng.integers(0, len(units), size=(400, 2))].T)
+        pairs = tuple(units[rng().integers(0, len(units), size=(400, 2))].T)
     alphas = units[:100]
     check = _lemma35_bulk if S <= _PAIR_LIMIT else _lemma35_scalar
     checks = len(triples[0]) + len(pairs[0]) + len(alphas)

@@ -2,6 +2,9 @@
 ``RingElem``, ``Mat2`` and ``Quaternion`` arithmetic, on both sides of its
 int16/int32 switch and at the dense table limit."""
 
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,91 @@ def test_quaternion_kernels_match_scalar_arithmetic(case):
                                  for M in A]
 
 
+class _NoGather:
+    """A table stand-in whose gathers raise: what a kernel call answers
+    with it in place made no gather."""
+
+    def take(self, *args):
+        raise AssertionError("gathered")
+
+    def __getitem__(self, key):
+        return self
+
+
+def test_constant_operands_agree_with_the_tables(case):
+    ring, _, x = case
+    t = ring.pair_tables
+    x0 = t.narrow(x[0])
+    add, mul = ring.add_table, ring.mul_table
+    for k, c in ((0, t.zero), (1, t.one)):
+        assert t.narrow(k) is c and t.narrow(np.int64(k)) is c
+        assert t.narrow((k, x[0]))[0] is c
+        for got, want in ((t.add(c, x0), add[k, x[0]]),
+                          (t.add(x0, c), add[x[0], k]),
+                          (t.mul(c, x0), mul[k, x[0]]),
+                          (t.mul(x0, c), mul[x[0], k]),
+                          (t.mul_by(k, x0), mul[k, x[0]]),
+                          (t.neg(c), ring.neg_table[k])):
+            assert np.array_equal(np.broadcast_to(got, np.shape(want)), want)
+        for j, d in ((0, t.zero), (1, t.one), (7, t.narrow(7))):
+            assert int(t.add(c, d)) == add[k, j]
+            assert int(t.mul(c, d)) == int(t.mul(d, c)) == mul[k, j]
+            assert int(t.mul_by(j, c)) == int(t.mul_by(k, d)) == mul[k, j]
+    assert int(t.det((t.one, x0[0], t.zero, t.one))) == 1
+
+
+def test_constant_operands_make_no_gather(case):
+    ring, _, x = case
+    t = copy.copy(ring.pair_tables)
+    t.add_flat = t.mul_flat = t.neg_table = t.inv_table = _NoGather()
+    x0 = t.narrow(x[0])
+    zero, one = t.zero, t.one
+    assert t.add(zero, x0) is x0 and t.add(x0, zero) is x0
+    assert t.mul(zero, x0) is zero and t.mul(x0, zero) is zero
+    assert t.mul(one, x0) is x0 and t.mul(x0, one) is x0
+    assert t.mul_by(0, x0) is zero and t.mul_by(1, x0) is x0
+    assert t.mul_by(5, zero) is zero and int(t.mul_by(5, one)) == 5
+    assert t.neg(zero) is zero and t.sub(x0, zero) is x0
+    inverse, idet = t.inverse((one, zero, zero, one))
+    assert idet is one
+    assert all(e is c for e, c in zip(inverse, (one, zero, zero, one)))
+    for call in (lambda: t.add(x0, x0), lambda: t.mul(x0, one + x0),
+                 lambda: t.mul_by(5, x0), lambda: t.neg(one)):
+        with pytest.raises(AssertionError, match="gathered"):
+            call()
+
+
+def test_returned_constants_are_read_only(case):
+    ring, _, x = case
+    t = ring.pair_tables
+    x0 = t.narrow(x[0])
+    for result in (t.mul(t.zero, x0), t.mul_by(0, x0), t.neg(t.zero),
+                   t.narrow(1), t.add(t.zero, t.one)):
+        assert result.ndim == 0
+        with pytest.raises(ValueError, match="read-only"):
+            result[...] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            result += 1
+    assert int(t.zero) == 0 and int(t.one) == 1
+
+
+def _agrees_with_full_constants(f, *args):
+    """f with each entry of each 4-tuple argument in turn a scalar 0 or 1:
+    every result is int64, has the arguments' broadcast shape, and equals
+    f with that entry an array full of the constant, which takes no
+    constant operand's short cut."""
+    shape = np.broadcast_shapes(*(np.shape(e) for a in args for e in a))
+    for i, k, c in itertools.product(range(len(args)), range(4), (0, 1)):
+        scalar, full = ([list(a) for a in args] for _ in range(2))
+        scalar[i][k], full[i][k] = c, np.full(shape, c)
+        got, want = f(*map(tuple, scalar)), f(*map(tuple, full))
+        if not isinstance(got, tuple):
+            got, want = (got,), (want,)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and g.shape == shape
+            assert np.array_equal(g, w)
+
+
 def test_public_bulk_functions_return_int64(case):
     ring, _, x = case
     narrow = ring.pair_tables.narrow(x)
@@ -97,6 +185,10 @@ def test_public_bulk_functions_return_int64(case):
     outputs = [*coeff_product_bulk(ring, A, B),
                *iso.matrix_entries_bulk(A), *iso.coefficients_bulk(B)]
     assert {o.dtype for o in outputs} == {np.dtype(np.int64)}
+    _agrees_with_full_constants(
+        lambda X, Y: coeff_product_bulk(ring, X, Y), A, B)
+    _agrees_with_full_constants(iso.matrix_entries_bulk, A)
+    _agrees_with_full_constants(iso.coefficients_bulk, B)
 
 
 def test_space_bulk_functions_return_int64():
@@ -111,6 +203,13 @@ def test_space_bulk_functions_return_int64():
                space.conjugates_of(space.matrix_from_packed(5))]
     assert {o.dtype for o in outputs} == {np.dtype(np.int64)}
     assert np.array_equal(space.pack(*A), packed)
+    _agrees_with_full_constants(space.matmul, A, B)
+    _agrees_with_full_constants(space.trace_indices, A)
+    _agrees_with_full_constants(space.det_indices, A)
+    # every product with the zero matrix reads only constants
+    for entry in space.matmul((0, 0, 0, 0), B):
+        assert entry.shape == B[0].shape and not entry.any()
+        entry += 1  # a new array, not the kernel's read-only zero
 
 
 @pytest.mark.parametrize("bad", [

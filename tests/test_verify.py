@@ -433,16 +433,40 @@ def test_lemma33_with_no_draws_classifies_nothing():
             (checks, 0, f"sampled {samples}")
 
 
+def _run_child(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this nilquat, and
+    return its stdout; the child must exit 0."""
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_exhaustive_suites_import_no_numpy_random():
+    # the seeded generator is built at the first draw; the exhaustive
+    # routes draw nothing, so they skip numpy.random's 10 ms import
+    out = _run_child(
+        "import sys\n"
+        "from nilquat.chain_ring import ring_from_string\n"
+        "from nilquat.verify import run_suites\n"
+        "res = run_suites(ring_from_string('zmod:3^2'),\n"
+        "                 ('lemma33', 'lemma34', 'lemma35'), seed=7)\n"
+        "assert all(r.passed and r.checks for r in res)\n"
+        "assert [r.note for r in res] == ['exhaustive', '', 'exhaustive']\n"
+        "print('numpy.random' in sys.modules)\n")
+    assert out.split() == ["False"]
+
+
 def _suite_peak_rise_mb(spec, suites, setup):
     """The rise of VmHWM, the process's own peak RSS, in MB while
     ``suites`` run in a fresh process, after the space and what ``setup``
     (an expression over ``ring`` and ``space``) reads are built.  A
     child's ru_maxrss starts at its launcher's peak, which under pytest
     hides any rise below it."""
-    src = os.path.dirname(os.path.dirname(nilquat.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     code = (
         "from nilquat.chain_ring import ring_from_string\n"
         "from nilquat.mat2 import matrix_space\n"
@@ -460,10 +484,7 @@ def _suite_peak_rise_mb(spec, suites, setup):
         "after = peak_kib()\n"
         "assert all(r.passed and r.checks for r in res)\n"
         "print((after - before) / 1024)\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return float(proc.stdout)
+    return float(_run_child(code))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
