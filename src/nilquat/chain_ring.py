@@ -695,6 +695,32 @@ class Ring:
                         dot(a21, b11, a22, b21), dot(a21, b12, a22, b22))
         return matmul
 
+    @cached_property
+    def _is_nilpotent(self):
+        """The function (a11, a12, a21, a22) -> whether the 2x2 matrix is
+        nilpotent, with no ownership check, as for ``_dot``.  The
+        chain-ring criterion, trace and det in J(R), reads only residues:
+        res(a11) + res(a22) = 0 and res(a11 a22) = res(a12 a21), the
+        residue map being a ring homomorphism onto GF(q).  On a dense ring
+        it reads the interned add and mul rows, on a larger one it works
+        in GF(q) on the entries' residue digits."""
+        if self._dense:
+            add, mul = self._add_rows, self._mul_rows
+
+            def is_nilpotent(a11, a12, a21, a22):
+                return (not add[a11.idx][a22.idx].digits[0]
+                        and mul[a11.idx][a22.idx].digits[0]
+                        == mul[a12.idx][a21.idx].digits[0])
+        else:
+            f = self.residue_field
+
+            def is_nilpotent(a11, a12, a21, a22):
+                r11, r22 = a11.digits[0], a22.digits[0]
+                return (not f.add(r11, r22)
+                        and f.mul(r11, r22) == f.mul(a12.digits[0],
+                                                     a21.digits[0]))
+        return is_nilpotent
+
     def pow(self, a: RingElem, k: int) -> RingElem:
         if k < 0:
             raise ValueError("negative powers are not supported")
@@ -752,9 +778,12 @@ class Ring:
     # -- structure ----------------------------------------------------------
 
     def valuation(self, a: RingElem) -> int:
-        """Largest k with a in J(R)^k; the zero element reports n."""
+        """Largest k with a in J(R)^k; the zero element reports n.  A
+        dense ring reads it from ``val_table``, kept as a list."""
         if a.ring is not self:
             self._own(a)
+        if self._dense:
+            return self._val_list[a.idx]
         for k, d in enumerate(a.digits):
             if d:
                 return k
@@ -940,6 +969,10 @@ class Ring:
     @cached_property
     def _inv_list(self) -> list[RingElem | None]:
         return self._interned(self.inv_table)
+
+    @cached_property
+    def _val_list(self) -> list[int]:
+        return self.val_table.tolist()
 
 
 _RING_CACHE: dict[tuple, Ring] = {}

@@ -17,8 +17,9 @@ Products, traces and determinants over index arrays are thin callers of
 the ring's shared gather kernel, ``chain_ring.PairTables``, through its
 one int64 adapter ``Ring._bulk``; the same kernel serves the quaternion
 maps and the verify suites.
-Nilpotency uses the chain-ring criterion trace, det in J(R); the 2n-th
-power oracle it is equivalent to lives in the test suites.  The
+Nilpotency uses the chain-ring criterion trace, det in J(R), on a scalar
+matrix one call of the fused residue test ``Ring._is_nilpotent``; the
+2n-th power oracle it is equivalent to lives in the test suites.  The
 four-class taxonomy of nilpotents has a scalar form, classify_nilpotent,
 and one over index arrays, classify_nilpotent_bulk.  GL2 is the
 invertible set, det a unit.  Both tests read only residues, so each is a
@@ -28,8 +29,8 @@ slice of Q^3 matrices at a time.  Only the conjugation orbits of the
 "sweep" reference route read GL2, so it is built on each request and
 never held by the space.
 GL2 conjugacy classes have a closed-form dense code,
-``MatrixSpace.class_code``, and ``companion_conjugator`` takes a matrix
-to its class's companion form.
+``MatrixSpace.class_code``, and ``companion_conjugator``, a closed form
+too, takes a matrix to its class's companion form.
 """
 
 from __future__ import annotations
@@ -114,11 +115,16 @@ class Mat2:
                                        other.a21, other.a22))
 
     def __pow__(self, k: int) -> "Mat2":
+        """A^k by square-and-multiply: about 2 log2(k) products."""
         if k < 0:
             raise ValueError("negative matrix powers are not supported")
-        out = identity(self.ring)
-        for _ in range(k):
-            out = out * self
+        out, base = identity(self.ring), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -165,8 +171,11 @@ class Mat2:
                            mul(ndi, self.a21), mul(di, self.a11)))
 
     def is_nilpotent(self) -> bool:
-        """Chain-ring criterion: both trace and determinant lie in J(R)."""
-        return not self.trace().is_unit() and not self.det().is_unit()
+        """Chain-ring criterion: both trace and determinant lie in J(R).
+        One call of the ring's fused test ``Ring._is_nilpotent``, which
+        compares residues, res(a11) + res(a22) = 0 and res(a11 a22) =
+        res(a12 a21), with no trace or determinant element built."""
+        return self.ring._is_nilpotent(self.a11, self.a12, self.a21, self.a22)
 
 
 def _mat(ring: Ring, entries: tuple) -> Mat2:
@@ -183,12 +192,27 @@ def gl2_count(q: int, n: int) -> int:
     return q ** (4 * (n - 1)) * (q * q - 1) * (q * q - q)
 
 
+def _conjugate(Pinv: Mat2, N: Mat2, P: Mat2) -> Mat2:
+    """Pinv N P in one step: two calls of ``Ring._matmul`` and one
+    ``_mat`` when the three share one ring object, else the checked
+    products, which raise ValueError on mixed rings."""
+    ring = N.ring
+    if Pinv.ring is not ring or P.ring is not ring:
+        return Pinv * N * P
+    matmul = ring._matmul
+    return _mat(ring, matmul(*matmul(Pinv.a11, Pinv.a12, Pinv.a21, Pinv.a22,
+                                     N.a11, N.a12, N.a21, N.a22),
+                             P.a11, P.a12, P.a21, P.a22))
+
+
 def identity(ring: Ring) -> Mat2:
-    return Mat2(ring.one, ring.zero, ring.zero, ring.one)
+    one, zero = ring.one, ring.zero
+    return _mat(ring, (one, zero, zero, one))
 
 
 def zero_matrix(ring: Ring) -> Mat2:
-    return Mat2(ring.zero, ring.zero, ring.zero, ring.zero)
+    zero = ring.zero
+    return _mat(ring, (zero, zero, zero, zero))
 
 
 def top_row(a: RingElem, b: RingElem) -> Mat2:
@@ -645,20 +669,48 @@ def companion_conjugator(A: Mat2) -> Mat2:
     (1, tr B)), for A = d0 I + pi^j B as in ``MatrixSpace.class_code``:
     P = [v | B v] for the first v of e1, e2 and e1 + e2 that makes P
     invertible (B's non-scalar residue has at most two eigenlines), and
-    B P = P C by Cayley-Hamilton.  The identity for a scalar A."""
+    B P = P C by Cayley-Hamilton.  P is written in closed form by which
+    of b21 and b12 is a unit, det [v | B v] being b21, -b12 and (b21 +
+    b22) - (b11 + b12) for the three v: ((1, b11), (0, b21)), else
+    ((0, b12), (1, b22)), else ((1, b11 + b12), (1, b21 + b22)), whose
+    invertibility is checked (AssertionError, under ``python -O`` too).
+    The identity for a scalar A."""
+    return _companion_pair(A)[0]
+
+
+def _companion_pair(A: Mat2) -> tuple[Mat2, Mat2]:
+    """(P, P^-1) for P = ``companion_conjugator(A)``, P^-1 in closed form
+    too: ((1, -b11 b21^-1), (0, b21^-1)), ((-b12^-1 b22, 1), (b12^-1, 0)),
+    or, with c = b11 + b12, d = b21 + b22 and det P = d - c, the adjugate
+    ((d, -c), (-1, 1)) scaled by det^-1.  No shape calls ``Mat2.inverse``."""
     ring = A.ring
-    j = min(A.a12.valuation(), A.a21.valuation(), (A.a11 - A.a22).valuation())
+    val = ring.valuation
+    a11, a12, a21, a22 = A.a11, A.a12, A.a21, A.a22
+    j = min(val(a12), val(a21), val(ring.sub(a11, a22)))
     if j == ring.n:
-        return identity(ring)
-    b11, b12, b21, b22 = (ring.from_index(x.idx // ring.q ** j)
-                          for x in A.entries())
+        eye = identity(ring)
+        return eye, eye
+    step, element = ring.q ** j, ring.from_index
+    b11, b12 = element(a11.idx // step), element(a12.idx // step)
+    b21, b22 = element(a21.idx // step), element(a22.idx // step)
     one, zero = ring.one, ring.zero
-    for v1, v2 in ((one, zero), (zero, one), (one, one)):
-        P = Mat2(v1, b11 * v1 + b12 * v2, v2, b21 * v1 + b22 * v2)
-        if P.is_invertible():
-            return P
-    raise AssertionError("a non-scalar residue has a cyclic vector among "
-                         "e1, e2 and e1 + e2")
+    if b21.is_unit():
+        inv = ring.inverse(b21)
+        return (_mat(ring, (one, b11, zero, b21)),
+                _mat(ring, (one, ring.neg(ring.mul(b11, inv)), zero, inv)))
+    if b12.is_unit():
+        inv = ring.inverse(b12)
+        return (_mat(ring, (zero, b12, one, b22)),
+                _mat(ring, (ring.neg(ring.mul(inv, b22)), one, inv, zero)))
+    c, d = ring.add(b11, b12), ring.add(b21, b22)
+    det = ring.sub(d, c)
+    if not det.is_unit():
+        raise AssertionError("a non-scalar residue has a cyclic vector "
+                             "among e1, e2 and e1 + e2")
+    inv = ring.inverse(det)
+    return (_mat(ring, (one, c, one, d)),
+            _mat(ring, (ring.mul(inv, d), ring.neg(ring.mul(inv, c)),
+                        ring.neg(inv), inv)))
 
 
 _SPACE_CACHE: dict[tuple, MatrixSpace] = {}

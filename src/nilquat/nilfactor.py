@@ -18,8 +18,8 @@ from time import perf_counter
 import numpy as np
 
 from .chain_ring import Ring, RingElem, format_element, format_ring_spec
-from .mat2 import (Mat2, MatrixSpace, block_slices, companion_conjugator,
-                   format_matrix, identity, top_row, zero_matrix)
+from .mat2 import (Mat2, MatrixSpace, _companion_pair, _conjugate, _mat,
+                   block_slices, format_matrix, identity)
 from .orbits import _orbit_witness, locate_in_orbit_union, orbit_union
 
 # Any fixed constant works; this one is frozen so seeded runs reproduce.
@@ -347,14 +347,31 @@ class NilFactorization:
 
     @classmethod
     def certified(cls, target: Mat2, factors, conjugator: Mat2):
+        """Check every factor nilpotent and their product equal to the
+        target, else ValueError.  When all factors share one ring object
+        the product runs on their entry tuples through ``Ring._matmul``
+        and builds one ``Mat2``; otherwise it is ``Mat2`` products, which
+        raise ValueError on mixed rings."""
         factors = tuple(factors)
         if not factors:
             raise ValueError("a factorization needs at least one factor")
-        if not all(N.is_nilpotent() for N in factors):
-            raise ValueError("every factor must be nilpotent")
-        prod = factors[0]
-        for N in factors[1:]:
-            prod = prod * N
+        first = factors[0]
+        ring = first.ring
+        shared = True
+        for N in factors:
+            if not N.is_nilpotent():
+                raise ValueError("every factor must be nilpotent")
+            shared = shared and N.ring is ring
+        if shared:
+            matmul = ring._matmul
+            prod = first.entries()
+            for N in factors[1:]:
+                prod = matmul(*prod, N.a11, N.a12, N.a21, N.a22)
+            prod = _mat(ring, prod)
+        else:
+            prod = first
+            for N in factors[1:]:
+                prod = prod * N
         if prod != target:
             raise ValueError("factors must multiply to the target")
         return cls(target, factors, conjugator)
@@ -369,7 +386,8 @@ class NilFactorization:
 def _parity_filler(ring: Ring) -> Mat2:
     # a rank-one nilpotent with all-unit entries, used to shift parity
     one = ring.one
-    return Mat2(-one, one, -one, one)
+    minus_one = -one
+    return _mat(ring, (minus_one, one, minus_one, one))
 
 
 def _top_row_factors(ring: Ring, a: RingElem, b: RingElem,
@@ -385,27 +403,27 @@ def _top_row_factors(ring: Ring, a: RingElem, b: RingElem,
     chain's product.  Repeated factors are one object each.
     """
     z, one = ring.zero, ring.one
-    E = top_row(z, one)
+    E = _mat(ring, (z, one, z, z))
     if s == 2:
         if a.is_unit():
-            return [E, Mat2(-b, -(a.inverse() * (b * b)), a, b)]
+            return [E, _mat(ring, (-b, -(a.inverse() * (b * b)), a, b))]
         if b.is_unit():
             raise ValueError("two factors cannot reach a nonzero residue of "
                              "trace zero")
-        return [E, Mat2(z, z, a, b)]
-    F = Mat2(z, z, one, z)
+        return [E, _mat(ring, (z, z, a, b))]
+    F = _mat(ring, (z, z, one, z))
     odd = s % 2 == 1
     if not a.is_unit():
-        chain = ([top_row(a, b)] if odd
-                 else [E, _parity_filler(ring), F, top_row(a, b)])
+        top = _mat(ring, (a, b, z, z))
+        chain = [top] if odd else [E, _parity_filler(ring), F, top]
     elif not b.is_unit():
-        last = Mat2(z, z, a, b)
+        last = _mat(ring, (z, z, a, b))
         chain = ([E, _parity_filler(ring), last] if odd
                  else [E, F, _parity_filler(ring), last])
     else:
-        K = Mat2(one, a.inverse() * b, -(b.inverse() * a), -one)
-        chain = ([E, Mat2(z, z, a, z), K] if odd
-                 else [E, Mat2(z, z, -b, z), E, K])
+        K = _mat(ring, (one, a.inverse() * b, -(b.inverse() * a), -one))
+        chain = ([E, _mat(ring, (z, z, a, z)), K] if odd
+                 else [E, _mat(ring, (z, z, -b, z)), E, K])
     if s < len(chain):
         raise ValueError(f"this top row needs at least {len(chain)} factors")
     return [E, F] * ((s - len(chain)) // 2) + chain
@@ -426,16 +444,18 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
     by a pair (n, N), n one of S_1's factors.  The pair's matrices and the
     companion conjugator of n N, with its inverse, depend on the class
     alone, so the step keeps them from the class's first hit on; refusals
-    keep nothing.
+    keep nothing.  The zero and trace tests read A's entry indices and
+    residues, and build no matrix.
 
     s = 1 and the zero matrix answer as they stand, conjugator I; every
     other route yields factors of P A P^-1 for a conjugator P and answers
-    with their conjugates P^-1 N P, one per distinct factor.  Each route
-    hands over P^-1 with P: the union route's orbit witness writes it in
-    closed form, and the lookup inverts only A's companion conjugator.
-    Every answer is certified.  Only the lookup reads the space's Q^4
-    data, and raises CapExceededError past the space's cap; every other
-    route uses ``space.ring`` alone.
+    with their conjugates P^-1 N P, one fused step per distinct factor.
+    Each route hands over P^-1 with P, written in closed form: by the
+    union route's orbit witness, and by the lookup for A's companion
+    conjugator in each of its three shapes (``companion_conjugator``), so
+    no route calls ``Mat2.inverse``.  Every answer is certified.  Only the
+    lookup reads the space's Q^4 data, and raises CapExceededError past
+    the space's cap; every other route uses ``space.ring`` alone.
     """
     ring = space.ring
     if s < 1:
@@ -444,15 +464,18 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
         if not A.is_nilpotent():
             raise NotNilpotentError("target is not nilpotent")
         return NilFactorization.certified(A, [A], identity(ring))
-    if s == 2 and A == zero_matrix(ring):
-        E = top_row(ring.zero, ring.one)
-        return NilFactorization.certified(A, [E, E], identity(ring))
-    if (s == 2 and any(e.is_unit() for e in A.entries())
-            and not A.trace().is_unit()):
-        # the residue would be a nonzero trace-zero product of two
-        # nilpotent residues, which cannot exist over a field
-        raise TraceObstructionError(
-            "trace obstruction: no two nilpotent factors exist")
+    if s == 2:
+        a11, a12, a21, a22 = A.a11, A.a12, A.a21, A.a22
+        if not (a11.idx or a12.idx or a21.idx or a22.idx):
+            z = ring.zero
+            E = _mat(ring, (z, ring.one, z, z))
+            return NilFactorization.certified(A, [E, E], identity(ring))
+        if ((a11.digits[0] or a12.digits[0] or a21.digits[0]
+             or a22.digits[0]) and not A.trace().digits[0]):
+            # the residue would be a nonzero trace-zero product of two
+            # nilpotent residues, which cannot exist over a field
+            raise TraceObstructionError(
+                "trace obstruction: no two nilpotent factors exist")
     witness = _orbit_witness(A)
     if witness is not None:
         a, b, P, Pinv = witness
@@ -469,7 +492,8 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
                 f"is not in J^2, so no two nilpotent factors exist")
         step = _chain_step(space, 2)
         code = int(space.class_code_table[A.packed])
-        if code not in step.witnesses:
+        record = step.witnesses.get(code)
+        if record is None:
             pair = int(step.first[code])
             if pair < 0:
                 raise TraceObstructionError(
@@ -479,19 +503,19 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
             left = _chain_step(space, 1).factors[pair // len(nil)]
             n = space.matrix_from_packed(int(left))
             N = space.matrix_from_packed(int(nil[pair % len(nil)]))
-            conj = companion_conjugator(n * N)
-            step.witnesses[code] = (n, N, conj, conj.inverse())
-        n, N, conj, conj_inv = step.witnesses[code]
+            record = (n, N) + _companion_pair(n * N)
+            step.witnesses[code] = record
+        n, N, conj, conj_inv = record
         factors = [n, N]
         # n N shares A's class, so both reach one companion form, and
         # P = P_(nN) P_A^-1 gives P A P^-1 = n N
-        conj_A = companion_conjugator(A)
-        P, Pinv = conj * conj_A.inverse(), conj_A * conj_inv
+        conj_A, conj_A_inv = _companion_pair(A)
+        P, Pinv = conj * conj_A_inv, conj_A * conj_inv
     # a factor repeated in the list is one object, conjugated once
     back = {}
     for N in factors:
         if id(N) not in back:
-            back[id(N)] = Pinv * N * P
+            back[id(N)] = _conjugate(Pinv, N, P)
     return NilFactorization.certified(A, [back[id(N)] for N in factors], P)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain_ring import (Ring, RingElem, format_ring_spec, make_ring,
                          parse_ring_spec)
-from .mat2 import Mat2, MatrixSpace, identity, top_row
+from .mat2 import Mat2, MatrixSpace, _mat, identity, top_row
 
 # A bitset header is one short text line; longer first lines are rejected.
 _BITSET_HEADER_LIMIT = 256
@@ -146,29 +146,30 @@ def _orbit_witness(A: Mat2) -> tuple[RingElem, RingElem, Mat2, Mat2] | None:
     ring = A.ring
     zero, one = ring.zero, ring.one
     val = ring.valuation
-    cols = ((A.a11, A.a21), (A.a12, A.a22))
-    vals = [min(val(x), val(y)) for x, y in cols]
-    k = min(vals)
+    a11, a12, a21, a22 = A.a11, A.a12, A.a21, A.a22
+    v1, v2 = min(val(a11), val(a21)), min(val(a12), val(a22))
+    if v1 <= v2:
+        k, j, col, other = v1, 0, (a11, a21), (a12, a22)
+    else:
+        k, j, col, other = v2, 1, (a12, a22), (a11, a21)
     if k == ring.n:
         eye = identity(ring)
         return zero, zero, eye, eye
-    j = vals.index(k)
     step = ring.q ** k
-    u = [ring.from_index(x.idx // step) for x in cols[j]]
+    u = [ring.from_index(x.idx // step) for x in col]
     i = 0 if u[0].is_unit() else 1
-    inv = u[i].inverse()
-    other = cols[1 - j]
-    w_other = other[i] * inv
-    if u[1 - i] * w_other != other[1 - i]:
+    inv = ring.inverse(u[i])
+    w_other = ring.mul(other[i], inv)
+    if ring.mul(u[1 - i], w_other).idx != other[1 - i].idx:
         return None
     w = [w_other, w_other]
     w[j] = ring.from_index(step)
     if i == 0:
-        P = Mat2(inv, zero, -(u[1] * inv), one)
-        Pinv = Mat2(u[0], zero, u[1], one)
+        P = _mat(ring, (inv, zero, ring.neg(ring.mul(u[1], inv)), one))
+        Pinv = _mat(ring, (u[0], zero, u[1], one))
     else:
-        P = Mat2(zero, inv, one, -(u[0] * inv))
-        Pinv = Mat2(u[0], one, u[1], zero)
+        P = _mat(ring, (zero, inv, one, ring.neg(ring.mul(u[0], inv))))
+        Pinv = _mat(ring, (u[0], one, u[1], zero))
     a, b = A.trace(), w[1 - i]
     if P * Pinv != identity(ring):
         raise AssertionError("orbit witness P^-1 is not the inverse of P")

@@ -438,6 +438,61 @@ GOLDEN_DECOMPOSE_LOOKUP = """\
 """
 
 
+# decompose on every branch: (ring, matrix, s) -> stdout.  The s = 2
+# lookups have A's companion conjugator [v | B v] in each of its shapes, v
+# = e1, e2 and e1 + e2 (the e2 target is GOLDEN_DECOMPOSE_LOOKUP's); then
+# an s = 1 answer and an s = 5 orbit-union answer
+GOLDEN_DECOMPOSE_BRANCHES = {
+    ("zmod:5^2", "[[5,0],[5,10]]", "2"): """\
+{
+  "target": "[[(0,1),(0,0)],[(0,1),(0,2)]]",
+  "factors": [
+    "[[(0,1),(0,1)],[(1,4),(0,4)]]",
+    "[[(0,2),(0,2)],[(1,3),(0,3)]]"
+  ],
+  "conjugator": "[[(1,0),(0,0)],[(1,0),(1,0)]]",
+  "verified": true
+}
+""",
+    ("zmod:5^2", "[[5,10],[0,15]]", "2"): GOLDEN_DECOMPOSE_LOOKUP,
+    ("zmod:5^2", "[[5,0],[0,10]]", "2"): """\
+{
+  "target": "[[(0,1),(0,0)],[(0,0),(0,2)]]",
+  "factors": [
+    "[[(0,0),(0,1)],[(1,0),(0,0)]]",
+    "[[(0,0),(0,2)],[(1,0),(0,0)]]"
+  ],
+  "conjugator": "[[(1,0),(0,0)],[(0,0),(1,0)]]",
+  "verified": true
+}
+""",
+    ("zmod:3^2", "[[3,1],[0,6]]", "1"): """\
+{
+  "target": "[[(0,1),(1,0)],[(0,0),(0,2)]]",
+  "factors": [
+    "[[(0,1),(1,0)],[(0,0),(0,2)]]"
+  ],
+  "conjugator": "[[(1,0),(0,0)],[(0,0),(1,0)]]",
+  "verified": true
+}
+""",
+    ("polyq:3^2^1", "[[(4),(5)],[(6),(1)]]", "5"): """\
+{
+  "target": "[[(4),(5)],[(6),(1)]]",
+  "factors": [
+    "[[(3),(4)],[(5),(6)]]",
+    "[[(0),(0)],[(5),(0)]]",
+    "[[(3),(4)],[(5),(6)]]",
+    "[[(0),(0)],[(3),(0)]]",
+    "[[(6),(1)],[(1),(3)]]"
+  ],
+  "conjugator": "[[(5),(0)],[(8),(1)]]",
+  "verified": true
+}
+""",
+}
+
+
 @pytest.mark.parametrize("method", sorted(GOLDEN_TABLE))
 def test_table_golden_output(capsys, method):
     code, out, _ = run_cli(capsys, "table", "--rings", "polyq:3^1^1,zmod:3^2",
@@ -474,6 +529,13 @@ def test_decompose_lookup_hit_golden_output(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--ring", "zmod:5^2",
                            "--matrix", "[[5,10],[0,15]]", "--s", "2")
     assert (code, out) == (0, GOLDEN_DECOMPOSE_LOOKUP)
+
+
+@pytest.mark.parametrize("ring,matrix,s", sorted(GOLDEN_DECOMPOSE_BRANCHES))
+def test_decompose_golden_output_on_every_branch(capsys, ring, matrix, s):
+    code, out, _ = run_cli(capsys, "decompose", "--ring", ring, "--matrix",
+                           matrix, "--s", s)
+    assert (code, out) == (0, GOLDEN_DECOMPOSE_BRANCHES[ring, matrix, s])
 
 
 def test_decompose_past_the_enumeration_cap(capsys):

@@ -9,8 +9,8 @@ import pytest
 import nilquat
 from nilquat.chain_ring import ring_from_string
 from nilquat.mat2 import (CapExceededError, Mat2, MatrixSpace, NilTag,
-                          classify_nilpotent, classify_nilpotent_bulk,
-                          companion_conjugator,
+                          _companion_pair, classify_nilpotent,
+                          classify_nilpotent_bulk, companion_conjugator,
                           format_matrix, gl2_count, identity, load_packed,
                           matrix_space, parse_matrix, save_packed, top_row,
                           zero_matrix)
@@ -255,13 +255,38 @@ def test_space_keeps_no_gl2_set():
 
 
 def test_is_nilpotent_matches_power_criterion(z9_space):
-    sp = z9_space
+    # the fused residue test on the dense rows (zmod:3^2, polyq:3^2^1) and
+    # in GF(q) past the dense-table limit (zmod:3^7), against A^(2n) = 0.
+    # A draw is nilpotent with chance 1/q^2, so the dense rings also draw
+    # from their nilpotent sets
     rng = np.random.default_rng(17)
-    n = sp.ring.n
-    for k in rng.integers(0, sp.count, size=120):
+    for sp in (z9_space, matrix_space(ring_from_string("polyq:3^2^1")),
+               matrix_space(ring_from_string("zmod:3^7"))):
+        n = sp.ring.n
+        draws = list(rng.integers(0, sp.count, size=120))
+        if sp.ring._dense:
+            draws += list(rng.choice(sp.nilpotent_indices, size=40))
+        nilpotent = 0
+        for k in draws:
+            A = sp.matrix_from_packed(int(k))
+            P = A ** (2 * n)
+            assert A.is_nilpotent() == (P == zero_matrix(sp.ring))
+            nilpotent += A.is_nilpotent()
+        assert nilpotent > 0
+
+
+@pytest.mark.parametrize("text", ("zmod:3^2", "zmod:3^7"))
+def test_matrix_power_by_squaring_matches_repeated_products(text):
+    sp = matrix_space(ring_from_string(text))
+    rng = np.random.default_rng(31)
+    for k in rng.integers(0, sp.count, size=12):
         A = sp.matrix_from_packed(int(k))
-        P = A ** (2 * n)
-        assert A.is_nilpotent() == (P == zero_matrix(sp.ring))
+        want = identity(sp.ring)
+        for e in range(10):
+            assert A ** e == want
+            want = want * A
+        with pytest.raises(ValueError, match="negative"):
+            A ** -1
 
 
 def test_classification_reconstructs_all_nilpotents(z9_space):
@@ -563,16 +588,20 @@ def test_class_sizes_are_code_counts(text, classes):
     assert sp.class_sizes.sum() == q ** (4 * n)
 
 
-@pytest.mark.parametrize("text", ("zmod:3^3", "polyq:3^2^1", "polyq:3^1^3"))
+@pytest.mark.parametrize("text", ("zmod:3^3", "polyq:3^2^1", "polyq:3^1^3",
+                                  "zmod:3^7"))
 def test_companion_conjugator_reaches_the_companion_form(text):
     sp = matrix_space(ring_from_string(text))
     ring = sp.ring
     z, one = ring.zero, ring.one
     forms = {}
+    shapes = set()
     for k in np.random.default_rng(2000).integers(0, sp.count, size=2000):
         A = sp.matrix_from_packed(int(k))
         P = companion_conjugator(A)
         assert P.is_invertible()
+        P2, Pinv = _companion_pair(A)
+        assert P2 == P and Pinv == P.inverse()
         # A = d0 I + pi^j B, read off with scalar ring operations
         j = min(A.a12.valuation(), A.a21.valuation(),
                 (A.a11 - A.a22).valuation())
@@ -587,10 +616,24 @@ def test_companion_conjugator_reaches_the_companion_form(text):
         C = Mat2(z, -B.det(), one, B.trace())
         want = Mat2(*(pj * x for x in C.entries())) + Mat2(d0, z, z, d0)
         assert P.inverse() * A * P == want
+        if j < ring.n:
+            # the first invertible [v | B v] over e1, e2 and e1 + e2
+            for v, (v1, v2) in enumerate(((one, z), (z, one), (one, one))):
+                Bv = (B.a11 * v1 + B.a12 * v2, B.a21 * v1 + B.a22 * v2)
+                first = Mat2(v1, Bv[0], v2, Bv[1])
+                if first.is_invertible():
+                    break
+            assert P == first
+            shapes.add(v)
+        else:
+            assert P == identity(ring)
+        if not ring._dense:
+            continue    # the class code tables read the dense tables
         # one companion form per code, and it keeps the code
         code = int(sp.class_code(tuple(x.idx for x in A.entries())))
         assert forms.setdefault(code, want) == want
         assert int(sp.class_code_table[want.packed]) == code
+    assert shapes == {0, 1, 2}
     assert len(forms) < 2000
 
 

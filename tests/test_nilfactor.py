@@ -243,17 +243,47 @@ def test_identity_conjugator_routes_invert_nothing(monkeypatch):
         assert fact.conjugator == identity(r)
 
 
+# s = 2 lookup targets on zmod:5^2, off the orbit union, one for each
+# shape of their companion conjugator [v | B v]: v = e1 (b21 a unit), e2
+# (b12 a unit, b21 not) and e1 + e2 (neither)
+LOOKUP_SHAPES = {"e1": "[[5,0],[5,10]]", "e2": "[[5,10],[0,15]]",
+                 "e1+e2": "[[5,0],[0,10]]"}
+
+
+def _companion_shape(P):
+    """Which v of e1, e2 and e1 + e2 the conjugator P = [v | B v] took."""
+    return {(1, 0): "e1", (0, 1): "e2", (1, 1): "e1+e2"}[(P.a11.idx,
+                                                           P.a21.idx)]
+
+
+def _warm_lookup_targets(sp):
+    """(shape, T) for each LOOKUP_SHAPES target T, each T's class looked
+    up first through another member V T V^-1, so that T's own lookup is
+    warm."""
+    r = sp.ring
+    V = parse_matrix(r, "[[1,1],[0,1]]")
+    out = []
+    for shape, text in LOOKUP_SHAPES.items():
+        T = parse_matrix(r, text)
+        A = V * T * V.inverse()
+        assert A != T and not orbit_union(sp)[T.packed]
+        assert sp.class_code_table[A.packed] == sp.class_code_table[T.packed]
+        assert _companion_shape(companion_conjugator(T)) == shape
+        decompose(sp, A, 2)
+        out.append((shape, T))
+    return out
+
+
 def test_union_and_warm_lookup_routes_invert_only_the_target_conjugator(
         monkeypatch):
     # the union route takes P^-1 from its orbit witness, and S_2's class
-    # record keeps conj^-1 beside conj, so the union route inverts nothing
-    # and a warm lookup inverts only companion_conjugator(A)
+    # record keeps conj^-1 beside conj, so the union route inverts nothing;
+    # a warm lookup computes only the target's companion conjugator and
+    # its inverse, in closed form for each of the three shapes, so no
+    # route calls Mat2.inverse
+    from nilquat import mat2, nilfactor
     sp = MatrixSpace(ring_from_string("zmod:5^2"))
-    r = sp.ring
-    A = parse_matrix(r, "[[5,10],[0,15]]")
-    U = parse_matrix(r, "[[1,1],[0,1]]")
-    B = U.inverse() * A * U
-    decompose(sp, A, 2)
+    targets = _warm_lookup_targets(sp)
     inverse = Mat2.inverse
 
     def refuse(self):
@@ -271,16 +301,21 @@ def test_union_and_warm_lookup_routes_invert_only_the_target_conjugator(
                 continue
             assert len(fact.factors) == s
             assert _reproduct(fact.factors) == T
-    inverted = []
+    pairs = []
 
-    def spy(self):
-        inverted.append(self)
-        return inverse(self)
+    def spy(A):
+        pairs.append((A, mat2._companion_pair(A)))
+        return pairs[-1][1]
 
-    monkeypatch.setattr(Mat2, "inverse", spy)
-    fact = decompose(sp, B, 2)
-    assert _reproduct(fact.factors) == B
-    assert inverted == [companion_conjugator(B)]
+    monkeypatch.setattr(nilfactor, "_companion_pair", spy)
+    for shape, T in targets:
+        fact = decompose(sp, T, 2)
+        assert _reproduct(fact.factors) == T
+        (A, (P, Pinv)), = pairs
+        assert A is T and P == companion_conjugator(T)
+        assert _companion_shape(P) == shape
+        assert Pinv == inverse(P)
+        pairs.clear()
 
 
 @pytest.mark.parametrize("s", (3, 4, 5, 6))
@@ -454,6 +489,48 @@ def test_certified_checks_survive_optimize_flag():
     assert proc.stdout.split() == ["refused"] * 6
 
 
+def test_fused_decompose_checks_survive_optimize_flag():
+    # the checks of the fused routes, each forced to fail under python -O:
+    # certified's product check and its refusal of mixed rings, the orbit
+    # witness's P P^-1 = I check, and the companion conjugator's
+    # invertibility check
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = (
+        "import nilquat.chain_ring as cr, nilquat.orbits as orb\n"
+        "from nilquat import *\n"
+        "from nilquat.mat2 import companion_conjugator\n"
+        "def probe(kind, fn):\n"
+        "    try:\n"
+        "        fn()\n"
+        "    except kind as exc:\n"
+        "        print(str(exc).replace(' ', '_'))\n"
+        "    else:\n"
+        "        print('verified')\n"
+        "r = ring_from_string('zmod:3^2')\n"
+        "other = ring_from_string('polyq:3^1^2')\n"
+        "E, F = top_row(r.zero, r.one), top_row(other.zero, other.one)\n"
+        "I = identity(r)\n"
+        "probe(ValueError, lambda: NilFactorization.certified(E, [E, E], I))\n"
+        "probe(ValueError, lambda: NilFactorization.certified(E, [E, F], I))\n"
+        "orb.identity = lambda ring: zero_matrix(ring)\n"
+        "probe(AssertionError, lambda: locate_in_orbit_union(\n"
+        "    matrix_space(r), top_row(r.one, r.zero)))\n"
+        "cr.RingElem.is_unit = lambda self: False\n"
+        "probe(AssertionError, lambda: companion_conjugator(\n"
+        "    Mat2(r.one, r.zero, r.zero, r.zero)))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "factors_must_multiply_to_the_target",
+        "matrices_from_different_rings",
+        "orbit_witness_P^-1_is_not_the_inverse_of_P",
+        "a_non-scalar_residue_has_a_cyclic_vector_among_e1,_e2_and_e1_+_e2"]
+
+
 @pytest.mark.parametrize("text", ("zmod:3^2", "polyq:3^1^2"))
 def test_decompose_two_decides_brute_s2(text):
     sp = matrix_space(ring_from_string(text))
@@ -539,33 +616,29 @@ def test_decompose_two_lookup_decides_chain_s2_zmod27():
 def test_decompose_two_keeps_each_class_witness(monkeypatch):
     # a second target of a class already looked up reads the class's
     # witness matrices and companion conjugator from S_2's step, and its
-    # class from the code table
+    # class from the code table: it computes only its own companion
+    # conjugator, once, whichever of the three shapes that takes
     from nilquat import nilfactor
     sp = MatrixSpace(ring_from_string("zmod:5^2"))
-    r = sp.ring
-    A = parse_matrix(r, "[[5,10],[0,15]]")
-    U = parse_matrix(r, "[[1,1],[0,1]]")
-    B = U.inverse() * A * U
-    assert B != A and not orbit_union(sp)[B.packed]
-    assert sp.class_code_table[A.packed] == sp.class_code_table[B.packed]
-    decompose(sp, A, 2)
+    targets = _warm_lookup_targets(sp)
     calls = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, args[-1]))
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(nilfactor, "companion_conjugator",
-                        counted("companion_conjugator",
-                                nilfactor.companion_conjugator))
+    monkeypatch.setattr(nilfactor, "_companion_pair",
+                        counted("_companion_pair", nilfactor._companion_pair))
     for name in ("matrix_from_packed", "_class_code"):
         monkeypatch.setattr(MatrixSpace, name,
                             counted(name, getattr(MatrixSpace, name)))
-    fact = decompose(sp, B, 2)
-    assert _reproduct(fact.factors) == B
-    assert calls == ["companion_conjugator"]
+    for _, T in targets:
+        fact = decompose(sp, T, 2)
+        assert _reproduct(fact.factors) == T
+        assert calls == [("_companion_pair", T)]
+        calls.clear()
 
 
 def _cold_decompose_two(sp, A):
