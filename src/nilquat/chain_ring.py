@@ -778,12 +778,9 @@ class Ring:
     # -- structure ----------------------------------------------------------
 
     def valuation(self, a: RingElem) -> int:
-        """Largest k with a in J(R)^k; the zero element reports n.  A
-        dense ring reads it from ``val_table``, kept as a list."""
+        """Largest k with a in J(R)^k; the zero element reports n."""
         if a.ring is not self:
             self._own(a)
-        if self._dense:
-            return self._val_list[a.idx]
         for k, d in enumerate(a.digits):
             if d:
                 return k
@@ -969,10 +966,6 @@ class Ring:
     @cached_property
     def _inv_list(self) -> list[RingElem | None]:
         return self._interned(self.inv_table)
-
-    @cached_property
-    def _val_list(self) -> list[int]:
-        return self.val_table.tolist()
 
 
 _RING_CACHE: dict[tuple, Ring] = {}

@@ -29,8 +29,8 @@ slice of Q^3 matrices at a time.  Only the conjugation orbits of the
 "sweep" reference route read GL2, so it is built on each request and
 never held by the space.
 GL2 conjugacy classes have a closed-form dense code,
-``MatrixSpace.class_code``, and ``companion_conjugator``, a closed form
-too, takes a matrix to its class's companion form.
+``MatrixSpace.class_code``, and ``companion_conjugator`` takes a matrix
+to its class's companion form, in closed form with its inverse.
 """
 
 from __future__ import annotations
@@ -115,16 +115,11 @@ class Mat2:
                                        other.a21, other.a22))
 
     def __pow__(self, k: int) -> "Mat2":
-        """A^k by square-and-multiply: about 2 log2(k) products."""
         if k < 0:
             raise ValueError("negative matrix powers are not supported")
-        out, base = identity(self.ring), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
+        out = identity(self.ring)
+        for _ in range(k):
+            out = out * self
         return out
 
     def __eq__(self, other):
@@ -190,19 +185,6 @@ def _mat(ring: Ring, entries: tuple) -> Mat2:
 def gl2_count(q: int, n: int) -> int:
     """|GL2(R)| = q^(4(n-1)) (q^2 - 1)(q^2 - q)."""
     return q ** (4 * (n - 1)) * (q * q - 1) * (q * q - q)
-
-
-def _conjugate(Pinv: Mat2, N: Mat2, P: Mat2) -> Mat2:
-    """Pinv N P in one step: two calls of ``Ring._matmul`` and one
-    ``_mat`` when the three share one ring object, else the checked
-    products, which raise ValueError on mixed rings."""
-    ring = N.ring
-    if Pinv.ring is not ring or P.ring is not ring:
-        return Pinv * N * P
-    matmul = ring._matmul
-    return _mat(ring, matmul(*matmul(Pinv.a11, Pinv.a12, Pinv.a21, Pinv.a22,
-                                     N.a11, N.a12, N.a21, N.a22),
-                             P.a11, P.a12, P.a21, P.a22))
 
 
 def identity(ring: Ring) -> Mat2:
@@ -664,25 +646,20 @@ class MatrixSpace:
         return sizes
 
 
-def companion_conjugator(A: Mat2) -> Mat2:
-    """An invertible P with P^-1 A P = d0 I + pi^j C, C = ((0, -det B),
-    (1, tr B)), for A = d0 I + pi^j B as in ``MatrixSpace.class_code``:
-    P = [v | B v] for the first v of e1, e2 and e1 + e2 that makes P
-    invertible (B's non-scalar residue has at most two eigenlines), and
-    B P = P C by Cayley-Hamilton.  P is written in closed form by which
-    of b21 and b12 is a unit, det [v | B v] being b21, -b12 and (b21 +
-    b22) - (b11 + b12) for the three v: ((1, b11), (0, b21)), else
-    ((0, b12), (1, b22)), else ((1, b11 + b12), (1, b21 + b22)), whose
-    invertibility is checked (AssertionError, under ``python -O`` too).
-    The identity for a scalar A."""
-    return _companion_pair(A)[0]
-
-
-def _companion_pair(A: Mat2) -> tuple[Mat2, Mat2]:
-    """(P, P^-1) for P = ``companion_conjugator(A)``, P^-1 in closed form
-    too: ((1, -b11 b21^-1), (0, b21^-1)), ((-b12^-1 b22, 1), (b12^-1, 0)),
-    or, with c = b11 + b12, d = b21 + b22 and det P = d - c, the adjugate
-    ((d, -c), (-1, 1)) scaled by det^-1.  No shape calls ``Mat2.inverse``."""
+def companion_conjugator(A: Mat2) -> tuple[Mat2, Mat2]:
+    """(P, P^-1) for an invertible P with P^-1 A P = d0 I + pi^j C, C =
+    ((0, -det B), (1, tr B)), for A = d0 I + pi^j B as in
+    ``MatrixSpace.class_code``: P = [v | B v] for the first v of e1, e2
+    and e1 + e2 that makes P invertible (B's non-scalar residue has at
+    most two eigenlines), and B P = P C by Cayley-Hamilton.  Both are
+    written in closed form by which of b21 and b12 is a unit, det [v | B v]
+    being b21, -b12 and (b21 + b22) - (b11 + b12) for the three v:
+    P = ((1, b11), (0, b21)) with P^-1 = ((1, -b11 b21^-1), (0, b21^-1)),
+    else P = ((0, b12), (1, b22)) with P^-1 = ((-b12^-1 b22, 1),
+    (b12^-1, 0)), else P = ((1, c), (1, d)), c = b11 + b12, d = b21 + b22,
+    whose invertibility is checked (AssertionError, under ``python -O``
+    too) and whose P^-1 is the adjugate ((d, -c), (-1, 1)) over d - c.
+    No shape calls ``Mat2.inverse``.  (I, I) for a scalar A."""
     ring = A.ring
     val = ring.valuation
     a11, a12, a21, a22 = A.a11, A.a12, A.a21, A.a22

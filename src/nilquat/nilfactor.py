@@ -18,8 +18,8 @@ from time import perf_counter
 import numpy as np
 
 from .chain_ring import Ring, RingElem, format_element, format_ring_spec
-from .mat2 import (Mat2, MatrixSpace, _companion_pair, _conjugate, _mat,
-                   block_slices, format_matrix, identity)
+from .mat2 import (Mat2, MatrixSpace, _mat, block_slices,
+                   companion_conjugator, format_matrix, identity)
 from .orbits import _orbit_witness, locate_in_orbit_union, orbit_union
 
 # Any fixed constant works; this one is frozen so seeded runs reproduce.
@@ -348,30 +348,16 @@ class NilFactorization:
     @classmethod
     def certified(cls, target: Mat2, factors, conjugator: Mat2):
         """Check every factor nilpotent and their product equal to the
-        target, else ValueError.  When all factors share one ring object
-        the product runs on their entry tuples through ``Ring._matmul``
-        and builds one ``Mat2``; otherwise it is ``Mat2`` products, which
-        raise ValueError on mixed rings."""
+        target, else ValueError, as for factors from different rings."""
         factors = tuple(factors)
         if not factors:
             raise ValueError("a factorization needs at least one factor")
-        first = factors[0]
-        ring = first.ring
-        shared = True
         for N in factors:
             if not N.is_nilpotent():
                 raise ValueError("every factor must be nilpotent")
-            shared = shared and N.ring is ring
-        if shared:
-            matmul = ring._matmul
-            prod = first.entries()
-            for N in factors[1:]:
-                prod = matmul(*prod, N.a11, N.a12, N.a21, N.a22)
-            prod = _mat(ring, prod)
-        else:
-            prod = first
-            for N in factors[1:]:
-                prod = prod * N
+        prod = factors[0]
+        for N in factors[1:]:
+            prod = prod * N
         if prod != target:
             raise ValueError("factors must multiply to the target")
         return cls(target, factors, conjugator)
@@ -449,15 +435,18 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
 
     s = 1 and the zero matrix answer as they stand, conjugator I; every
     other route yields factors of P A P^-1 for a conjugator P and answers
-    with their conjugates P^-1 N P, one fused step per distinct factor.
-    Each route hands over P^-1 with P, written in closed form: by the
-    union route's orbit witness, and by the lookup for A's companion
-    conjugator in each of its three shapes (``companion_conjugator``), so
-    no route calls ``Mat2.inverse``.  Every answer is certified.  Only the
-    lookup reads the space's Q^4 data, and raises CapExceededError past
-    the space's cap; every other route uses ``space.ring`` alone.
+    with their conjugates P^-1 N P, one per distinct factor.  Each route
+    hands over P^-1 with P, written in closed form: by the union route's
+    orbit witness, and by the lookup for A's companion conjugator in each
+    of its three shapes (``companion_conjugator``), so no route calls
+    ``Mat2.inverse``.  Every answer is certified.  Only the lookup reads
+    the space's Q^4 data, and raises CapExceededError past the space's
+    cap; every other route uses ``space.ring`` alone.  A target over
+    another ring than the space's raises ValueError.
     """
     ring = space.ring
+    if A.ring is not ring and not ring.same_ring(A.ring):
+        raise ValueError("target and space are over different rings")
     if s < 1:
         raise ValueError("s must be at least 1")
     if s == 1:
@@ -503,19 +492,19 @@ def decompose(space: MatrixSpace, A: Mat2, s: int) -> NilFactorization:
             left = _chain_step(space, 1).factors[pair // len(nil)]
             n = space.matrix_from_packed(int(left))
             N = space.matrix_from_packed(int(nil[pair % len(nil)]))
-            record = (n, N) + _companion_pair(n * N)
+            record = (n, N) + companion_conjugator(n * N)
             step.witnesses[code] = record
         n, N, conj, conj_inv = record
         factors = [n, N]
         # n N shares A's class, so both reach one companion form, and
         # P = P_(nN) P_A^-1 gives P A P^-1 = n N
-        conj_A, conj_A_inv = _companion_pair(A)
+        conj_A, conj_A_inv = companion_conjugator(A)
         P, Pinv = conj * conj_A_inv, conj_A * conj_inv
     # a factor repeated in the list is one object, conjugated once
     back = {}
     for N in factors:
         if id(N) not in back:
-            back[id(N)] = _conjugate(Pinv, N, P)
+            back[id(N)] = Pinv * N * P
     return NilFactorization.certified(A, [back[id(N)] for N in factors], P)
 
 

@@ -226,6 +226,21 @@ def test_decompose_single_factor(gf3):
         decompose(gf3, identity(r), 1)
 
 
+@pytest.mark.parametrize("s", (1, 2, 3))
+def test_decompose_refuses_a_target_over_another_ring(s):
+    # every route checks A's ring against the space's before it reads A;
+    # a second handle of the space's ring is the same ring
+    from nilquat.chain_ring import Ring, parse_ring_spec
+    sp = matrix_space(ring_from_string("zmod:3^2"))
+    A = parse_matrix(ring_from_string("zmod:5^2"), "[[5,0],[0,20]]")
+    with pytest.raises(ValueError, match="different rings"):
+        decompose(sp, A, s)
+    twin = Ring(parse_ring_spec("zmod:3^2"))
+    T = parse_matrix(twin, "[[3,3],[0,0]]")
+    fact = decompose(sp, T, s)
+    assert fact.target is T and _reproduct(fact.factors) == T
+
+
 def test_identity_conjugator_routes_invert_nothing(monkeypatch):
     # s = 1 and the zero matrix answer with the identity as conjugator,
     # so there is no conjugation to undo and nothing to invert
@@ -268,7 +283,7 @@ def _warm_lookup_targets(sp):
         A = V * T * V.inverse()
         assert A != T and not orbit_union(sp)[T.packed]
         assert sp.class_code_table[A.packed] == sp.class_code_table[T.packed]
-        assert _companion_shape(companion_conjugator(T)) == shape
+        assert _companion_shape(companion_conjugator(T)[0]) == shape
         decompose(sp, A, 2)
         out.append((shape, T))
     return out
@@ -304,15 +319,15 @@ def test_union_and_warm_lookup_routes_invert_only_the_target_conjugator(
     pairs = []
 
     def spy(A):
-        pairs.append((A, mat2._companion_pair(A)))
+        pairs.append((A, mat2.companion_conjugator(A)))
         return pairs[-1][1]
 
-    monkeypatch.setattr(nilfactor, "_companion_pair", spy)
+    monkeypatch.setattr(nilfactor, "companion_conjugator", spy)
     for shape, T in targets:
         fact = decompose(sp, T, 2)
         assert _reproduct(fact.factors) == T
         (A, (P, Pinv)), = pairs
-        assert A is T and P == companion_conjugator(T)
+        assert A is T
         assert _companion_shape(P) == shape
         assert Pinv == inverse(P)
         pairs.clear()
@@ -489,10 +504,10 @@ def test_certified_checks_survive_optimize_flag():
     assert proc.stdout.split() == ["refused"] * 6
 
 
-def test_fused_decompose_checks_survive_optimize_flag():
-    # the checks of the fused routes, each forced to fail under python -O:
-    # certified's product check and its refusal of mixed rings, the orbit
-    # witness's P P^-1 = I check, and the companion conjugator's
+def test_decompose_checks_survive_optimize_flag():
+    # the checks of decompose's closed forms, each forced to fail under
+    # python -O: certified's product check and its refusal of mixed rings,
+    # the orbit witness's P P^-1 = I check, and the companion conjugator's
     # invertibility check
     src = os.path.dirname(os.path.dirname(nilquat.__file__))
     env = dict(os.environ)
@@ -629,15 +644,16 @@ def test_decompose_two_keeps_each_class_witness(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(nilfactor, "_companion_pair",
-                        counted("_companion_pair", nilfactor._companion_pair))
+    monkeypatch.setattr(nilfactor, "companion_conjugator",
+                        counted("companion_conjugator",
+                                nilfactor.companion_conjugator))
     for name in ("matrix_from_packed", "_class_code"):
         monkeypatch.setattr(MatrixSpace, name,
                             counted(name, getattr(MatrixSpace, name)))
     for _, T in targets:
         fact = decompose(sp, T, 2)
         assert _reproduct(fact.factors) == T
-        assert calls == [("_companion_pair", T)]
+        assert calls == [("companion_conjugator", T)]
         calls.clear()
 
 
