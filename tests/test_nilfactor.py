@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nilquat
-from nilquat.chain_ring import ring_from_string
+from nilquat.chain_ring import Ring, parse_ring_spec, ring_from_string
 from nilquat.mat2 import (Mat2, MatrixSpace, companion_conjugator,
                           gl2_count, identity, matrix_space, parse_matrix,
                           top_row, zero_matrix)
@@ -230,7 +230,6 @@ def test_decompose_single_factor(gf3):
 def test_decompose_refuses_a_target_over_another_ring(s):
     # every route checks A's ring against the space's before it reads A;
     # a second handle of the space's ring is the same ring
-    from nilquat.chain_ring import Ring, parse_ring_spec
     sp = matrix_space(ring_from_string("zmod:3^2"))
     A = parse_matrix(ring_from_string("zmod:5^2"), "[[5,0],[0,20]]")
     with pytest.raises(ValueError, match="different rings"):
