@@ -67,6 +67,31 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def _power(mul, one, x, k: int):
+    """x^k by square-and-multiply, ``mul`` being the product and ``one``
+    its identity: the scalar powers of GF(q) and of a ring, and the bulk
+    matrix powers of the lemma33 suite."""
+    if k < 0:
+        raise ValueError("negative powers are not supported")
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
+
+
+def _inverse_table(mul_table: np.ndarray, missing: int) -> np.ndarray:
+    """Index of each element's inverse, read off the 1s of ``mul_table``;
+    ``missing`` marks an element with none."""
+    t = np.full(len(mul_table), missing, dtype=np.int64)
+    units, inverses = np.nonzero(mul_table == 1)
+    t[units] = inverses
+    return t
+
+
 def _digits_of(value: int, base: int, count: int) -> tuple[int, ...]:
     out = []
     for _ in range(count):
@@ -197,7 +222,12 @@ class GFq:
         self.p = p
         self.r = r
         self.q = p ** r
-        self.modulus = smallest_irreducible(p, r)
+
+    @cached_property
+    def modulus(self) -> tuple[int, ...]:
+        # searched for on first use: a ring past the cap is refused
+        # before its residue field needs it
+        return smallest_irreducible(self.p, self.r)
 
     def _decode(self, x: int) -> list[int]:
         return list(_digits_of(x, self.p, self.r))
@@ -241,13 +271,7 @@ class GFq:
         return self._encode(_poly_rem(prod, list(self.modulus), self.p))
 
     def pow(self, x: int, k: int) -> int:
-        out, base = 1, x
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        return _power(self.mul, 1, x, k)
 
     def inv(self, x: int) -> int:
         if x == 0:
@@ -288,10 +312,7 @@ class GFq:
     @cached_property
     def inv_table(self) -> np.ndarray:
         # [0] is a sentinel 0; callers must mask out the zero element.
-        t = np.zeros(self.q, dtype=np.int64)
-        units, inverses = np.nonzero(self.mul_table == 1)
-        t[units] = inverses
-        return t
+        return _inverse_table(self.mul_table, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -722,15 +743,7 @@ class Ring:
         return is_nilpotent
 
     def pow(self, a: RingElem, k: int) -> RingElem:
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        out, base = self.one, a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        return _power(self.mul, self.one, a, k)
 
     # -- the digit route: rings above the table limit, and the tables' oracle
 
@@ -900,10 +913,7 @@ class Ring:
     @cached_property
     def inv_table(self) -> np.ndarray:
         """Index of the inverse per element; -1 marks non-units."""
-        t = np.full(self.size, -1, dtype=np.int64)
-        units, inverses = np.nonzero(self.mul_table == 1)
-        t[units] = inverses
-        return t
+        return _inverse_table(self.mul_table, -1)
 
     @cached_property
     def pair_tables(self) -> PairTables:

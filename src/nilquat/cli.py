@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out not written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,12 +7,13 @@ and how many failed.  The suite tokens are part of the CLI contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .chain_ring import TABLE_SIZE_LIMIT, Ring, format_ring_spec
+from .chain_ring import TABLE_SIZE_LIMIT, Ring, _power, format_ring_spec
 from .mat2 import (DEFAULT_ENUMERATION_CAP, Mat2, block_slices,
                    classify_nilpotent, classify_nilpotent_bulk, matrix_space,
                    split_packed, top_row)
@@ -24,14 +25,11 @@ from .nilfactor import (DEFAULT_SEED, DecompositionError, NotInOrbitUnionError,
 from .orbits import conjugate, orbit_union, shear, unit_diag
 from .quaternion import Quaternion, build_iso, coeff_product_narrow
 
-SUITE_NAMES = ("axioms", "lemma33", "lemma34", "lemma35", "lemma36",
-               "lemma37", "lemma311", "thm38", "cor310", "example39",
-               "thm312")
-
 # Exhaustive thresholds; beyond them the suites fall back to seeded samples.
 _TRIPLE_LIMIT = 81
 _PAIR_LIMIT = TABLE_SIZE_LIMIT  # past it a ring has no dense tables
 _MATRIX_LIMIT = 20000
+_FILTRATION_LIMIT = 4096
 
 
 @dataclass
@@ -126,7 +124,7 @@ def _filtration_checks(ring: Ring, rng) -> tuple[int, int]:
         pik = ring.pow(ring.uniformizer, k)
         want = [e.idx for e in ideal]
         checks += 1
-        if ring.size <= 4096:
+        if ring.size <= _FILTRATION_LIMIT:
             got = sorted({(pik * e).idx for e in ring.enumerate_ring()})
             viol += got != want
         else:
@@ -153,21 +151,14 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
     rounds = min(2000, count)
     if S <= _PAIR_LIMIT:
         t = ring.pair_tables
-        sampled = count ** 2 > 1_000_000
-        if sampled:
-            m = min(samples, 100_000)
-            xs = rng.integers(0, count, size=m)
-            ys = rng.integers(0, count, size=m)
-        else:
-            m = count * count
+        (xs, ys), _ = _grid_or_draw((count, count), 1_000_000, samples,
+                                    rng)
         phi = iso.matrix_entries_narrow
-        checks += m * 2
-        for block in block_slices(m):
-            pair = ((xs[block], ys[block]) if sampled
-                    else _grid_block(block, count))
+        checks += len(xs) * 2
+        for block in block_slices(len(xs)):
             # narrowed once a block; every map below stays in the
             # kernel's type
-            x, y = (t.narrow(split_packed(z, S)) for z in pair)
+            x, y = (t.narrow(split_packed(z[block], S)) for z in (xs, ys))
             ax, by = phi(x), phi(y)
             viol += _entry_mismatches(phi(coeff_product_narrow(t, x, y)),
                                       t.matmul(ax, by))
@@ -204,11 +195,24 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
     return checks, viol
 
 
-def _grid_block(block: slice, count: int):
-    """(i // count, i % count) for the pairs i of one block: a block of
-    the row-major grid of every pair from range(count)."""
-    return np.divmod(np.arange(block.start, block.stop, dtype=np.int64),
-                     count)
+def _grid_or_draw(axes, limit: int, samples: int, seed):
+    """(points, sampled): one array per axis, together every point of the
+    axes' product in row-major order if there are at most ``limit``, else
+    min(samples, 100,000) points drawn by one ``integers`` call per axis,
+    in axis order, from ``np.random.default_rng(seed)``, built only then
+    (a Generator ``seed`` is used as it is).  An axis is an array of
+    values or a size n standing for range(n), which is never built."""
+    sizes = [len(a) if isinstance(a, np.ndarray) else a for a in axes]
+    total = math.prod(sizes)
+    sampled = total > limit
+    if sampled:
+        rng = np.random.default_rng(seed)
+        m = min(samples, 100_000)
+        points = [rng.integers(0, n, size=m) for n in sizes]
+    else:
+        points = np.unravel_index(np.arange(total), sizes)
+    return tuple(a[i] if isinstance(a, np.ndarray) else i
+                 for a, i in zip(axes, points)), sampled
 
 
 def _entry_mismatches(X, Y) -> int:
@@ -249,14 +253,7 @@ def _lemma33_criteria(ring, t, ent):
     val = ring.val_table
     crit = ((np.take(val, t.trace(ent)) >= 1)
             & (np.take(val, t.det(ent)) >= 1))
-    # A^(2n) by square-and-multiply
-    power, base, k = None, ent, 2 * n
-    while k:
-        if k & 1:
-            power = base if power is None else t.matmul(power, base)
-        k >>= 1
-        if k:
-            base = t.matmul(base, base)
+    power = _power(t.matmul, (t.one, t.zero, t.zero, t.one), ent, 2 * n)
     powmask = ((power[0] == 0) & (power[1] == 0) & (power[2] == 0)
                & (power[3] == 0))
     # independent residue-shape route over GF(q)
@@ -276,13 +273,12 @@ def _lemma33_criteria(ring, t, ent):
 
 def _lemma33(ring, space, samples, seed):
     space.require_enumerable()
-    if space.count <= _MATRIX_LIMIT:
-        e = np.arange(space.count, dtype=np.int64)
-        note = "exhaustive"
-    else:
-        rng = np.random.default_rng(seed)
+    (e,), sampled = _grid_or_draw((space.count,), _MATRIX_LIMIT, samples,
+                                  seed)
+    note = "exhaustive"
+    if sampled:
         drawn = np.zeros(space.count, dtype=bool)
-        drawn[rng.integers(0, space.count, size=min(samples, 100_000))] = True
+        drawn[e] = True
         e = np.flatnonzero(drawn)
         note = f"sampled {len(e)}"
     t = ring.pair_tables
@@ -422,27 +418,15 @@ def _lemma36(ring, space, samples, seed):
     looked up in the union mask one block at a time; only ``pack``
     widens to int64."""
     mask = orbit_union(space)
-    members = np.flatnonzero(mask)
-    count = space.count
-    sampled = len(members) * count > 1_000_000
-    if sampled:
-        rng = np.random.default_rng(seed)
-        m = min(samples, 100_000)
-        a = members[rng.integers(0, len(members), size=m)]
-        b = rng.integers(0, count, size=m)
-        note = f"sampled {m}"
-    else:
-        m = len(members) * count
-        note = "exhaustive"
+    (a, b), sampled = _grid_or_draw((np.flatnonzero(mask), space.count),
+                                    1_000_000, samples, seed)
+    m = len(a)
+    note = f"sampled {m}" if sampled else "exhaustive"
     t = ring.pair_tables
     viol = 0
     for block in block_slices(m):
-        if sampled:
-            x, y = a[block], b[block]
-        else:
-            i, y = _grid_block(block, count)
-            x = members[i]
-        prod = t.matmul(t.narrow(space.unpack(x)), t.narrow(space.unpack(y)))
+        prod = t.matmul(t.narrow(space.unpack(a[block])),
+                        t.narrow(space.unpack(b[block])))
         viol += int(np.count_nonzero(~mask[space.pack(*prod)]))
     return _result("lemma36", ring, m, viol, note)
 
@@ -566,6 +550,7 @@ _RUNNERS = {
     "example39": _example39,
     "thm312": _thm312,
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suites(ring: Ring, names=("all",), *,

@@ -240,6 +240,24 @@ def test_residue_field_tables_equal_scalar_ops(p, r):
         assert f.inv(x) == f.pow(x, f.q - 2)
 
 
+def test_negative_powers_are_refused():
+    # GF(q) and the ring share one square-and-multiply, which refuses k < 0
+    f = GFq(3, 2)
+    r = ring_from_string("zmod:3^2")
+    for power in (lambda: f.pow(2, -1), lambda: r.pow(r.one, -1),
+                  lambda: r.one ** -1):
+        with pytest.raises(ValueError, match="negative powers"):
+            power()
+    assert f.pow(5, 0) == 1 and f.pow(5, 3) == f.mul(f.mul(5, 5), 5)
+
+
+def test_residue_field_modulus_is_searched_on_first_use():
+    # the search for a degree-40 modulus over GF(3) would not finish
+    assert "modulus" not in vars(GFq(3, 40))
+    f = GFq(3, 3)
+    assert f.modulus == (1, 2, 0, 1) and "modulus" in vars(f)
+
+
 def test_large_residue_field_inverts_without_a_table():
     f = GFq(17, 2)
     with pytest.raises(ValueError):

@@ -15,6 +15,16 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def _child_env():
+    """The environment of a child process that finds the package where
+    this process imported it from."""
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
 def test_census_json(capsys):
     code, out, _ = run_cli(capsys, "census", "--ring", "zmod:3^2", "--s", "3")
     assert code == 0
@@ -275,11 +285,7 @@ def test_table_formula_only_below_floor(capsys):
 
 
 def test_module_entry_point_subprocess():
-    # the child finds the package where this process imported it from
-    src = os.path.dirname(os.path.dirname(nilquat.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "nilquat", "census", "--ring", "polyq:3^1^1",
          "--s", "3", "--stable-output"],
@@ -295,10 +301,7 @@ def test_module_entry_point_subprocess():
 
 
 def test_verify_axioms_stdout_same_under_optimize():
-    src = os.path.dirname(os.path.dirname(nilquat.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env = _child_env()
     argv = ["-m", "nilquat", "verify", "--ring", "zmod:3^2", "--suite",
             "axioms"]
     plain, optimized = (
@@ -590,3 +593,35 @@ def test_n3_census_and_chain_suites_exit_0(capsys):
                            "thm38,thm312,cor310")
     assert code == 0, out
     assert out.splitlines()[-1] == "ok: 3 suites"
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--ring", "zmod:3^1", "--s", "2"),
+    ("verify", "--ring", "zmod:3^1", "--suite", "lemma34"),
+    ("decompose", "--ring", "zmod:3^2", "--matrix", "[[0,1],[0,0]]", "--s",
+     "1"),
+], ids=("census", "verify", "decompose"))
+def test_out_to_an_unwritable_path_exits_1_with_an_error_line(tmp_path,
+                                                              argv):
+    out = tmp_path / "missing" / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilquat", *argv, "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--ring", "polyq:3^40^1", "--s", "2"),
+    ("table", "--rings", "polyq:3^40^1", "--s", "2"),
+    ("verify", "--ring", "polyq:3^40^1", "--suite", "lemma33"),
+], ids=("census", "table", "verify"))
+def test_past_the_cap_refuses_before_the_modulus_search(argv):
+    # GF(3^40)'s modulus is never searched for: the cap refuses first
+    proc = subprocess.run([sys.executable, "-m", "nilquat", *argv],
+                          capture_output=True, text=True, timeout=30,
+                          env=_child_env())
+    assert proc.returncode == (6 if argv[0] == "table" else 2)
+    assert "cap" in (proc.stdout if argv[0] == "table" else proc.stderr)

@@ -390,6 +390,9 @@ def test_sharpness_example(text):
     assert _reproduct(cert.factorization.factors) == target
     with pytest.raises(NotInOrbitUnionError, match="not in orbit union"):
         decompose(sp, target, 2 * n - 1)
+    d = cert.to_dict()
+    assert d == {**cert.factorization.to_dict(), "in_orbit_union": False,
+                 "factor_count": 2 * n - 2}
     if n > 2:
         return
     f1, f2 = cert.factorization.factors

@@ -140,6 +140,37 @@ def test_iso_scalar_branch_past_the_pair_limit(monkeypatch):
         (1 + 4000 + 400, 0)
 
 
+def test_valuation_scalar_route_past_the_pair_limit(monkeypatch):
+    from nilquat import verify
+    from nilquat.chain_ring import Ring
+    monkeypatch.setattr(verify, "_PAIR_LIMIT", 8)
+    r = ring_from_string("zmod:3^2")
+    # 5000 sampled pairs, two laws each
+    assert verify._valuation_checks(r, np.random.default_rng(0)) == \
+        (10000, 0)
+    # a product that is always 1 breaks v(xy) = min(v(x) + v(y), n)
+    # wherever x or y is not a unit
+    rng = np.random.default_rng(0)
+    pairs = [rng.integers(0, r.size, size=2) for _ in range(5000)]
+    want = sum(int(x % r.q == 0 or y % r.q == 0) for x, y in pairs)
+    monkeypatch.setattr(Ring, "mul", lambda self, a, b: self.one)
+    assert verify._valuation_checks(r, np.random.default_rng(0)) == \
+        (10000, want)
+    assert want > 0
+
+
+def test_filtration_sampled_route_past_its_limit(monkeypatch):
+    from nilquat import verify
+    from nilquat.chain_ring import Ring
+    monkeypatch.setattr(verify, "_FILTRATION_LIMIT", 8)
+    r = ring_from_string("zmod:3^2")
+    # two checks for each ideal J^0, J^1, J^2
+    assert verify._filtration_checks(r, np.random.default_rng(0)) == (6, 0)
+    # a product that is always 1 leaves J^1 and J^2 but not J^0 = R
+    monkeypatch.setattr(Ring, "mul", lambda self, a, b: self.one)
+    assert verify._filtration_checks(r, np.random.default_rng(0)) == (6, 2)
+
+
 # (suite, checks, violations, note) at seed 7 and the default samples,
 # pinned before the suites moved onto the shared gather kernel.  The chain
 # suites thm38, cor310 and thm312 run on zmod:3^2 only.
