@@ -24,7 +24,9 @@ for GF(q): the base-p^a digits of an index are its coordinates over Z/p^a
 (zmod: one, mod p^n; polyq: n r, mod p), which multiply by fixed structure
 constants.  Larger rings, which have no dense tables, compute on digits
 one operation at a time; that digit route is also the tests' oracle for
-the tables.
+the tables.  The one limit covers the residue field too: GF(q) has dense
+tables, and inverts by lookup, for q up to ``TABLE_SIZE_LIMIT``, and
+inverts as x^(q-2) past it.
 
 Bulk arithmetic over index arrays runs through one gather kernel,
 ``PairTables``: add and mul raveled to length Q^2 in int16 (int32 once
@@ -49,22 +51,49 @@ import numpy as np
 ZMOD = "zmod"
 POLYQ = "polyq"
 
-# Dense per-ring operation tables are only built for rings this small;
-# on those rings scalar arithmetic reads them.
+# Dense operation tables are only built for rings, and residue fields, of
+# at most this many elements; on those rings scalar arithmetic reads them.
 TABLE_SIZE_LIMIT = 1024
-# The public dense tables of a residue field are only built up to this q.
-_GF_TABLE_LIMIT = 256
+
+# Miller-Rabin with the first 13 primes as bases is exact below
+# _PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    """Whether m is prime, by deterministic Miller-Rabin; ValueError for
+    an m of at least ``_PRIME_BOUND``, where it is not decided."""
+    if m >= _PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {_PRIME_BOUND}")
+    if m < 2 or any(m % b == 0 for b in _SMALL_PRIMES):
+        return m in _SMALL_PRIMES
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d 2^s, d odd
+    for b in _SMALL_PRIMES:
+        x = pow(b, (m - 1) >> s, m)  # b^d
+        if x != 1 and all(pow(x, 1 << j, m) != m - 1 for j in range(s)):
             return False
-        d += 1
     return True
+
+
+def _is_odd_prime_power(q: int) -> bool:
+    """Whether q = p^r for an odd prime p and some r >= 1.  A p below 43
+    divides q, and then q is a power of p iff it divides p^log2(q); any
+    other p is at least 43 > 2^5, so r < log2(q) / 5, and it is the exact
+    r-th root of q of the largest such r.  ValueError where that root is
+    past ``_PRIME_BOUND``."""
+    for p in _SMALL_PRIMES:
+        if q % p == 0:  # p <= q refuses q <= 0
+            return 2 < p <= q and pow(p, q.bit_length(), q) == 0
+    for r in range(q.bit_length() // 5, 1, -1):
+        # Newton's method from above to the floor of q^(1/r)
+        x, y = q, 1 << -(-q.bit_length() // r)
+        while y < x:
+            x, y = y, ((r - 1) * y + q // y ** (r - 1)) // r
+        if x ** r == q:
+            return _is_prime(x)
+    return _is_prime(q)
 
 
 def _power(mul, one, x, k: int):
@@ -276,10 +305,8 @@ class GFq:
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("zero has no inverse in GF(q)")
-        if self.q <= _GF_TABLE_LIMIT:
+        if self.q <= TABLE_SIZE_LIMIT:
             return int(self.inv_table[x])
-        if self.r == 1:
-            return pow(x, self.p - 2, self.p)
         return self.pow(x, self.q - 2)
 
     # -- vectorised tables ------------------------------------------------
@@ -301,7 +328,7 @@ class GFq:
     # Dense tables for vectorised residue work; only sensible for small q.
     @cached_property
     def mul_table(self) -> np.ndarray:
-        if self.q > _GF_TABLE_LIMIT:
+        if self.q > TABLE_SIZE_LIMIT:
             raise ValueError("dense GF tables are only for small fields")
         return _pair_table(self.p, self._constants, multiply=True)
 

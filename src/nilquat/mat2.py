@@ -413,8 +413,12 @@ class MatrixSpace:
         """Raise CapExceededError when the Q^4 packed matrices exceed the
         cap; called before anything of that size is built."""
         if self.count > self._cap:
+            try:
+                count = str(self.count)
+            except ValueError:  # past the interpreter's int-to-str limit
+                count = f"{self.ring.q}^{4 * self.ring.n}"
             raise CapExceededError(
-                f"q^(4n) = {self.count} packed matrices exceed the "
+                f"q^(4n) = {count} packed matrices exceed the "
                 f"enumeration cap {self._cap}")
 
     def __repr__(self):

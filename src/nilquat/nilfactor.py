@@ -17,7 +17,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .chain_ring import Ring, RingElem, format_element, format_ring_spec
+from .chain_ring import (Ring, RingElem, _is_odd_prime_power, format_element,
+                         format_ring_spec)
 from .mat2 import (Mat2, MatrixSpace, _mat, block_slices,
                    companion_conjugator, format_matrix, identity)
 from .orbits import _orbit_witness, locate_in_orbit_union, orbit_union
@@ -49,21 +50,6 @@ class NotNilpotentError(DecompositionError):
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
-
-def _is_odd_prime_power(q: int) -> bool:
-    if q < 3 or q % 2 == 0:
-        return False
-    p = 3
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 2
-    else:
-        p = q
-    while q % p == 0:
-        q //= p
-    return q == 1
-
 
 def rank1_union_count(q: int, n: int) -> int:
     """Closed-form size of the top-row orbit union {u w^T : u a unimodular

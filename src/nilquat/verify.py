@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from .chain_ring import TABLE_SIZE_LIMIT, Ring, _power, format_ring_spec
+from .chain_ring import Ring, _power, format_ring_spec
 from .mat2 import (DEFAULT_ENUMERATION_CAP, Mat2, block_slices,
                    classify_nilpotent, classify_nilpotent_bulk, matrix_space,
                    split_packed, top_row)
@@ -27,7 +27,6 @@ from .quaternion import Quaternion, build_iso, coeff_product_narrow
 
 # Exhaustive thresholds; beyond them the suites fall back to seeded samples.
 _TRIPLE_LIMIT = 81
-_PAIR_LIMIT = TABLE_SIZE_LIMIT  # past it a ring has no dense tables
 _MATRIX_LIMIT = 20000
 _FILTRATION_LIMIT = 4096
 
@@ -97,7 +96,7 @@ def _ring_law_checks(ring: Ring, rng) -> tuple[int, int, str]:
 def _valuation_checks(ring: Ring, rng) -> tuple[int, int]:
     checks = viol = 0
     n, S = ring.n, ring.size
-    if S <= _PAIR_LIMIT:
+    if ring._dense:
         val = ring.val_table
         va, vb = val[:, None], val[None, :]
         prod_v, sum_v = val[ring.mul_table], val[ring.add_table]
@@ -149,7 +148,7 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
         checks += 1
         viol += not hit.all()
     rounds = min(2000, count)
-    if S <= _PAIR_LIMIT:
+    if ring._dense:
         t = ring.pair_tables
         (xs, ys), _ = _grid_or_draw((count, count), 1_000_000, samples,
                                     rng)
@@ -359,7 +358,7 @@ def _lemma35(ring, space, samples, seed):
     else:
         pairs = tuple(units[rng().integers(0, len(units), size=(400, 2))].T)
     alphas = units[:100]
-    check = _lemma35_bulk if S <= _PAIR_LIMIT else _lemma35_scalar
+    check = _lemma35_bulk if ring._dense else _lemma35_scalar
     checks = len(triples[0]) + len(pairs[0]) + len(alphas)
     return _result("lemma35", ring, checks,
                    check(ring, triples, pairs, alphas), note)

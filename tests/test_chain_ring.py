@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from nilquat.chain_ring import (GFq, Ring, make_ring, parse_element,
+from nilquat.chain_ring import (_PRIME_BOUND, GFq, Ring, _is_odd_prime_power,
+                                _is_prime, make_ring, parse_element,
                                 parse_ring_spec, format_element,
                                 format_ring_spec, ring_from_string,
                                 smallest_irreducible)
 from nilquat.cli import main
+from nilquat.nilfactor import rank1_union_count
 
 
 def test_parse_ring_spec_round_trip():
@@ -27,6 +31,44 @@ def test_even_and_composite_characteristic_rejected():
         ring_from_string("zmod:9^1")
     with pytest.raises(ValueError, match="prime"):
         ring_from_string("polyq:6^1^1")
+
+
+def test_prime_tests_agree_with_trial_division():
+    primes = []
+    for m in range(2, 10 ** 5):
+        if all(m % p for p in itertools.takewhile(lambda p: p * p <= m,
+                                                  primes)):
+            primes.append(m)
+    prime_set = set(primes)
+    powers = {p ** k for p in primes[1:] for k in range(1, 11)
+              if p ** k < 10 ** 5}
+    for m in range(-2, 10 ** 5):
+        assert _is_prime(m) == (m in prime_set), m
+        assert _is_odd_prime_power(m) == (m in powers), m
+
+
+def test_prime_tests_at_their_edges():
+    # the least strong pseudoprimes to the first k prime bases, k = 1..12
+    for m in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(m) and not _is_odd_prime_power(m), m
+    for p in (10 ** 18 + 3, 2 ** 61 - 1):
+        assert _is_prime(p) and _is_odd_prime_power(p)
+    for q in ((2 ** 61 - 1) ** 2, 3 ** 1000, 43 ** 5):
+        assert _is_odd_prime_power(q)
+    assert not _is_odd_prime_power(43 ** 5 * 47)
+    q = 2 ** 61 - 1
+    assert rank1_union_count(q, 1) == 1 + (q + 1) ** 2 * (q - 1)
+    assert Ring(parse_ring_spec("zmod:1000000000000000003^1")).q == \
+        10 ** 18 + 3
+    # from the bound on, primality is refused, not guessed
+    with pytest.raises(ValueError, match="decided only below"):
+        _is_prime(_PRIME_BOUND)
+    with pytest.raises(ValueError, match="decided only below"):
+        Ring(parse_ring_spec(f"zmod:{_PRIME_BOUND}^1"))
+    assert main(["census", "--ring", f"zmod:{_PRIME_BOUND}^1",
+                 "--s", "2"]) == 1
 
 
 def test_zmod_basic_arithmetic():
@@ -259,10 +301,10 @@ def test_residue_field_modulus_is_searched_on_first_use():
 
 
 def test_large_residue_field_inverts_without_a_table():
-    f = GFq(17, 2)
+    f = GFq(17, 3)
     with pytest.raises(ValueError):
         f.inv_table
-    for x in (1, 2, 18, 288):
+    for x in (1, 2, 18, 288, 4912):
         assert f.mul(x, f.inv(x)) == 1
 
 

@@ -570,6 +570,30 @@ def test_decompose_past_the_enumeration_cap(capsys):
                    "enumeration cap 16777216\n")
 
 
+def test_cap_refusal_writes_a_count_past_the_digit_limit_as_a_power(capsys):
+    # q^(4n) = 3^12000 has 5,726 decimal digits, more than int-to-str
+    # conversion allows by default
+    want = ("q^(4n) = 3^12000 packed matrices exceed the enumeration cap "
+            "16777216")
+    code, out, err = run_cli(capsys, "census", "--ring", "zmod:3^3000",
+                             "--s", "2")
+    assert (code, out, err) == (2, "", f"error: {want}\n")
+    code, out, _ = run_cli(capsys, "table", "--rings", "zmod:3^3000",
+                           "--s", "2")
+    assert code == 6
+    assert out.splitlines()[1] == f"zmod:3^3000,3,3000,2,,,,set-product,{want}"
+
+
+def test_census_on_a_large_prime_refuses_at_the_cap():
+    # p = 10^18 + 3 is prime and its test is bounded, so the cap answers
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilquat", "census", "--ring",
+         "zmod:1000000000000000003^1", "--s", "2"],
+        capture_output=True, text=True, timeout=30, env=_child_env())
+    assert proc.returncode == 2
+    assert "enumeration cap" in proc.stderr
+
+
 def test_orbit_union_census_checks_s_before_the_cap(capsys):
     # s below the stable point is a usage error, on any ring
     code, _, err = run_cli(capsys, "census", "--ring", "zmod:3^5", "--s", "8",

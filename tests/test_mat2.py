@@ -641,7 +641,7 @@ def test_invariant_checks_survive_optimize_flag():
         "    else:\n"
         "        print('passed')\n"
         "r = Ring(parse_ring_spec('zmod:3^1'))\n"
-        "probe(ValueError, lambda: GFq(17, 2).mul_table)\n"
+        "probe(ValueError, lambda: GFq(17, 3).mul_table)\n"
         "sp = MatrixSpace(r)\n"
         "MatrixSpace.invertible_indices = property(\n"
         "    lambda self: np.array([0]))\n"

@@ -131,20 +131,22 @@ def test_iso_round_trips_count_each_broken_sample(monkeypatch):
     assert verify._iso_checks(r, rng(0), 100) == (checks, 2 * broken)
 
 
-def test_iso_scalar_branch_past_the_pair_limit(monkeypatch):
+def test_iso_scalar_branch_past_the_pair_limit():
     from nilquat import verify
-    monkeypatch.setattr(verify, "_PAIR_LIMIT", 8)
-    r = ring_from_string("zmod:3^2")
-    # bijection, 2 * 2000 scalar round trips, 2 * 200 products and sums
+    r = ring_from_string("zmod:3^7")
+    assert not r._dense
+    # 2 * 2000 scalar round trips, 2 * 200 products and sums; no
+    # bijection check past 10^6 matrices
     assert verify._iso_checks(r, np.random.default_rng(0), 100) == \
-        (1 + 4000 + 400, 0)
+        (4000 + 400, 0)
 
 
 def test_valuation_scalar_route_past_the_pair_limit(monkeypatch):
-    from nilquat import verify
-    from nilquat.chain_ring import Ring
-    monkeypatch.setattr(verify, "_PAIR_LIMIT", 8)
-    r = ring_from_string("zmod:3^2")
+    from nilquat import chain_ring, verify
+    from nilquat.chain_ring import Ring, parse_ring_spec
+    monkeypatch.setattr(chain_ring, "TABLE_SIZE_LIMIT", 8)
+    r = Ring(parse_ring_spec("zmod:3^2"))
+    assert not r._dense
     # 5000 sampled pairs, two laws each
     assert verify._valuation_checks(r, np.random.default_rng(0)) == \
         (10000, 0)
@@ -600,10 +602,12 @@ def test_lemma35_scalar_route_past_the_table_limit():
 
 @pytest.mark.parametrize("spec", ["zmod:3^2", "polyq:5^2^1"])
 def test_lemma35_routes_draw_and_count_alike(monkeypatch, spec):
-    from nilquat import verify
-    ring = ring_from_string(spec)
-    bulk = run_suites(ring, ("lemma35",), seed=3)[0]
-    monkeypatch.setattr(verify, "_PAIR_LIMIT", 8)
+    from nilquat import chain_ring
+    from nilquat.chain_ring import Ring, parse_ring_spec
+    bulk = run_suites(ring_from_string(spec), ("lemma35",), seed=3)[0]
+    monkeypatch.setattr(chain_ring, "TABLE_SIZE_LIMIT", 8)
+    ring = Ring(parse_ring_spec(spec))
+    assert not ring._dense
     scalar = run_suites(ring, ("lemma35",), seed=3)[0]
     assert (bulk.checks, bulk.violations, bulk.note) == \
         (scalar.checks, scalar.violations, scalar.note)
