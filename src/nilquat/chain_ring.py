@@ -45,6 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
@@ -110,6 +111,19 @@ def _power(mul, one, x, k: int):
         if k:
             x = mul(x, x)
     return out
+
+
+def _power_at_most(q: int, m: int, bound: int) -> bool:
+    """Whether q^m <= bound, for q >= 1 and m >= 0: the one size test.
+    q^m is at least 1 and at least 2^(m (bitlen(q) - 1)), so where bound
+    is below 1, or that exponent reaches bound's bit length, the answer is
+    no with no power built; otherwise q^m has fewer than 2 bitlen(bound)
+    bits, and it is built."""
+    if bound < 1:
+        return False
+    if m * (q.bit_length() - 1) >= bound.bit_length():
+        return False
+    return q ** m <= bound
 
 
 def _inverse_table(mul_table: np.ndarray, missing: int) -> np.ndarray:
@@ -217,17 +231,37 @@ def _poly_rem(f: list[int], m: list[int], p: int) -> list[int]:
     return _poly_trim(f)
 
 
+def _poly_sub(f: list[int], g: list[int], p: int) -> list[int]:
+    return _poly_trim([(a - b) % p for a, b in zip_longest(f, g, fillvalue=0)])
+
+
+def _poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """A greatest common divisor of f and g, up to a unit factor."""
+    while g:
+        inv = pow(g[-1], -1, p)
+        f, g = g, _poly_rem(f, [c * inv % p for c in g], p)
+    return f
+
+
 def _poly_is_irreducible(m: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(m)/2."""
-    deg = len(m) - 1
-    if deg < 1:
+    """Rabin's test for the monic m of degree r: m is irreducible iff it
+    divides x^(p^r) - x and x^(p^(r/l)) - x is prime to it for every prime
+    l dividing r.  Each x^(p^j) mod m is the p-th power of the one before."""
+    r = len(m) - 1
+    if r < 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for k in range(p ** d):
-            div = list(_digits_of(k, p, d)) + [1]
-            if not _poly_rem(m, div, p):
-                return False
-    return True
+
+    def mulmod(f, g):
+        return _poly_rem(_poly_mul(f, g, p), m, p)
+
+    x = _poly_rem([0, 1], m, p)
+    frobenius = x  # x^(p^j) mod m
+    for j in range(1, r):
+        frobenius = _power(mulmod, [1], frobenius, p)
+        if (r % j == 0 and _is_prime(r // j)
+                and len(_poly_gcd(m, _poly_sub(frobenius, x, p), p)) > 1):
+            return False
+    return not _poly_sub(_power(mulmod, [1], frobenius, p), x, p)
 
 
 def smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
@@ -251,6 +285,7 @@ class GFq:
         self.p = p
         self.r = r
         self.q = p ** r
+        self._dense = _power_at_most(p, r, TABLE_SIZE_LIMIT)
 
     @cached_property
     def modulus(self) -> tuple[int, ...]:
@@ -305,7 +340,7 @@ class GFq:
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("zero has no inverse in GF(q)")
-        if self.q <= TABLE_SIZE_LIMIT:
+        if self._dense:
             return int(self.inv_table[x])
         return self.pow(x, self.q - 2)
 
@@ -328,7 +363,7 @@ class GFq:
     # Dense tables for vectorised residue work; only sensible for small q.
     @cached_property
     def mul_table(self) -> np.ndarray:
-        if self.q > TABLE_SIZE_LIMIT:
+        if not self._dense:
             raise ValueError("dense GF tables are only for small fields")
         return _pair_table(self.p, self._constants, multiply=True)
 
@@ -481,7 +516,8 @@ class PairTables:
 
     def __init__(self, ring: "Ring"):
         Q = ring.size
-        dtype = np.int16 if Q * Q <= 2 ** 15 else np.int32
+        dtype = (np.int16 if _power_at_most(ring.q, 2 * ring.n, 2 ** 15)
+                 else np.int32)
         self.Q = Q
         self.dtype = np.dtype(dtype)
         self.add_flat = ring.add_table.astype(dtype).ravel()
@@ -621,15 +657,20 @@ class Ring:
         self.r = r
         self.n = n
         self.q = p ** r
-        self.size = self.q ** n
         self.residue_field = GFq(p, r)
         # R is free over Z/p^a on the coordinates pi^i t^u, i < e, u < r
         self.e, self.a = (1, n) if spec.family == ZMOD else (n, 1)
         self._key = (p, r, n, spec.family)
-        self._dense = self.size <= TABLE_SIZE_LIMIT
+        self._dense = _power_at_most(self.q, n, TABLE_SIZE_LIMIT)
 
     def __repr__(self):
         return f"Ring({format_ring_spec(self.spec)})"
+
+    @cached_property
+    def size(self) -> int:
+        """q^n, built on first read: a ring past every bound is refused
+        by ``_power_at_most`` without it."""
+        return self.q ** self.n
 
     def same_ring(self, other: "Ring") -> bool:
         return self is other or self._key == other._key
@@ -665,8 +706,9 @@ class Ring:
         return RingElem(self, _digits_of(idx, self.q, self.n))
 
     def from_int(self, k: int) -> RingElem:
-        """Image of the rational integer k under Z -> R."""
-        return self.from_index(k % self.p ** self.a)
+        """Image of the rational integer k under Z -> R, which is k mod
+        the characteristic p^a: p where a = 1, else q^n (zmod)."""
+        return self.from_index(k % (self.p if self.a == 1 else self.size))
 
     # -- arithmetic ---------------------------------------------------------
 

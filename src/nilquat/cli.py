@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 
 from .chain_ring import ring_from_string
 from .mat2 import (DEFAULT_ENUMERATION_CAP, CapExceededError, matrix_space,
@@ -42,12 +43,29 @@ _THREADS_HELP = "accepted for compatibility; has no effect"
 _S_LIMIT = 10_000
 
 
+@contextmanager
+def _exact_ints():
+    """Lift the interpreter's int-to-str digit limit, where it has one
+    (Python 3.10.7 on), while the CLI writes its own output: a count is
+    exact, whatever its length."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    with _exact_ints():
+        return str(value)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -68,7 +86,8 @@ def _csv_text(fields, rows) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    with _exact_ints():
+        return json.dumps(payload, indent=2) + "\n"
 
 
 def _census(ring, s: int, method: str, cap: int):

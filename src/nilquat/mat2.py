@@ -35,13 +35,15 @@ to its class's companion form, in closed form with its inverse.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .chain_ring import PairTables, Ring, RingElem, format_ring_spec
+from .chain_ring import (PairTables, Ring, RingElem, _power_at_most,
+                         format_ring_spec)
 
 DEFAULT_ENUMERATION_CAP = 2 ** 24
 
@@ -400,8 +402,6 @@ class MatrixSpace:
 
     def __init__(self, ring: Ring, cap: int = DEFAULT_ENUMERATION_CAP):
         self.ring = ring
-        self.Q = ring.size
-        self.count = ring.size ** 4
         self._cap = cap
         self._union_cache: dict[str, np.ndarray] = {}
         # the product chain S_0 = {I}, S_1 = Nil, S_2, ... as nilfactor's
@@ -409,14 +409,27 @@ class MatrixSpace:
         # first whose classes repeat the step before
         self._product_chain: list = []
 
+    @property
+    def Q(self) -> int:
+        """q^n, the ring's size."""
+        return self.ring.size
+
+    @property
+    def count(self) -> int:
+        """q^(4n), the number of packed matrices."""
+        return self.ring.size ** 4
+
     def require_enumerable(self) -> None:
-        """Raise CapExceededError when the Q^4 packed matrices exceed the
-        cap; called before anything of that size is built."""
-        if self.count > self._cap:
-            try:
-                count = str(self.count)
-            except ValueError:  # past the interpreter's int-to-str limit
-                count = f"{self.ring.q}^{4 * self.ring.n}"
+        """Raise CapExceededError when the q^(4n) packed matrices exceed
+        the cap; called before anything of that size is built.  The
+        message writes q^(4n) in decimal, or as the power where its
+        decimal is past the interpreter's int-to-str limit."""
+        q, m = self.ring.q, 4 * self.ring.n
+        if not _power_at_most(q, m, self._cap):
+            # no limit (0) where the interpreter has none to get
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            decimal = not limit or _power_at_most(q, m, 10 ** limit - 1)
+            count = q ** m if decimal else f"{q}^{m}"
             raise CapExceededError(
                 f"q^(4n) = {count} packed matrices exceed the "
                 f"enumeration cap {self._cap}")
@@ -440,7 +453,9 @@ class MatrixSpace:
         """The narrowest integer type holding every packed index: int32
         up to 2^31 packed matrices, so under the default cap, else int64.
         The index sets and the blocks of pair products use it."""
-        return np.int32 if self.count <= 2 ** 31 else np.int64
+        ring = self.ring
+        return (np.int32 if _power_at_most(ring.q, 4 * ring.n, 2 ** 31)
+                else np.int64)
 
     def matrix_from_packed(self, idx: int) -> Mat2:
         if not 0 <= idx < self.count:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ring import (Ring, RingElem, format_ring_spec, make_ring,
-                         parse_ring_spec)
+from .chain_ring import (Ring, RingElem, _power_at_most, format_ring_spec,
+                         make_ring, parse_ring_spec)
 from .mat2 import Mat2, MatrixSpace, _mat, identity, top_row
 
 # A bitset header is one short text line; longer first lines are rejected.
@@ -202,13 +202,12 @@ def save_union_bitset(space: MatrixSpace, path):
 def _check_bitset_header(spec_text: str, nbits: int) -> None:
     """The spec must name a valid ring whose Q^4 equals nbits.
 
-    The power is built one factor at a time and stops once it passes
-    nbits, so an absurd spec costs no more than a plausible one."""
+    Q^4 = p^(4rn) is compared with nbits by the size rule, so an absurd
+    spec costs no more than a plausible one."""
     spec = parse_ring_spec(spec_text)
-    count, left = 1, 4 * spec.r * spec.n
-    while spec.p > 1 and left and count <= nbits:
-        count, left = count * spec.p, left - 1
-    if left or count != nbits:
+    m = 4 * spec.r * spec.n
+    if (spec.p < 2 or not _power_at_most(spec.p, m, nbits)
+            or _power_at_most(spec.p, m, nbits - 1)):
         raise ValueError(f"bitset header claims {nbits} bits, which is not "
                          f"the matrix count of {spec_text}")
     make_ring(spec)

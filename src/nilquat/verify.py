@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from .chain_ring import Ring, _power, format_ring_spec
+from .chain_ring import Ring, _power, _power_at_most, format_ring_spec
 from .mat2 import (DEFAULT_ENUMERATION_CAP, Mat2, block_slices,
                    classify_nilpotent, classify_nilpotent_bulk, matrix_space,
                    split_packed, top_row)
@@ -59,10 +59,34 @@ def _result(name: str, ring: Ring, checks, violations, note="") -> SuiteResult:
 # axioms: ring laws, valuation, filtration, sum of squares, the iso
 # ---------------------------------------------------------------------------
 
+def _draw(rng, size, q: int, m: int, c: int = 1) -> np.ndarray:
+    """``size`` integers drawn uniformly from [0, c q^m): exactly
+    ``rng.integers(0, c q^m, size)`` where c q^m is at most 2^63, the
+    int64 bound that call takes; past it Python ints in an object array,
+    each read from random bytes cut to the bit length of c q^m, and drawn
+    again where it is not below c q^m (at most one time in two)."""
+    if _power_at_most(q, m, 2 ** 63 // c):
+        return rng.integers(0, c * q ** m, size=size)
+    high = c * q ** m
+    bits = high.bit_length()
+    out = np.empty(size, dtype=object)
+    for i in np.ndindex(out.shape):
+        v = high
+        while v >= high:
+            v = int.from_bytes(rng.bytes(-(-bits // 8)), "little") >> -bits % 8
+        out[i] = v
+    return out
+
+
+def _elements(ring: Ring, rng, k: int) -> list:
+    """k elements of ``ring`` drawn uniformly by ``_draw``."""
+    return [ring.from_index(int(t)) for t in _draw(rng, k, ring.q, ring.n)]
+
+
 def _ring_law_checks(ring: Ring, rng) -> tuple[int, int, str]:
     checks = viol = 0
-    S = ring.size
-    if S <= _TRIPLE_LIMIT:
+    if _power_at_most(ring.q, ring.n, _TRIPLE_LIMIT):
+        S = ring.size
         add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
         i = np.arange(S, dtype=np.int64)
         a, b, c = i[:, None, None], i[None, :, None], i[None, None, :]
@@ -83,8 +107,7 @@ def _ring_law_checks(ring: Ring, rng) -> tuple[int, int, str]:
         viol += int((add[i, neg[i]] != 0).sum())
         return checks, viol, "exhaustive laws"
     for _ in range(10_000):
-        x, y, z = (ring.from_index(int(t))
-                   for t in rng.integers(0, S, size=3))
+        x, y, z = _elements(ring, rng, 3)
         checks += 4
         viol += (x + y) + z != x + (y + z)
         viol += (x * y) * z != x * (y * z)
@@ -95,8 +118,9 @@ def _ring_law_checks(ring: Ring, rng) -> tuple[int, int, str]:
 
 def _valuation_checks(ring: Ring, rng) -> tuple[int, int]:
     checks = viol = 0
-    n, S = ring.n, ring.size
+    n = ring.n
     if ring._dense:
+        S = ring.size
         val = ring.val_table
         va, vb = val[:, None], val[None, :]
         prod_v, sum_v = val[ring.mul_table], val[ring.add_table]
@@ -107,7 +131,7 @@ def _valuation_checks(ring: Ring, rng) -> tuple[int, int]:
         viol += int((((va == 0) & (vb >= 1)) & (sum_v != 0)).sum())
         return checks, viol
     for _ in range(5000):
-        x, y = (ring.from_index(int(t)) for t in rng.integers(0, S, size=2))
+        x, y = _elements(ring, rng, 2)
         checks += 2
         viol += (x * y).valuation() != min(x.valuation() + y.valuation(), n)
         viol += (x + y).valuation() < min(x.valuation(), y.valuation())
@@ -115,40 +139,54 @@ def _valuation_checks(ring: Ring, rng) -> tuple[int, int]:
 
 
 def _filtration_checks(ring: Ring, rng) -> tuple[int, int]:
+    """Two checks of J^k for each k = 0..n.  An ideal of at most
+    ``_FILTRATION_LIMIT`` members is listed: it has q^(n-k) of them, and
+    it holds pi^k x for every element x on a ring of at most that many
+    elements, else for 200 drawn ones.  A larger ideal is not listed but
+    drawn, 200 members as digit vectors, k zeros below a drawn x's low
+    digits: each has the index m q^k that ``enumerate_ideal`` lists it
+    at, and pi^k x has valuation at least k."""
     checks = viol = 0
-    for k in range(ring.n + 1):
-        ideal = ring.enumerate_ideal(k)
-        checks += 1
-        viol += len(ideal) != ring.q ** (ring.n - k)
+    q, n = ring.q, ring.n
+    every = _power_at_most(q, n, _FILTRATION_LIMIT)
+    for k in range(n + 1):
         pik = ring.pow(ring.uniformizer, k)
-        want = [e.idx for e in ideal]
-        checks += 1
-        if ring.size <= _FILTRATION_LIMIT:
-            got = sorted({(pik * e).idx for e in ring.enumerate_ring()})
-            viol += got != want
+        checks += 2
+        if _power_at_most(q, n - k, _FILTRATION_LIMIT):
+            ideal = ring.enumerate_ideal(k)
+            viol += len(ideal) != q ** (n - k)
+            want = [e.idx for e in ideal]
+            if every:
+                got = sorted({(pik * e).idx for e in ring.enumerate_ring()})
+                viol += got != want
+            else:
+                members = set(want)
+                viol += not all((pik * x).idx in members
+                                for x in _elements(ring, rng, 200))
         else:
-            members = set(want)
-            ok = all((pik * ring.from_index(int(t))).idx in members
-                     for t in rng.integers(0, ring.size, size=200))
-            viol += not ok
+            xs = _elements(ring, rng, 200)
+            step, width = q ** k, q ** (n - k)
+            viol += not all(ring.element((0,) * k + x.digits[:n - k]).idx
+                            == x.idx % width * step for x in xs)
+            viol += not all((pik * x).valuation() >= k for x in xs)
     return checks, viol
 
 
 def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
     checks = viol = 0
     iso = build_iso(ring)  # construction itself asserts the relations
-    S = ring.size
-    count = S ** 4
-    if count <= 1_000_000:
-        # Q^4 images of Q^4 quaternions: a bijection iff every matrix is
-        # hit; the images are scattered one c4 slice of Q^3 at a time
-        hit = np.zeros(count, dtype=bool)
-        for c4 in range(S):
-            hit[iso.packed_matrices_of_slice(c4)] = True
-        checks += 1
-        viol += not hit.all()
-    rounds = min(2000, count)
     if ring._dense:
+        S = ring.size
+        count = S ** 4
+        if _power_at_most(ring.q, 4 * ring.n, 1_000_000):
+            # Q^4 images of Q^4 quaternions: a bijection iff every matrix
+            # is hit; the images are scattered one c4 slice of Q^3 at a time
+            hit = np.zeros(count, dtype=bool)
+            for c4 in range(S):
+                hit[iso.packed_matrices_of_slice(c4)] = True
+            checks += 1
+            viol += not hit.all()
+        rounds = min(2000, count)
         t = ring.pair_tables
         (xs, ys), _ = _grid_or_draw((count, count), 1_000_000, samples,
                                     rng)
@@ -172,22 +210,16 @@ def _iso_checks(ring: Ring, rng, samples: int) -> tuple[int, int]:
         viol += int((np.stack(back) != cs).any(axis=0).sum())
         viol += int((np.stack(forth) != ms).any(axis=0).sum())
     else:
-        for _ in range(rounds):
-            coeffs = [ring.from_index(int(t))
-                      for t in rng.integers(0, S, size=4)]
-            x = Quaternion(*coeffs)
+        # min(2000, S^4) rounds, as above, is 2000 past the dense limit
+        for _ in range(2000):
+            x = Quaternion(*_elements(ring, rng, 4))
             checks += 2
             viol += iso.from_mat(iso.to_mat(x)) != x
-            entries = [ring.from_index(int(t))
-                       for t in rng.integers(0, S, size=4)]
-            A = Mat2(*entries)
+            A = Mat2(*_elements(ring, rng, 4))
             viol += iso.to_mat(iso.from_mat(A)) != A
         for _ in range(200):
-            xs = [ring.from_index(int(t))
-                  for t in rng.integers(0, S, size=4)]
-            ys = [ring.from_index(int(t))
-                  for t in rng.integers(0, S, size=4)]
-            x, y = Quaternion(*xs), Quaternion(*ys)
+            x = Quaternion(*_elements(ring, rng, 4))
+            y = Quaternion(*_elements(ring, rng, 4))
             checks += 2
             viol += iso.to_mat(x * y) != iso.to_mat(x) * iso.to_mat(y)
             viol += iso.to_mat(x + y) != iso.to_mat(x) + iso.to_mat(y)
@@ -340,24 +372,33 @@ def _lemma35(ring, space, samples, seed):
     a unit alpha.  Inputs are element indices, drawn alike on both routes:
     bulk on rings with dense tables, ``Mat2`` arithmetic past them.  The
     seeded generator is built at the first draw, so the exhaustive route
-    never imports ``numpy.random``."""
+    never imports ``numpy.random``.  The units are read in closed form,
+    never listed: of the (q - 1) q^(n-1), the k-th is the k-th index
+    prime to q, (k // (q - 1)) q + k % (q - 1) + 1."""
     rng = cache(lambda: np.random.default_rng(seed))
-    S = ring.size
-    els = np.arange(S, dtype=np.int64)
-    if S ** 3 <= 729:
+    q, n = ring.q, ring.n
+    if _power_at_most(q, 3 * n, 729):
+        els = np.arange(ring.size, dtype=np.int64)
         triples = tuple(x.ravel() for x in np.meshgrid(els, els, els,
                                                        indexing="ij"))
         note = "exhaustive"
     else:
-        triples = tuple(rng().integers(0, S, size=(2000, 3)).T)
+        triples = tuple(_draw(rng(), (2000, 3), q, n).T)
         note = "sampled 2000 triples"
-    units = els[els % ring.q != 0]
-    if len(units) ** 2 <= 400:
-        pairs = tuple(x.ravel() for x in np.meshgrid(units, units,
+
+    def unit(k):
+        # in Python ints past the dense limit, where q^n may pass int64
+        k = k if ring._dense else k.astype(object)
+        return k // (q - 1) * q + k % (q - 1) + 1
+
+    # the first 100 units, or all of them where there are fewer
+    few = _power_at_most(q, n - 1, 100 // (q - 1))
+    alphas = unit(np.arange((q - 1) * q ** (n - 1) if few else 100))
+    if len(alphas) <= 20:  # so at most 400 pairs
+        pairs = tuple(x.ravel() for x in np.meshgrid(alphas, alphas,
                                                      indexing="ij"))
     else:
-        pairs = tuple(units[rng().integers(0, len(units), size=(400, 2))].T)
-    alphas = units[:100]
+        pairs = tuple(unit(_draw(rng(), (400, 2), q, n - 1, q - 1)).T)
     check = _lemma35_bulk if ring._dense else _lemma35_scalar
     checks = len(triples[0]) + len(pairs[0]) + len(alphas)
     return _result("lemma35", ring, checks,

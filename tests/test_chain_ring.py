@@ -1,13 +1,17 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from nilquat.chain_ring import (_PRIME_BOUND, GFq, Ring, _is_odd_prime_power,
-                                _is_prime, make_ring, parse_element,
+from nilquat.chain_ring import (_PRIME_BOUND, GFq, Ring, _digits_of,
+                                _is_odd_prime_power, _is_prime,
+                                _poly_is_irreducible, _poly_rem,
+                                _power_at_most, make_ring, parse_element,
                                 parse_ring_spec, format_element,
                                 format_ring_spec, ring_from_string,
                                 smallest_irreducible)
+from nilquat.mat2 import CapExceededError, matrix_space
 from nilquat.cli import main
 from nilquat.nilfactor import rank1_union_count
 
@@ -372,3 +376,69 @@ def test_elements_are_interned():
         r.neg(other.one)
     with pytest.raises(ValueError, match="different rings"):
         r.inverse(other.one)
+
+
+def test_power_at_most_agrees_with_the_power():
+    for q in (1, 2, 3, 5, 9, 25, 1000003):
+        for m in range(0, 12):
+            power = q ** m
+            for bound in {-2, -1, 0, 1, power - 1, power, power + 1,
+                          2 * power, 10 ** 6, 2 ** 63}:
+                assert _power_at_most(q, m, bound) == (power <= bound), \
+                    (q, m, bound)
+
+
+def test_power_at_most_builds_no_power_past_the_bound():
+    # 3^(10^12) has about 1.6 * 10^12 bits; the bit lengths answer first
+    start = time.perf_counter()
+    assert not _power_at_most(3, 10 ** 12, 2 ** 24)
+    assert not _power_at_most(3, 10 ** 12, 10 ** 4300)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_huge_ring_refuses_at_the_cap_without_its_size():
+    # q^n = 3^30000000 alone takes seconds to build; nothing reads it
+    start = time.perf_counter()
+    ring = Ring(parse_ring_spec("zmod:3^30000000"))
+    space = matrix_space(ring)
+    with pytest.raises(CapExceededError, match=r"q\^\(4n\) = 3\^120000000 "):
+        space.require_enumerable()
+    assert space.index_type is np.int64
+    assert not ring._dense
+    assert "size" not in vars(ring)
+    assert time.perf_counter() - start < 1
+
+
+def _trial_irreducible(m, p):
+    """Whether no monic polynomial of degree 1..deg(m)/2 divides m."""
+    deg = len(m) - 1
+    return deg >= 1 and all(
+        _poly_rem(m, list(_digits_of(k, p, d)) + [1], p)
+        for d in range(1, deg // 2 + 1) for k in range(p ** d))
+
+
+@pytest.mark.parametrize("p, top", [(3, 5), (5, 5), (7, 4)])
+def test_rabin_test_agrees_with_trial_division(p, top):
+    for r in range(0, top + 1):
+        for k in range(p ** r):
+            m = list(_digits_of(k, p, r)) + [1]
+            assert _poly_is_irreducible(m, p) == _trial_irreducible(m, p), m
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_smallest_irreducible_matches_trial_division(p):
+    for r in range(1, 7):
+        want = next(tuple(m) for m in (list(_digits_of(k, p, r)) + [1]
+                                       for k in range(p ** r))
+                    if _trial_irreducible(m, p))
+        assert smallest_irreducible(p, r) == want, (p, r)
+
+
+def test_degree_40_modulus_is_found_in_bounded_time():
+    start = time.perf_counter()
+    m = smallest_irreducible(3, 40)
+    assert time.perf_counter() - start < 2
+    assert m == (2, 1) + (0,) * 38 + (1,)
+    f = GFq(3, 40)
+    x = 3 ** 39 + 5
+    assert f.mul(x, f.inv(x)) == 1

@@ -649,3 +649,66 @@ def test_past_the_cap_refuses_before_the_modulus_search(argv):
                           env=_child_env())
     assert proc.returncode == (6 if argv[0] == "table" else 2)
     assert "cap" in (proc.stdout if argv[0] == "table" else proc.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--ring", "zmod:3^30000000", "--s", "2"),
+    ("table", "--rings", "zmod:3^30000000", "--s", "2"),
+    ("verify", "--ring", "zmod:3^30000000", "--suite", "lemma33"),
+], ids=("census", "table", "verify"))
+def test_huge_n_refuses_at_the_cap_in_bounded_time(argv):
+    # q^n = 3^30000000 takes seconds to build and q^(4n) far longer; the
+    # cap refuses from the exponents alone
+    proc = subprocess.run([sys.executable, "-m", "nilquat", *argv],
+                          capture_output=True, text=True, timeout=30,
+                          env=_child_env())
+    want = ("q^(4n) = 3^120000000 packed matrices exceed the enumeration "
+            "cap 16777216")
+    if argv[0] == "table":
+        assert proc.returncode == 6
+        assert proc.stdout.splitlines()[1] == (
+            f"zmod:3^30000000,3,30000000,2,,,,set-product,{want}")
+    else:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {want}\n"
+
+
+def test_formula_census_prints_a_count_past_the_digit_limit(capsys):
+    # the stable count on zmod:3^3100 has 4,438 digits, more than an int
+    # may be printed with by default; the CLI writes it exactly
+    from nilquat.cli import _exact_ints
+    from nilquat.nilfactor import rank1_union_count
+    with _exact_ints():
+        count = str(rank1_union_count(3, 3100))
+    assert len(count) == 4438
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    argv = ("census", "--method", "formula", "--ring", "zmod:3^3100",
+            "--s", "6199", "--stable-output")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert f'  "formula_count": {count},' in out.splitlines()
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        f"zmod:3^3100,3,3100,6199,,{count},,formula-only")
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert f" formula_count={count} " in out
+    code, out, _ = run_cli(capsys, "table", "--method", "formula",
+                           "--rings", "zmod:3^3100", "--s", "6199")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        f"zmod:3^3100,3,3100,6199,,{count},,formula-only,")
+    # the limit is lifted for the CLI's own writes only
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_decompose_on_a_degree_40_residue_field():
+    # the modulus search is polynomial in r, so GF(3^40) is built at once
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilquat", "decompose", "--ring",
+         "polyq:3^40^1", "--matrix", "[[1,1],[0,0]]", "--s", "3",
+         "--format", "text"],
+        capture_output=True, text=True, timeout=30, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "verified: true"

@@ -625,3 +625,86 @@ def test_lemma35_bulk_counts_each_failed_conjugation(monkeypatch):
     moved = int((ring.mul_table[i[:, None], i[None, :]] != 0).sum())
     units = int((i % ring.q != 0).sum())
     assert r.violations == moved * ring.size + units ** 2
+
+
+def _lemma35_inputs(monkeypatch, ring, seed):
+    """The (triples, pairs, alphas) that lemma35 checks on ``ring``."""
+    from nilquat import verify
+    seen = []
+
+    def record(ring, triples, pairs, alphas):
+        seen.append((triples, pairs, alphas))
+        return 0
+
+    monkeypatch.setattr(verify, "_lemma35_bulk", record)
+    monkeypatch.setattr(verify, "_lemma35_scalar", record)
+    run_suites(ring, ("lemma35",), seed=seed)
+    return seen[0]
+
+
+@pytest.mark.parametrize("spec", sorted({*_GOLDEN, *_GOLDEN_NARROW}))
+def test_lemma35_inputs_equal_the_listed_units_route(monkeypatch, spec):
+    # the units are read in closed form; listing R and filtering it, as
+    # the suite once did, gives the same inputs at every seed
+    ring = ring_from_string(spec)
+    S = ring.size
+    for seed in (7, 11):
+        rng = np.random.default_rng(seed)
+        els = np.arange(S, dtype=np.int64)
+        if S ** 3 <= 729:
+            triples = [x.ravel() for x in np.meshgrid(els, els, els,
+                                                      indexing="ij")]
+        else:
+            triples = list(rng.integers(0, S, size=(2000, 3)).T)
+        units = els[els % ring.q != 0]
+        if len(units) ** 2 <= 400:
+            pairs = [x.ravel() for x in np.meshgrid(units, units,
+                                                    indexing="ij")]
+        else:
+            pairs = list(units[rng.integers(0, len(units),
+                                            size=(400, 2))].T)
+        have, want = _lemma35_inputs(monkeypatch, ring, seed), (
+            triples, pairs, units[:100])
+        for x, y in zip((*have[0], *have[1], have[2]),
+                        (*want[0], *want[1], want[2])):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert [len(t) for t in have[:2]] == [3, 2]
+
+
+def test_draw_is_the_generator_draw_below_int64_and_in_range_past_it():
+    from nilquat.verify import _draw
+    for c, q, m in ((1, 3, 2), (2, 3, 39), (1, 3, 39), (1, 2, 63),
+                    (1, 2 ** 63, 1), (6, 7, 21)):
+        got = _draw(np.random.default_rng(5), (40, 3), q, m, c)
+        want = np.random.default_rng(5).integers(0, c * q ** m,
+                                                 size=(40, 3))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for c, q, m in ((1, 3, 40), (6, 7, 22), (1, 2, 64), (3 ** 40 - 1,
+                                                         3 ** 40, 1)):
+        high = c * q ** m
+        got = _draw(np.random.default_rng(5), (500, 2), q, m, c)
+        assert got.shape == (500, 2) and got.dtype == object
+        values = [int(v) for v in got.ravel()]
+        assert all(0 <= v < high for v in values)
+        # the top half of the range is reached too
+        assert max(values) >= high // 2
+        assert np.array_equal(got, _draw(np.random.default_rng(5), (500, 2),
+                                         q, m, c))
+
+
+def test_scalar_suites_run_past_int64_elements():
+    # 3^40 > 2^63: the draws compose Python ints, and the units are read
+    # in closed form, so neither overflows int64
+    out = _run_child(
+        "from nilquat.cli import main\n"
+        "raise SystemExit(main(['verify', '--ring', 'zmod:3^40',\n"
+        "                       '--suite', 'axioms,lemma35']))\n")
+    assert out.splitlines()[-1] == "ok: 2 suites"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_axioms_past_the_filtration_limit_lists_no_large_ideal():
+    # zmod:3^12 has 531,441 elements: listing R as RingElem objects, as
+    # J^0 once was, raised the peak RSS by about 200 MB
+    assert _suite_peak_rise_mb("zmod:3^12", ("axioms",), "None") < 40
