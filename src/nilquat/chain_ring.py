@@ -24,9 +24,13 @@ for GF(q): the base-p^a digits of an index are its coordinates over Z/p^a
 (zmod: one, mod p^n; polyq: n r, mod p), which multiply by fixed structure
 constants.  Larger rings, which have no dense tables, compute on digits
 one operation at a time; that digit route is also the tests' oracle for
-the tables.  The one limit covers the residue field too: GF(q) has dense
-tables, and inverts by lookup, for q up to ``TABLE_SIZE_LIMIT``, and
-inverts as x^(q-2) past it.
+the tables.  The one limit covers the residue field's tables too, which
+only the bulk routes read.  ``GFq`` is the one owner of inverses and
+square roots in GF(q), each one route for every q and polynomial in r:
+``inv`` is the extended Euclidean algorithm over GF(p)[t], the one
+Euclid, which Rabin's irreducibility test shares, and ``sqrt`` is
+Tonelli-Shanks.  The digit route's inverse and the sum-of-squares solver
+lift those answers to R by one Newton loop, ``Ring._newton``.
 
 Bulk arithmetic over index arrays runs through one gather kernel,
 ``PairTables``: add and mul raveled to length Q^2 in int16 (int32 once
@@ -217,30 +221,46 @@ def _poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
     return _poly_trim(out)
 
 
-def _poly_rem(f: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of f modulo the monic polynomial m."""
+def _poly_divmod(f: list[int], m: list[int],
+                 p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of f by the monic polynomial m."""
     f = list(f)
     dm = len(m) - 1
+    quotient = [0] * max(len(f) - dm, 0)
     while len(f) > dm:
         c = f[-1]
         if c:
             off = len(f) - 1 - dm
+            quotient[off] = c
             for i in range(dm):
                 f[off + i] = (f[off + i] - c * m[i]) % p
         f.pop()
-    return _poly_trim(f)
+    return _poly_trim(quotient), _poly_trim(f)
+
+
+def _poly_rem(f: list[int], m: list[int], p: int) -> list[int]:
+    """Remainder of f modulo the monic polynomial m."""
+    return _poly_divmod(f, m, p)[1]
 
 
 def _poly_sub(f: list[int], g: list[int], p: int) -> list[int]:
     return _poly_trim([(a - b) % p for a, b in zip_longest(f, g, fillvalue=0)])
 
 
-def _poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    """A greatest common divisor of f and g, up to a unit factor."""
+def _poly_euclid(f: list[int], g: list[int],
+                 p: int) -> tuple[list[int], list[int]]:
+    """(d, u) with d a greatest common divisor of f and g, monic unless g
+    is zero (then d = f), and u g = d mod f: the extended Euclidean
+    algorithm, which carries g's cofactor only.  Each remainder r_k is
+    u_k g mod f; a step makes r_k monic, scaling u_k alike, and takes
+    r_(k+1) = r_(k-1) - (r_(k-1) div r_k) r_k, and u_(k+1) alike."""
+    u, v = [], [1]
     while g:
         inv = pow(g[-1], -1, p)
-        f, g = g, _poly_rem(f, [c * inv % p for c in g], p)
-    return f
+        g, v = [c * inv % p for c in g], [c * inv % p for c in v]
+        quotient, rest = _poly_divmod(f, g, p)
+        f, g, u, v = g, rest, v, _poly_sub(u, _poly_mul(quotient, v, p), p)
+    return f, u
 
 
 def _poly_is_irreducible(m: list[int], p: int) -> bool:
@@ -258,9 +278,10 @@ def _poly_is_irreducible(m: list[int], p: int) -> bool:
     frobenius = x  # x^(p^j) mod m
     for j in range(1, r):
         frobenius = _power(mulmod, [1], frobenius, p)
-        if (r % j == 0 and _is_prime(r // j)
-                and len(_poly_gcd(m, _poly_sub(frobenius, x, p), p)) > 1):
-            return False
+        if r % j == 0 and _is_prime(r // j):
+            gcd, _ = _poly_euclid(m, _poly_sub(frobenius, x, p), p)
+            if len(gcd) > 1:
+                return False
     return not _poly_sub(_power(mulmod, [1], frobenius, p), x, p)
 
 
@@ -338,11 +359,58 @@ class GFq:
         return _power(self.mul, 1, x, k)
 
     def inv(self, x: int) -> int:
+        """x^-1 by the extended Euclidean algorithm over GF(p)[t]: the u
+        with u x = 1 mod the modulus, O(r^2) operations in GF(p)."""
         if x == 0:
             raise ZeroDivisionError("zero has no inverse in GF(q)")
-        if self._dense:
-            return int(self.inv_table[x])
-        return self.pow(x, self.q - 2)
+        _, u = _poly_euclid(list(self.modulus),
+                            _poly_trim(self._decode(x)), self.p)
+        return self._encode(u)
+
+    def sqrt(self, x: int) -> int | None:
+        """The smaller by index of the square roots of x (0 for x = 0), or
+        None where x is not a square, by Tonelli-Shanks in O(log q)
+        products.  With q - 1 = t 2^s, t odd, the root starts at
+        x^((t+1)/2) and b at x^t, so root^2 = x b; b has order 2^i, and x
+        is a square iff i < s (Euler's criterion).  Each step multiplies
+        the root by an element of order 2^(i+1), which lowers i, until
+        b = 1."""
+        if x == 0:
+            return 0
+        s = self._two_valuation
+        w = self.pow(x, (self.q - 1) >> (s + 1))  # x^((t - 1) / 2)
+        root = self.mul(x, w)
+        b = self.mul(root, w)
+        # c has order 2^m, m being an upper bound on i
+        c, m = None, s
+        while b != 1:
+            i, e = 0, b
+            while e != 1:
+                e, i = self.mul(e, e), i + 1
+            if i == m:
+                return None  # only in the first step, where m = s
+            d = self._two_power_generator if c is None else c
+            for _ in range(m - i - 1):
+                d = self.mul(d, d)
+            c, m = self.mul(d, d), i
+            root, b = self.mul(root, d), self.mul(b, c)
+        return min(root, self.neg(root))
+
+    @cached_property
+    def _two_valuation(self) -> int:
+        """s with q - 1 = t 2^s, t odd."""
+        return ((self.q - 1) & (1 - self.q)).bit_length() - 1
+
+    @cached_property
+    def _two_power_generator(self) -> int:
+        """z^t, of order 2^s, for the first non-square z by index from 2,
+        or from t (index p) where r >= 2, since every element of GF(p) is
+        a square when r is even.  About half of all candidates are
+        non-squares, so the search stops after a few."""
+        q = self.q
+        z = next(z for z in range(2 if self.r == 1 else self.p, q)
+                 if self.pow(z, (q - 1) // 2) != 1)
+        return self.pow(z, (q - 1) >> self._two_valuation)
 
     # -- vectorised tables ------------------------------------------------
     # Built by the table builder from the modulus, never from the scalar
@@ -375,6 +443,14 @@ class GFq:
     def inv_table(self) -> np.ndarray:
         # [0] is a sentinel 0; callers must mask out the zero element.
         return _inverse_table(self.mul_table, 0)
+
+    @cached_property
+    def square_mask(self) -> np.ndarray:
+        """Whether each element is a square: the diagonal of
+        ``mul_table``, marked."""
+        mask = np.zeros(self.q, dtype=bool)
+        mask[np.diagonal(self.mul_table)] = True
+        return mask
 
 
 # ---------------------------------------------------------------------------
@@ -846,16 +922,25 @@ class Ring:
         return RingElem(self, out)
 
     def _digit_inverse(self, a: RingElem) -> RingElem:
-        """Newton lift of the residue-field inverse; exact after
-        ceil(log2 n) quadratic steps."""
-        x = self.lift(self.residue_field.inv(a.digits[0]))
-        minus_one = self._digit_neg(self.one)
+        """Newton's lift of the residue-field inverse, x -> x - x (a x -
+        1), on the digit route."""
+        add, mul, neg = self._digit_add, self._digit_mul, self._digit_neg
+        minus_one = neg(self.one)
+        return self._newton(self.lift(self.residue_field.inv(a.digits[0])),
+                            lambda x: add(mul(a, x), minus_one),
+                            lambda x, err: add(x, neg(mul(x, err))))
+
+    def _newton(self, x: RingElem, defect, step) -> RingElem:
+        """Newton's method from x, the lift of a simple residue root: x
+        becomes step(x, d) while the defect d = defect(x) is nonzero.
+        Each step doubles the defect's valuation, so it is exact after
+        ceil(log2 n) steps."""
         for _ in range(self.n.bit_length() + 2):
-            err = self._digit_add(self._digit_mul(a, x), minus_one)
-            if err.idx == 0:
+            d = defect(x)
+            if d.idx == 0:
                 return x
-            x = self._digit_add(x, self._digit_neg(self._digit_mul(x, err)))
-        raise AssertionError("inversion failed to converge")
+            x = step(x, d)
+        raise AssertionError("Newton's method failed to converge")
 
     # -- structure ----------------------------------------------------------
 
@@ -919,28 +1004,24 @@ class Ring:
 
         A residue solution with unit first coordinate always exists for odd
         q (if only (0, b) solved it, (b, 0) would too), and Newton steps on
-        a alone converge because the derivative 2a is a unit.
+        a alone converge because the derivative 2a is a unit.  The residue
+        pair is the first fa = 1, 2, ... by index for which -1 - fa^2 is a
+        square, and fb its smaller root by index (``GFq.sqrt``).
         """
         f = self.residue_field
-        sqrt_of: dict[int, int] = {}
-        for x in range(f.q):
-            sqrt_of.setdefault(f.mul(x, x), x)
         minus_one = f.neg(1)
-        pair = None
         for fa in range(1, f.q):
-            fb = sqrt_of.get(f.sub(minus_one, f.mul(fa, fa)))
+            fb = f.sqrt(f.sub(minus_one, f.mul(fa, fa)))
             if fb is not None:
-                pair = (fa, fb)
                 break
-        if pair is None:
+        else:
             raise AssertionError("odd residue fields always admit a solution")
-        a, b = self.lift(pair[0]), self.lift(pair[1])
-        for _ in range(self.n.bit_length() + 2):
-            defect = self.add(self.add(self.mul(a, a), self.mul(b, b)), self.one)
-            if defect.idx == 0:
-                return a, b
-            a = self.sub(a, self.mul(defect, self.inverse(self.add(a, a))))
-        raise AssertionError("Newton refinement failed to converge")
+        add, mul, sub = self.add, self.mul, self.sub
+        b = self.lift(fb)
+        b2_plus_one = add(mul(b, b), self.one)
+        a = self._newton(self.lift(fa), lambda a: add(mul(a, a), b2_plus_one),
+                         lambda a, d: sub(a, mul(d, self.inverse(add(a, a)))))
+        return a, b
 
     # -- dense tables ---------------------------------------------------------
 

@@ -16,7 +16,10 @@ and MatrixSpace provides vectorised kernels over whole packed ranges.
 Products, traces and determinants over index arrays are thin callers of
 the ring's shared gather kernel, ``chain_ring.PairTables``, through its
 one int64 adapter ``Ring._bulk``; the same kernel serves the quaternion
-maps and the verify suites.
+maps and the verify suites.  The one pair-product kernel,
+``pair_products``, multiplies every left matrix by every right one by
+two gathers a pair from a per-left column table; the product chain,
+``lemma311`` and the orbit union run through it.
 Nilpotency uses the chain-ring criterion trace, det in J(R), on a scalar
 matrix one call of the fused residue test ``Ring._is_nilpotent``; the
 2n-th power oracle it is equivalent to lives in the test suites.  The
@@ -359,6 +362,10 @@ def classify_nilpotent_bulk(ring: Ring, entries) -> NilClasses:
 # few such blocks, whatever the sample count or |GL2|.
 _BLOCK = 1 << 14
 
+# Pairs per block of ``pair_products``: a block's int32 products and their
+# temporaries stay near a megabyte each.
+_BULK_BLOCK = 1 << 17
+
 
 def block_slices(total: int):
     """Consecutive slices of range(total), each ``_BLOCK`` long but the
@@ -376,6 +383,39 @@ def split_packed(packed, Q: int):
     e2 = e1 // Q
     x4 = e2 // Q
     return e - e1 * Q, e1 - e2 * Q, e2 - x4 * Q, x4
+
+
+def pair_products(space: MatrixSpace, left: np.ndarray, right: np.ndarray):
+    """Yield (start, packed products) for every L * R, L in left and R in
+    right, in row-major pair order.
+
+    Each block holds the rows left[start:start + k] against all of right
+    as one (k, len(right)) array of packed indices.  A column (x, y) of R
+    goes to the column L (x, y)^T, so each left factor gets a Q^2-entry
+    table T_L from the column index x + Q y to the packed column u + Q^2 w
+    of its image; then packed(L R) = T_L[b11 + Q b21] + Q T_L[b12 + Q b22],
+    two gathers a pair.  k is chosen so that neither k * len(right) pairs
+    nor the k * Q^2 table entries pass _BULK_BLOCK.
+    """
+    Q = space.Q
+    add, mul = space.ring.add_table, space.ring.mul_table
+    b11, b12, b21, b22 = space.unpack(right)
+    cols = (b11 + Q * b21, b12 + Q * b22)
+    block = max(1, _BULK_BLOCK // max(len(right), Q * Q))
+    for start in range(0, len(left), block):
+        a11, a12, a21, a22 = space.unpack(left[start:start + block])
+        # table[i, y, x] is the packed image of the column (x, y)
+        table = add[mul[a21][:, None, :], mul[a22][:, :, None]].astype(
+            space.index_type)
+        table *= Q * Q
+        table += add[mul[a11][:, None, :], mul[a12][:, :, None]]
+        table = table.reshape(len(a11), Q * Q)
+        # take along axis 1 loops over the rows outside the columns, so a
+        # block of a few rows costs no more a pair than a tall one
+        packed = np.take(table, cols[1], axis=1)
+        packed *= Q
+        packed += np.take(table, cols[0], axis=1)
+        yield start, packed
 
 
 class MatrixSpace:
@@ -652,8 +692,7 @@ class MatrixSpace:
         ring, q, n = self.ring, self.ring.q, self.ring.n
         add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
         offsets, moduli = self._code_tables[:2]
-        square = np.zeros(q, dtype=bool)
-        square[mul[np.arange(q), np.arange(q)] % q] = True
+        square = ring.residue_field.square_mask
         sizes = np.ones(self.class_count, dtype=np.int64)
         for j, m in enumerate(moduli[:n]):
             tr, det = np.divmod(np.arange(q ** j * m * m) % (m * m), m)

@@ -20,15 +20,12 @@ import numpy as np
 from .chain_ring import (Ring, RingElem, _is_odd_prime_power, format_element,
                          format_ring_spec)
 from .mat2 import (Mat2, MatrixSpace, _mat, block_slices,
-                   companion_conjugator, format_matrix, identity)
+                   companion_conjugator, format_matrix, identity,
+                   pair_products)
 from .orbits import _orbit_witness, locate_in_orbit_union, orbit_union
 
 # Any fixed constant works; this one is frozen so seeded runs reproduce.
 DEFAULT_SEED = 218184014
-
-# Pairs per block of pair_products: a block's int32 products and their
-# temporaries stay near a megabyte each.
-_BULK_BLOCK = 1 << 17
 
 
 class DecompositionError(ValueError):
@@ -118,39 +115,6 @@ def nilpotent_count_check(space: MatrixSpace) -> tuple[int, int, bool]:
 # ---------------------------------------------------------------------------
 # exact product sets
 # ---------------------------------------------------------------------------
-
-def pair_products(space: MatrixSpace, left: np.ndarray, right: np.ndarray):
-    """Yield (start, packed products) for every L * R, L in left and R in
-    right, in row-major pair order.
-
-    Each block holds the rows left[start:start + k] against all of right
-    as one (k, len(right)) array of packed indices.  A column (x, y) of R
-    goes to the column L (x, y)^T, so each left factor gets a Q^2-entry
-    table T_L from the column index x + Q y to the packed column u + Q^2 w
-    of its image; then packed(L R) = T_L[b11 + Q b21] + Q T_L[b12 + Q b22],
-    two gathers a pair.  k is chosen so that neither k * len(right) pairs
-    nor the k * Q^2 table entries pass _BULK_BLOCK.
-    """
-    Q = space.Q
-    add, mul = space.ring.add_table, space.ring.mul_table
-    b11, b12, b21, b22 = space.unpack(right)
-    cols = (b11 + Q * b21, b12 + Q * b22)
-    block = max(1, _BULK_BLOCK // max(len(right), Q * Q))
-    for start in range(0, len(left), block):
-        a11, a12, a21, a22 = space.unpack(left[start:start + block])
-        # table[i, y, x] is the packed image of the column (x, y)
-        table = add[mul[a21][:, None, :], mul[a22][:, :, None]].astype(
-            space.index_type)
-        table *= Q * Q
-        table += add[mul[a11][:, None, :], mul[a12][:, :, None]]
-        table = table.reshape(len(a11), Q * Q)
-        # take along axis 1 loops over the rows outside the columns, so a
-        # block of a few rows costs no more a pair than a tall one
-        packed = np.take(table, cols[1], axis=1)
-        packed *= Q
-        packed += np.take(table, cols[0], axis=1)
-        yield start, packed
-
 
 def _read_only(indices: np.ndarray) -> np.ndarray:
     view = indices.view()

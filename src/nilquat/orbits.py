@@ -25,7 +25,8 @@ import numpy as np
 
 from .chain_ring import (Ring, RingElem, _power_at_most, format_ring_spec,
                          make_ring, parse_ring_spec)
-from .mat2 import Mat2, MatrixSpace, _mat, identity, top_row
+from .mat2 import (Mat2, MatrixSpace, _mat, identity, pair_products,
+                   top_row)
 
 # A bitset header is one short text line; longer first lines are rejected.
 _BITSET_HEADER_LIMIT = 256
@@ -73,18 +74,17 @@ def _union_by_rank1(space: MatrixSpace) -> np.ndarray:
 
     Canonical representatives (1, c) for all c and (j, 1) for j in J cover
     every unimodular column up to unit scaling, and unit scales of u can be
-    absorbed into w, so the union is unchanged."""
+    absorbed into w, so the union is unchanged.  u * w^T is the matrix
+    product ((u1, 0), (u2, 0)) ((w1, w2), (0, 0)), so the union is one
+    pass of ``pair_products``; the top rows (w1, w2) are the packed
+    indices w1 + Q w2 below Q^2."""
     ring = space.ring
-    Q, q = ring.size, ring.q
-    mul = ring.mul_table
+    Q, q, one = ring.size, ring.q, ring.one.idx
+    u1 = np.concatenate([np.full(Q, one), np.arange(0, Q, q)])
+    u2 = np.concatenate([np.arange(Q), np.full(Q // q, one)])
     mask = np.zeros(space.count, dtype=bool)
-    e = np.arange(Q * Q, dtype=np.int64)
-    w1, w2 = e % Q, e // Q
-    one = ring.one.idx
-    columns = [(one, c) for c in range(Q)]
-    columns += [(j * q, one) for j in range(Q // q)]
-    for u1, u2 in columns:
-        packed = space.pack(mul[u1, w1], mul[u1, w2], mul[u2, w1], mul[u2, w2])
+    for _, packed in pair_products(space, space.pack(u1, 0, u2, 0),
+                                   np.arange(Q * Q)):
         mask[packed] = True
     return mask
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import numpy as np
@@ -203,6 +204,38 @@ def test_sum_of_squares_invariant_sweep(text):
     assert (a * a + b * b + r.one).is_zero()
 
 
+def _scanned_sum_of_squares(r):
+    # the reference scan: the squares of all of GF(q) listed, the first fa
+    # with -1 - fa^2 among them, and Newton steps on a
+    f = r.residue_field
+    sqrt_of = {}
+    for x in range(f.q):
+        sqrt_of.setdefault(f.mul(x, x), x)
+    fa, fb = next((fa, sqrt_of[c]) for fa in range(1, f.q)
+                  if (c := f.sub(f.neg(1), f.mul(fa, fa))) in sqrt_of)
+    a, b = r.lift(fa), r.lift(fb)
+    for _ in range(r.n + 2):
+        defect = a * a + b * b + r.one
+        if defect.is_zero():
+            return a, b
+        a = a - defect * (a + a).inverse()
+    raise AssertionError("Newton steps did not converge")
+
+
+_ODD_PRIME_POWERS_BELOW_200 = [
+    (p, k) for p in range(3, 200) if _is_prime(p)
+    for k in range(1, 8) if p ** k < 200]
+
+
+@pytest.mark.parametrize(
+    "text", SQUARES_SWEEP + [f"polyq:{p}^{k}^1"
+                             for p, k in _ODD_PRIME_POWERS_BELOW_200])
+def test_sum_of_squares_equals_the_field_scan(text):
+    r = ring_from_string(text)
+    assert ([x.idx for x in r.solve_sum_of_squares()]
+            == [x.idx for x in _scanned_sum_of_squares(r)])
+
+
 def test_enumerate_ring_is_index_order():
     r = ring_from_string("polyq:3^2^1")
     assert [e.idx for e in r.enumerate_ring()] == list(range(9))
@@ -310,6 +343,37 @@ def test_large_residue_field_inverts_without_a_table():
         f.inv_table
     for x in (1, 2, 18, 288, 4912):
         assert f.mul(x, f.inv(x)) == 1
+
+
+@pytest.mark.parametrize("p, r", ((3, 2), (5, 2), (3, 3), (7, 2), (3, 4),
+                                  (11, 2), (5, 3), (3, 5), (7, 3), (3, 6)))
+def test_residue_field_inverse_equals_the_table(p, r):
+    # one route, Euclid, at every size: the table is only its oracle here
+    f = GFq(p, r)
+    assert [f.inv(x) for x in range(1, f.q)] == f.inv_table[1:].tolist()
+
+
+@pytest.mark.parametrize("p, r", ((17, 3), (3, 40)))
+def test_residue_field_inverse_past_the_table(p, r):
+    f = GFq(p, r)
+    rng = random.Random(5)  # 3^40 is past int64
+    xs = [1, 2, p, f.q - 1] + [rng.randrange(1, f.q) for _ in range(12)]
+    for x in xs:
+        y = f.inv(x)
+        assert f.mul(x, y) == 1
+        assert y == f.pow(x, f.q - 2)
+
+
+@pytest.mark.parametrize("p, r", ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
+                                  (13, 1), (5, 2), (3, 3), (7, 2), (5, 3)))
+def test_residue_field_sqrt_equals_a_brute_table(p, r):
+    # the smaller root by index, and None exactly off the squares
+    f = GFq(p, r)
+    roots = {}
+    for x in range(f.q):
+        roots.setdefault(f.mul(x, x), x)
+    assert [f.sqrt(y) for y in range(f.q)] == [roots.get(y)
+                                               for y in range(f.q)]
 
 
 def test_table_build_makes_no_digit_route_call(monkeypatch):

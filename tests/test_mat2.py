@@ -574,6 +574,29 @@ def test_class_sizes_are_code_counts(text, classes):
     assert sp.class_sizes.sum() == q ** (4 * n)
 
 
+@pytest.mark.parametrize("text", ("zmod:3^3", "zmod:5^2", "zmod:7^2",
+                                  "polyq:3^2^2", "polyq:5^2^1"))
+def test_class_sizes_equal_the_ring_table_derivation(text):
+    # the squares of GF(q) read off the ring's own mul table, and the
+    # sizes derived from them as the closed form says
+    sp = matrix_space(ring_from_string(text))
+    ring, q, n = sp.ring, sp.ring.q, sp.ring.n
+    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+    offsets, moduli = sp._code_tables[:2]
+    square = np.zeros(q, dtype=bool)
+    square[mul[np.arange(q), np.arange(q)] % q] = True
+    want = np.ones(sp.class_count, dtype=np.int64)
+    for j, m in enumerate(moduli[:n]):
+        tr, det = np.divmod(np.arange(q ** j * m * m) % (m * m), m)
+        disc = add[mul[tr, tr], neg[mul[ring.from_int(4).idx, det]]] % q
+        u = np.select([disc == 0, square[disc]],
+                      [q * (q - 1), (q - 1) ** 2], q * q - 1)
+        want[offsets[j]:offsets[j + 1]] = (
+            gl2_count(q, n) // (q ** (2 * n + 2 * j - 2) * u))
+    assert np.array_equal(ring.residue_field.square_mask, square)
+    assert np.array_equal(sp.class_sizes, want)
+
+
 @pytest.mark.parametrize("text", ("zmod:3^3", "polyq:3^2^1", "polyq:3^1^3",
                                   "zmod:3^7"))
 def test_companion_conjugator_reaches_the_companion_form(text):
@@ -651,6 +674,7 @@ def test_invariant_checks_survive_optimize_flag():
         "    def mul(self, x, y): return 0\n"
         "    def neg(self, x): return 1\n"
         "    def sub(self, x, y): return 1\n"
+        "    def sqrt(self, x): return None\n"
         "r.residue_field = NoRoots()\n"
         "probe(AssertionError, r.solve_sum_of_squares)\n"
         "Mat2.is_nilpotent = lambda self: True\n"

@@ -227,3 +227,22 @@ def test_construction_refusals_survive_optimize_flag():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["refused"] * 3
+
+
+def test_build_iso_over_a_degree_40_residue_field():
+    # the pair comes from a square root in GF(3^40); a list of the
+    # squares of all 3^40 residues would not fit in memory
+    src = os.path.dirname(os.path.dirname(nilquat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = (
+        "from nilquat.chain_ring import ring_from_string\n"
+        "from nilquat.quaternion import build_iso\n"
+        "r = ring_from_string('polyq:3^40^1')\n"
+        "iso = build_iso(r)\n"
+        "print((iso.a * iso.a + iso.b * iso.b + r.one).is_zero())\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]

@@ -256,9 +256,9 @@ def test_blocked_suites_match_the_golden_values_at_small_blocks(monkeypatch,
                                                                 spec):
     # blocks of 1000 samples and of 1000 pairs put many block seams inside
     # every sampled suite; the reports stay the golden ones
-    from nilquat import mat2, nilfactor
+    from nilquat import mat2
     monkeypatch.setattr(mat2, "_BLOCK", 1000)
-    monkeypatch.setattr(nilfactor, "_BULK_BLOCK", 1000)
+    monkeypatch.setattr(mat2, "_BULK_BLOCK", 1000)
     want = [w for w in _GOLDEN.get(spec, []) + _GOLDEN_NARROW.get(spec, [])
             if w[0] in _BLOCKED_SUITES]
     assert sorted(w[0] for w in want) == sorted(_BLOCKED_SUITES)
